@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "driver/executor.hh"
 #include "driver/tracing.hh"
@@ -61,6 +60,14 @@ recordGpuLaunch(const std::string &name, core::Scale scale, int version)
 }
 
 namespace {
+
+/** Memo key of one recording: "name/s<scale>/v<version>". */
+std::string
+recordingKey(const std::string &name, core::Scale scale, int version)
+{
+    return name + "/s" + std::to_string(int(scale)) + "/v" +
+           std::to_string(version);
+}
 
 /**
  * ChunkSink adapter that spills sealed trace chunks into the
@@ -139,27 +146,17 @@ Context::~Context()
 const core::CpuCharacterization &
 Context::cpu(const std::string &name, core::Scale scale, int threads)
 {
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/t" << threads;
-    Entry<core::CpuCharacterization> *entry;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto &slot = cpuEntries[keyName.str()];
-        if (!slot)
-            slot =
-                std::make_unique<Entry<core::CpuCharacterization>>();
-        entry = slot.get();
-    }
-    // call_once keeps concurrent requesters from duplicating the
-    // (expensive) characterization and propagates exceptions.
-    std::call_once(entry->once, [&] {
+    std::string keyName = name + "/s" + std::to_string(int(scale)) +
+                          "/t" + std::to_string(threads);
+    return cpuMemo.get(keyName, [&] {
         auto t0 = std::chrono::steady_clock::now();
         core::registerAllWorkloads();
         auto key = cpuCharKey(name, scale, threads);
+        core::CpuCharacterization value;
         bool fromStore = false;
         if (store) {
             if (auto payload = store->load(key)) {
-                if (parseCpuChar(*payload, entry->value))
+                if (parseCpuChar(*payload, value))
                     fromStore = true;
                 else
                     // Unusable entry: drop it so the recompute below
@@ -172,41 +169,34 @@ Context::cpu(const std::string &name, core::Scale scale, int threads)
             // Stall site + checkpoint sit after the store hit path:
             // a warm entry is always served, only real compute is
             // stallable/cancellable.
-            support::FaultInjector::instance().maybeStall(
-                "cpu:" + keyName.str());
+            support::FaultInjector::instance().maybeStall("cpu:" +
+                                                          keyName);
             support::checkpointCancellation();
             auto w = core::Registry::instance().create(name);
-            entry->value = core::characterizeCpu(*w, scale, threads);
+            value = core::characterizeCpu(*w, scale, threads);
             if (store)
-                store->store(key, serializeCpuChar(entry->value));
+                store->store(key, serializeCpuChar(value));
             support::metrics::count("cachesim.chars_computed");
+            support::metrics::countLabeled("cachesim.sweep.line_accesses",
+                                           keyName,
+                                           value.sweepLineAccesses);
             support::metrics::countLabeled(
-                "cachesim.sweep.line_accesses", keyName.str(),
-                entry->value.sweepLineAccesses);
-            support::metrics::countLabeled(
-                "cachesim.sweep.wall_us", keyName.str(),
-                uint64_t(entry->value.sweepReplaySeconds * 1e6),
+                "cachesim.sweep.wall_us", keyName,
+                uint64_t(value.sweepReplaySeconds * 1e6),
                 support::metrics::Stability::Volatile);
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                sweepTelemetry.push_back(
-                    {keyName.str(),
-                     entry->value.sweepLineAccesses,
-                     entry->value.sweepReplaySeconds});
-            }
         } else {
             support::metrics::count("cachesim.chars_served");
         }
         if (auto *tc = TraceCollector::active())
             tc->record("cachesim", "cpu-char",
                        TraceArgs()
-                           .str("key", keyName.str())
+                           .str("key", keyName)
                            .str("source",
                                 fromStore ? "store" : "computed")
                            .json(),
                        t0, std::chrono::steady_clock::now());
+        return value;
     });
-    return entry->value;
 }
 
 std::vector<core::CpuCharacterization>
@@ -225,42 +215,18 @@ Context::allCpu(core::Scale scale, int threads)
 const gpusim::LaunchSequence &
 Context::gpu(const std::string &name, core::Scale scale, int version)
 {
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/v" << version;
-    Entry<gpusim::LaunchSequence> *entry;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto &slot = gpuEntries[keyName.str()];
-        if (!slot)
-            slot = std::make_unique<Entry<gpusim::LaunchSequence>>();
-        entry = slot.get();
-    }
-    std::call_once(entry->once, [&] {
-        entry->value = recordGpuLaunch(name, scale, version);
+    return gpuMemo.get(recordingKey(name, scale, version), [&] {
+        return recordGpuLaunch(name, scale, version);
     });
-    return entry->value;
 }
 
 uint64_t
 Context::recordingHash(const std::string &name, core::Scale scale,
                        int version)
 {
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/v" << version;
-    Entry<uint64_t> *entry;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto &slot = gpuHashEntries[keyName.str()];
-        if (!slot)
-            slot = std::make_unique<Entry<uint64_t>>();
-        entry = slot.get();
-    }
-    std::call_once(entry->once, [&] {
-        entry->value = gpusim::contentHash(gpu(name, scale, version));
-        std::lock_guard<std::mutex> lock(mu);
-        doneKeys.insert("rhash:" + keyName.str());
+    return hashMemo.get(recordingKey(name, scale, version), [&] {
+        return gpusim::contentHash(gpu(name, scale, version));
     });
-    return entry->value;
 }
 
 bool
@@ -268,44 +234,25 @@ Context::gpuStatsWarm(const std::string &name, core::Scale scale,
                       int version, const gpusim::SimConfig &config)
 {
     std::string fp = config.fingerprint();
-    std::ostringstream recName;
-    recName << name << "/s" << int(scale) << "/v" << version;
-    std::string statsKey = recName.str() + "/" + fp;
-    uint64_t recHash = 0;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (doneKeys.count("stats:" + statsKey))
-            return true;
-        if (!doneKeys.count("rhash:" + recName.str()))
-            return false;
-        // Completed entries are immutable, so the value is readable
-        // outside its call_once once the done key is present.
-        recHash = gpuHashEntries.at(recName.str())->value;
-    }
-    if (!store || !store->enabled())
+    std::string recKey = recordingKey(name, scale, version);
+    if (statsMemo.done(recKey + "/" + fp))
+        return true;
+    const uint64_t *recHash = hashMemo.done(recKey);
+    if (!recHash || !store || !store->enabled())
         return false;
-    auto key = gpuStatsKey(name, scale, version, fp, recHash);
+    auto key = gpuStatsKey(name, scale, version, fp, *recHash);
     std::error_code ec;
     return std::filesystem::exists(store->pathFor(key), ec);
 }
 
 const gpusim::KernelStats &
 Context::gpuStats(const std::string &name, core::Scale scale,
-                  int version, const gpusim::SimConfig &config)
+                  int version, const gpusim::SimConfig &config,
+                  bool *joined)
 {
     std::string fp = config.fingerprint();
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/v" << version << "/"
-            << fp;
-    Entry<gpusim::KernelStats> *entry;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto &slot = gpuStatsEntries[keyName.str()];
-        if (!slot)
-            slot = std::make_unique<Entry<gpusim::KernelStats>>();
-        entry = slot.get();
-    }
-    std::call_once(entry->once, [&] {
+    std::string keyName = recordingKey(name, scale, version) + "/" + fp;
+    auto compute = [&] {
         auto span0 = std::chrono::steady_clock::now();
         // The recording is needed even on a store hit: its content
         // hash is part of the key (a changed recording must not be
@@ -313,45 +260,37 @@ Context::gpuStats(const std::string &name, core::Scale scale,
         const gpusim::LaunchSequence &seq = gpu(name, scale, version);
         uint64_t rec_hash = recordingHash(name, scale, version);
         auto key = gpuStatsKey(name, scale, version, fp, rec_hash);
+        gpusim::KernelStats s;
         bool fromStore = false;
         if (store) {
             if (auto payload = store->load(key)) {
-                if (gpusim::parseKernelStats(*payload, entry->value))
+                if (gpusim::parseKernelStats(*payload, s))
                     fromStore = true;
                 else
                     store->discard(key);
             }
         }
         if (!fromStore) {
-            support::FaultInjector::instance().maybeStall(
-                "sim:" + keyName.str());
+            support::FaultInjector::instance().maybeStall("sim:" +
+                                                          keyName);
             support::checkpointCancellation();
             auto t0 = std::chrono::steady_clock::now();
             gpusim::TimingSim sim(config);
-            entry->value = sim.simulate(seq);
+            s = sim.simulate(seq);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
             if (store)
-                store->store(
-                    key, gpusim::serializeKernelStats(entry->value));
+                store->store(key, gpusim::serializeKernelStats(s));
             uint64_t simUs = uint64_t(dt.count() * 1e6);
             support::metrics::count("gpusim.sims_run");
-            support::metrics::count("gpusim.cycles",
-                                    entry->value.cycles);
-            support::metrics::countLabeled("gpusim.sim.cycles",
-                                           keyName.str(),
-                                           entry->value.cycles);
+            support::metrics::count("gpusim.cycles", s.cycles);
+            support::metrics::countLabeled("gpusim.sim.cycles", keyName,
+                                           s.cycles);
             support::metrics::countLabeled(
-                "gpusim.sim.wall_us", keyName.str(), simUs,
+                "gpusim.sim.wall_us", keyName, simUs,
                 support::metrics::Stability::Volatile);
             support::metrics::observe("gpusim.sim_wall_us", simUs);
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                gpuSimTelemetry.push_back(
-                    {keyName.str(), entry->value.cycles, dt.count()});
-            }
         } else {
-            nGpuStoreHits.fetch_add(1);
             support::metrics::count("gpusim.store_served");
         }
         if (auto *tc = TraceCollector::active()) {
@@ -360,10 +299,9 @@ Context::gpuStats(const std::string &name, core::Scale scale,
             // serialization) straight from the timing model's
             // KernelStats — identical whether simulated or
             // store-served, so trace args stay deterministic.
-            const gpusim::KernelStats &s = entry->value;
             tc->record("gpusim", "sim",
                        TraceArgs()
-                           .str("key", keyName.str())
+                           .str("key", keyName)
                            .str("source",
                                 fromStore ? "store" : "simulated")
                            // Requested parallelism, not the helper
@@ -385,84 +323,9 @@ Context::gpuStats(const std::string &name, core::Scale scale,
                            .json(),
                        span0, std::chrono::steady_clock::now());
         }
-        std::lock_guard<std::mutex> lock(mu);
-        doneKeys.insert("stats:" + keyName.str());
-    });
-    return entry->value;
-}
-
-std::shared_ptr<Context::SimFlight>
-Context::simFlightJoin(const std::string &name, core::Scale scale,
-                       int version, const gpusim::SimConfig &config,
-                       bool &leader)
-{
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/v" << version << "/"
-            << config.fingerprint();
-    std::lock_guard<std::mutex> lock(mu);
-    auto &slot = simFlights[keyName.str()];
-    if (slot) {
-        leader = false;
-        {
-            std::lock_guard<std::mutex> flock(slot->mu);
-            slot->followers += 1;
-        }
-        return slot;
-    }
-    leader = true;
-    slot = std::make_shared<SimFlight>();
-    return slot;
-}
-
-void
-Context::simFlightComplete(const std::shared_ptr<SimFlight> &flight,
-                           bool ok, const std::string &errorClass,
-                           const std::string &message,
-                           const std::string &payload)
-{
-    // Retire the registry entry FIRST: once followers can observe
-    // done, a brand-new request for the same key must start its own
-    // flight (served from the memo) rather than join a finished one.
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        for (auto it = simFlights.begin(); it != simFlights.end();
-             ++it) {
-            if (it->second == flight) {
-                simFlights.erase(it);
-                break;
-            }
-        }
-    }
-    {
-        std::lock_guard<std::mutex> flock(flight->mu);
-        flight->ok = ok;
-        flight->errorClass = errorClass;
-        flight->message = message;
-        flight->payload = payload;
-        flight->done = true;
-    }
-    flight->cv.notify_all();
-}
-
-size_t
-Context::simFlightsInFlight() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return simFlights.size();
-}
-
-std::vector<Context::GpuSimTelemetry>
-Context::gpuSimTelemetrySnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return gpuSimTelemetry;
-}
-
-std::vector<Context::SweepTelemetry>
-Context::sweepTelemetrySnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return sweepTelemetry;
+        return s;
+    };
+    return statsMemo.get(keyName, compute, joined);
 }
 
 void

@@ -4,10 +4,12 @@
  *
  * Figures 6-12 all consume the same 25 CPU characterizations, and
  * Figures 1-5 replay the same recorded GPU launch sequences under
- * different timing configurations. The Context memoizes both behind
- * a per-key std::call_once, so any number of figure jobs running
- * concurrently share one computation (and one ResultStore entry)
- * instead of recomputing or re-deserializing per binary.
+ * different timing configurations. The Context memoizes both in
+ * FlightMemo tables (driver/flight_memo.hh), so any number of figure
+ * jobs and daemon requests running concurrently share one
+ * computation (and one ResultStore entry) per key, while each
+ * waiter still honours its own cancel token. A compute that fails is
+ * rethrown to the callers waiting on it and retried by the next one.
  *
  * All public methods are thread-safe and return references that
  * stay valid for the Context's lifetime (entries are never evicted).
@@ -16,18 +18,14 @@
 #ifndef RODINIA_DRIVER_CONTEXT_HH
 #define RODINIA_DRIVER_CONTEXT_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "core/characterize.hh"
 #include "core/workload.hh"
+#include "driver/flight_memo.hh"
 #include "driver/result_store.hh"
 #include "gpusim/recorder.hh"
 #include "gpusim/timing.hh"
@@ -91,19 +89,22 @@ class Context
      * simulate exactly once; figures that share a configuration
      * (e.g. Fig. 1's 28-SM point and Fig. 4's 8-channel point)
      * share the result. Safe to call concurrently from parallelFor
-     * iterations: each distinct key simulates under its own
-     * call_once.
+     * iterations and daemon requests: each distinct key simulates
+     * once, and a caller that finds the key's simulation running
+     * waits for it under its own cancel token. @p joined, when
+     * given, is set to whether this call waited on another caller's
+     * simulation.
      */
     const gpusim::KernelStats &
     gpuStats(const std::string &name, core::Scale scale, int version,
-             const gpusim::SimConfig &config);
+             const gpusim::SimConfig &config, bool *joined = nullptr);
 
     /**
      * Would gpuStats() for this key be served without running a
      * simulation? True when the stats are already memoized in this
      * Context, or when the recording's content hash is memoized and
      * the result store holds a published entry for the key. A cheap,
-     * non-blocking probe (one map lookup, at most one stat(2)) —
+     * non-blocking probe (two memo lookups, at most one stat(2)) —
      * never records, hashes, or simulates — used by the experiment
      * service to route requests onto the warm lane. A false negative
      * (e.g. store entry present but the recording not yet memoized)
@@ -123,104 +124,11 @@ class Context
     Executor *executor() const { return exec; }
     ResultStore *resultStore() const { return store; }
 
-    /** One cache-sweep replay actually performed this process. */
-    struct SweepTelemetry
-    {
-        std::string key;           //!< "name/s<scale>/t<threads>"
-        uint64_t lineAccesses = 0;
-        double replaySeconds = 0.0;
-    };
-
-    /**
-     * Telemetry for every characterization computed (not loaded from
-     * the store) so far, in completion order. Snapshot, thread-safe.
-     */
-    std::vector<SweepTelemetry> sweepTelemetrySnapshot() const;
-
-    /** One timing simulation actually performed this process. */
-    struct GpuSimTelemetry
-    {
-        std::string key;      //!< "name/s<scale>/v<version>/<config>"
-        uint64_t cycles = 0;  //!< simulated GPU cycles produced
-        double simSeconds = 0.0;
-    };
-
-    /**
-     * Telemetry for every timing simulation actually run (not served
-     * from memo or store) so far, in completion order. Thread-safe.
-     */
-    std::vector<GpuSimTelemetry> gpuSimTelemetrySnapshot() const;
-
-    /** gpuStats results served from the result store, not simulated. */
-    uint64_t gpuStatsStoreHits() const { return nGpuStoreHits.load(); }
-
-    // ---- in-flight simulation registry (single flight) ----------
-
-    /**
-     * One in-flight gpuStats computation, shared between the LEADER
-     * (the caller that actually runs it) and any FOLLOWERS that
-     * joined while it was running. The leader fills the outcome and
-     * flips done under mu; followers wait on cv — with their own
-     * cancellation checked between waits, so a follower abandoning
-     * the flight never disturbs the leader.
-     *
-     * The flight key is the gpuStats memo key (workload / scale /
-     * version / SimConfig::fingerprint), which within one process
-     * identifies exactly one (recording contentHash, fingerprint)
-     * pair — recordings are memoized per (workload, scale, version),
-     * so equal keys mean equal recording bytes and the store key the
-     * leader publishes under is the same one every follower would
-     * have computed.
-     */
-    struct SimFlight
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        bool done = false;
-        bool ok = false;          //!< outcome: served vs failed
-        std::string errorClass;   //!< failure-taxonomy name when !ok
-        std::string message;      //!< error message when !ok
-        std::string payload;      //!< serialized KernelStats when ok
-        uint64_t followers = 0;   //!< joins observed (telemetry)
-    };
-
-    /**
-     * Join-or-begin the in-flight simulation for a gpuStats key.
-     * Exactly one concurrent caller per key gets @p leader = true
-     * and MUST eventually call simFlightComplete() with the same
-     * handle however its computation ends; everyone else joins the
-     * existing flight as a follower and should wait on its cv.
-     * The flight is registered until the leader completes it, so a
-     * request arriving after completion starts a fresh flight — by
-     * then the result is memoized and the "fresh" flight is a cheap
-     * memo read.
-     */
-    std::shared_ptr<SimFlight>
-    simFlightJoin(const std::string &name, core::Scale scale,
-                  int version, const gpusim::SimConfig &config,
-                  bool &leader);
-
-    /**
-     * Leader-only: publish the outcome (ok + payload, or error class
-     * + message), retire the flight from the registry, and wake every
-     * follower. Exactly one call per leader handle.
-     */
-    void simFlightComplete(const std::shared_ptr<SimFlight> &flight,
-                           bool ok, const std::string &errorClass,
-                           const std::string &message,
-                           const std::string &payload);
-
-    /** In-flight simulation count (flights registered, not yet
-     *  completed). Snapshot for stats surfaces. */
-    size_t simFlightsInFlight() const;
+    /** gpuStats keys whose computation is running right now (the
+     *  daemon's `sim_flights` stats field). */
+    size_t simFlightsInFlight() const { return statsMemo.pending(); }
 
   private:
-    template <typename V> struct Entry
-    {
-        std::once_flag once;
-        V value;
-    };
-
     ResultStore *store;
     Executor *exec;
 
@@ -236,24 +144,10 @@ class Context
     uint64_t recordingHash(const std::string &name, core::Scale scale,
                            int version);
 
-    mutable std::mutex mu;
-    std::map<std::string, std::unique_ptr<Entry<core::CpuCharacterization>>>
-        cpuEntries;
-    std::map<std::string, std::unique_ptr<Entry<gpusim::LaunchSequence>>>
-        gpuEntries;
-    std::map<std::string, std::unique_ptr<Entry<uint64_t>>> gpuHashEntries;
-    std::map<std::string, std::unique_ptr<Entry<gpusim::KernelStats>>>
-        gpuStatsEntries;
-    std::vector<SweepTelemetry> sweepTelemetry;
-    std::vector<GpuSimTelemetry> gpuSimTelemetry;
-    std::atomic<uint64_t> nGpuStoreHits{0};
-    /** Open flights by gpuStats key; erased on completion. The map
-     *  holds one ref, leader + followers hold their own, so a flight
-     *  outlives its registry entry as long as anyone waits on it. */
-    std::map<std::string, std::shared_ptr<SimFlight>> simFlights;
-    /** Keys whose call_once completed ("stats:..."/"rhash:...") —
-     *  the queryable side of the once_flag, for gpuStatsWarm. */
-    std::set<std::string> doneKeys;
+    FlightMemo<core::CpuCharacterization> cpuMemo{"cpu"};
+    FlightMemo<gpusim::LaunchSequence> gpuMemo{"gpu"};
+    FlightMemo<uint64_t> hashMemo{"rhash"};
+    FlightMemo<gpusim::KernelStats> statsMemo{"stats"};
 };
 
 } // namespace driver

@@ -348,7 +348,7 @@ buildTable3(Context &ctx)
         const auto &[name, version] = kCombos[i];
         const auto &st = slots[i].st;
         const auto &mix = slots[i].mix;
-        t.addRow({name, "v" + std::to_string(version),
+        t.addRow({name, std::string("v").append(std::to_string(version)),
                   Table::fmt(st.ipc(), 0),
                   Table::pct(st.bwUtilization(), 0),
                   Table::pct(mix[size_t(Space::Shared)]),

@@ -2,8 +2,8 @@
  * @file
  * Content-hashed, concurrency-safe experiment result store.
  *
- * Replaces the ad-hoc `bench_cache/v4_<name>_s<scale>_t<threads>.txt`
- * naming in bench/common.cc. A result is addressed by an FNV-1a
+ * Backs every `experiments --figure <id>` run (default directory
+ * `bench_cache`). A result is addressed by an FNV-1a
  * digest over every field that determines its content — result
  * kind, workload name, scale, thread count, simulator-config string,
  * and a store version — so adding a key field or bumping kVersion

@@ -1,6 +1,5 @@
 #include "service/client.hh"
 
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -46,34 +45,6 @@ ServiceClient::connect(const std::string &socketPath, int timeoutMs)
                    std::chrono::milliseconds(timeoutMs);
     for (;;) {
         int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd < 0)
-            return false;
-        if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) == 0) {
-            fd_ = fd;
-            return true;
-        }
-        ::close(fd);
-        if (std::chrono::steady_clock::now() >= give_up)
-            return false;
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-}
-
-bool
-ServiceClient::connectTcp(int port, int timeoutMs)
-{
-    if (port <= 0 || port > 65535)
-        return false;
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(uint16_t(port));
-
-    auto give_up = std::chrono::steady_clock::now() +
-                   std::chrono::milliseconds(timeoutMs);
-    for (;;) {
-        int fd = ::socket(AF_INET, SOCK_STREAM, 0);
         if (fd < 0)
             return false;
         if (::connect(fd, reinterpret_cast<sockaddr *>(&addr),

@@ -111,10 +111,6 @@ class ServiceClient
      */
     bool connect(const std::string &socketPath, int timeoutMs = 5000);
 
-    /** Connect to the daemon's loopback TCP listener instead; same
-     *  protocol, same retry window. */
-    bool connectTcp(int port, int timeoutMs = 5000);
-
     bool connected() const { return fd_ >= 0; }
     void close();
 

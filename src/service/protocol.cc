@@ -642,9 +642,9 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         for (size_t i = 0; i < points.size(); ++i) {
             gpusim::SimConfig cfg;
             std::string perr;
-            // Duplicate points are legal: the sim memo and the
-            // single-flight registry make the repeat free, so
-            // rejecting them would only push dedup onto clients.
+            // Duplicate points are legal: the sim memo makes the
+            // repeat free, so rejecting them would only push dedup
+            // onto clients.
             if (!decodeSimConfig(points[i], cfg, perr)) {
                 error = "sweep point " + std::to_string(i) + ": " +
                         perr;

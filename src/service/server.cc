@@ -1,6 +1,5 @@
 #include "service/server.hh"
 
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -156,8 +155,6 @@ struct ExperimentService::Impl
     std::atomic<bool> running{false};
     std::atomic<uint64_t> connCounter{0};
     int listenFd = -1;
-    int tcpListenFd = -1; //!< optional loopback TCP listener
-    int boundTcpPort = 0; //!< resolved port (config may say 0)
     std::thread acceptThread;
     std::thread watchdogThread;
     std::vector<std::thread> workers;
@@ -180,8 +177,6 @@ struct ExperimentService::Impl
     // ---- lifecycle --------------------------------------------
 
     bool bind();
-    bool bindTcp();
-    void acceptFrom(int fd);
     void acceptLoop();
     void readerLoop(const std::shared_ptr<Conn> &conn);
     void workerLoop(Lane lane);
@@ -258,88 +253,37 @@ ExperimentService::Impl::bind()
     return true;
 }
 
-/**
- * Bind the optional loopback TCP listener. Everything past accept()
- * is transport-agnostic — TCP clients get the same Conn, the same
- * reader loop, the same admission path — so this is the whole of
- * the TCP support on the server side.
- */
-bool
-ExperimentService::Impl::bindTcp()
-{
-    tcpListenFd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (tcpListenFd < 0) {
-        warn("service: tcp socket(): ", std::strerror(errno));
-        return false;
-    }
-    int one = 1;
-    ::setsockopt(tcpListenFd, SOL_SOCKET, SO_REUSEADDR, &one,
-                 sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(uint16_t(config.tcpPort));
-    if (::bind(tcpListenFd, reinterpret_cast<sockaddr *>(&addr),
-               sizeof(addr)) != 0 ||
-        ::listen(tcpListenFd, 64) != 0) {
-        warn("service: cannot listen on 127.0.0.1:", config.tcpPort,
-             ": ", std::strerror(errno));
-        ::close(tcpListenFd);
-        tcpListenFd = -1;
-        return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(tcpListenFd,
-                      reinterpret_cast<sockaddr *>(&bound),
-                      &len) == 0)
-        boundTcpPort = int(ntohs(bound.sin_port));
-    return true;
-}
-
-void
-ExperimentService::Impl::acceptFrom(int listenerFd)
-{
-    int fd = ::accept(listenerFd, nullptr, nullptr);
-    if (fd < 0)
-        return;
-    auto conn = std::make_shared<Conn>();
-    conn->fd = fd;
-    conn->client = "c" + std::to_string(connCounter.fetch_add(1) + 1);
-    metrics::count("service.connections");
-    if (config.verbose)
-        warn("service: accepted ", conn->client);
-    conn->reader = std::thread([this, conn] { readerLoop(conn); });
-    std::lock_guard<std::mutex> lock(connsMu);
-    // Reap connections whose readers already finished so a
-    // long-lived daemon doesn't accumulate one zombie thread
-    // object per historical client.
-    for (auto it = conns.begin(); it != conns.end();) {
-        if ((*it)->readerDone.load(std::memory_order_acquire)) {
-            (*it)->reader.join();
-            it = conns.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    conns.push_back(std::move(conn));
-}
-
 void
 ExperimentService::Impl::acceptLoop()
 {
     while (running.load(std::memory_order_acquire)) {
-        pollfd pfds[2];
-        nfds_t nfds = 0;
-        pfds[nfds++] = {listenFd, POLLIN, 0};
-        if (tcpListenFd >= 0)
-            pfds[nfds++] = {tcpListenFd, POLLIN, 0};
-        int pr = ::poll(pfds, nfds, 100);
-        if (pr <= 0)
+        pollfd pfd{listenFd, POLLIN, 0};
+        if (::poll(&pfd, 1, 100) <= 0 || !(pfd.revents & POLLIN))
             continue;
-        for (nfds_t i = 0; i < nfds; ++i)
-            if (pfds[i].revents & POLLIN)
-                acceptFrom(pfds[i].fd);
+        int fd = ::accept(listenFd, nullptr, nullptr);
+        if (fd < 0)
+            continue;
+        auto conn = std::make_shared<Conn>();
+        conn->fd = fd;
+        conn->client =
+            "c" + std::to_string(connCounter.fetch_add(1) + 1);
+        metrics::count("service.connections");
+        if (config.verbose)
+            warn("service: accepted ", conn->client);
+        conn->reader = std::thread([this, conn] { readerLoop(conn); });
+        std::lock_guard<std::mutex> lock(connsMu);
+        // Reap connections whose readers already finished so a
+        // long-lived daemon doesn't accumulate one zombie thread
+        // object per historical client.
+        for (auto it = conns.begin(); it != conns.end();) {
+            if ((*it)->readerDone.load(std::memory_order_acquire)) {
+                (*it)->reader.join();
+                it = conns.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        conns.push_back(std::move(conn));
     }
 }
 
@@ -720,15 +664,15 @@ ExperimentService::Impl::finishError(Task &task,
 }
 
 /**
- * Compute (or join) the serialized KernelStats for one sim point,
- * under single-flight coalescing. Exactly one concurrent caller per
- * (workload, scale, version, fingerprint) key — the LEADER — runs
- * the simulation; everyone else FOLLOWS the leader's flight and gets
- * the same bytes, or the leader's error class if it fails. A
- * follower abandoning the wait (its own cancel/deadline) never
- * disturbs the leader. Returns true and fills @p payload on success;
- * false and fills @p errCls / @p errMsg otherwise. @p coalesced is
- * set iff the result came from another request's execution.
+ * The serialized KernelStats for one sim point, computed through the
+ * Context's gpuStats memo under the request's own cancel token. The
+ * memo runs each (workload, scale, version, fingerprint) key once:
+ * a request that finds the key's simulation running joins it and
+ * gets the same bytes, or that simulation's error class if it fails,
+ * and its own cancel or deadline unwinds only itself. Returns true
+ * and fills @p payload on success; false and fills @p errCls /
+ * @p errMsg otherwise. @p coalesced is set iff the call joined
+ * another request's simulation.
  */
 bool
 ExperimentService::Impl::simPayload(const std::string &workload,
@@ -740,52 +684,24 @@ ExperimentService::Impl::simPayload(const std::string &workload,
                                     std::string &errMsg,
                                     bool &coalesced)
 {
-    bool leader = false;
-    auto flight =
-        ctx.simFlightJoin(workload, scale, version, config_, leader);
-    if (leader) {
-        metrics::count("service.coalesce.leaders");
-        coalesced = false;
-        bool ok = false;
-        try {
-            support::CancelScope scope(token);
-            payload = gpusim::serializeKernelStats(
-                ctx.gpuStats(workload, scale, version, config_));
-            ok = true;
-        } catch (const support::CancelledError &e) {
-            errCls = cancelClass(e.what());
-            errMsg = e.what();
-        } catch (...) {
-            auto c = driver::classifyCurrentException();
-            errCls = driver::errorClassName(c.cls);
-            errMsg = c.message;
-        }
-        // Publish however it ended — a leader that fails (or is
-        // cancelled) still wakes its followers with the error class,
-        // rather than stranding them until their own deadlines.
-        ctx.simFlightComplete(flight, ok, errCls, errMsg, payload);
-        return ok;
+    coalesced = false;
+    bool ok = false;
+    try {
+        support::CancelScope scope(token);
+        payload = gpusim::serializeKernelStats(
+            ctx.gpuStats(workload, scale, version, config_, &coalesced));
+        ok = true;
+    } catch (const support::CancelledError &e) {
+        errCls = cancelClass(e.what());
+        errMsg = e.what();
+    } catch (...) {
+        auto c = driver::classifyCurrentException();
+        errCls = driver::errorClassName(c.cls);
+        errMsg = c.message;
     }
-    metrics::count("service.coalesce.followers");
-    coalesced = true;
-    std::unique_lock<std::mutex> lock(flight->mu);
-    while (!flight->done) {
-        if (token && token->cancelled()) {
-            errCls = cancelClass(token->reason());
-            errMsg = token->reason();
-            return false;
-        }
-        // Bounded wait so the follower's own cancellation is polled;
-        // the leader's completion notify_all cuts the wait short.
-        flight->cv.wait_for(lock, std::chrono::milliseconds(5));
-    }
-    if (flight->ok) {
-        payload = flight->payload;
-        return true;
-    }
-    errCls = flight->errorClass;
-    errMsg = flight->message;
-    return false;
+    metrics::count(coalesced ? "service.coalesce.followers"
+                             : "service.coalesce.leaders");
+    return ok;
 }
 
 void
@@ -861,7 +777,7 @@ ExperimentService::Impl::execute(Task &task)
  * sim error) is reported on its point line and the batch CONTINUES;
  * cancellation/deadline/shutdown of the batch's own token aborts the
  * remainder with a terminal "error". Each point goes through the
- * same single-flight join as a standalone sim request, so a batch
+ * same gpuStats memo as a standalone sim request, so a batch
  * overlapping other clients' requests still costs one execution per
  * distinct config.
  */
@@ -1020,12 +936,6 @@ ExperimentService::start()
         return true;
     if (!impl->bind())
         return false;
-    if (impl->config.tcpPort >= 0 && !impl->bindTcp()) {
-        ::close(impl->listenFd);
-        impl->listenFd = -1;
-        ::unlink(impl->config.socketPath.c_str());
-        return false;
-    }
     impl->running.store(true, std::memory_order_release);
     impl->acceptThread =
         std::thread([this] { impl->acceptLoop(); });
@@ -1057,10 +967,6 @@ ExperimentService::stop()
         ::close(impl->listenFd);
         impl->listenFd = -1;
         ::unlink(impl->config.socketPath.c_str());
-    }
-    if (impl->tcpListenFd >= 0) {
-        ::close(impl->tcpListenFd);
-        impl->tcpListenFd = -1;
     }
     {
         std::lock_guard<std::mutex> lock(impl->inflightMu);
@@ -1109,12 +1015,6 @@ uint64_t
 ExperimentService::connectionsAccepted() const
 {
     return impl->connCounter.load();
-}
-
-int
-ExperimentService::tcpPort() const
-{
-    return impl->boundTcpPort;
 }
 
 driver::Context &

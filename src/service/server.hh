@@ -3,8 +3,7 @@
  * The long-lived experiment service.
  *
  * ExperimentService turns the batch experiment driver into a daemon:
- * it listens on a Unix-domain stream socket (and, optionally, a
- * loopback TCP port sharing the same accept path) and serves figure,
+ * it listens on a Unix-domain stream socket and serves figure,
  * simulation, batch-sweep, and stats requests from many concurrent
  * clients over the line-delimited JSON protocol
  * (service/protocol.hh), all sharing ONE warm driver::Context, ONE
@@ -31,11 +30,12 @@
  *     -> single flight: identical in-flight cold sims (same
  *        workload/scale/version/config fingerprint — within one
  *        process that pins the recording's content hash too)
- *        coalesce onto ONE execution via the Context's flight
- *        registry; followers stream the leader's bytes with
- *        "coalesced":1 on their done line, a follower's cancel or
- *        deadline never disturbs the leader, and a leader failure
- *        propagates its error class to every follower
+ *        coalesce onto ONE execution in the Context's gpuStats
+ *        memo; requests that join a running simulation stream its
+ *        bytes with "coalesced":1 on their done line, a joiner's
+ *        cancel or deadline never disturbs the simulation, and a
+ *        failed simulation propagates its error class to every
+ *        joiner
  *     -> execute under a per-request CancelToken (deadline watchdog
  *        + client cancel + connection teardown all cancel the same
  *        token, reusing the cooperative checkpoints threaded through
@@ -81,9 +81,6 @@ struct ServiceConfig
     AdmissionPolicy admission;
     double defaultDeadlineMs = 0.0; //!< applied when a request sends
                                     //!< none; 0 = no deadline
-    int tcpPort = -1;              //!< loopback TCP listener beside
-                                   //!< the socket: -1 = off, 0 =
-                                   //!< kernel-chosen ephemeral port
     bool verbose = false;          //!< per-request stderr log lines
 };
 
@@ -115,10 +112,6 @@ class ExperimentService
 
     /** Accepted connections so far (client ids are "c<N>"). */
     uint64_t connectionsAccepted() const;
-
-    /** Port the TCP listener actually bound (useful when the config
-     *  asked for 0 = ephemeral); 0 when the listener is disabled. */
-    int tcpPort() const;
 
     driver::Context &context();
     AdmissionController &admission();

@@ -2,25 +2,31 @@
  * @file
  * Driver subsystem tests: job-graph execution order, dependency
  * failure propagation, executor determinism across thread counts,
- * and ResultStore hit/miss/version-invalidation behavior.
+ * ResultStore hit/miss/version-invalidation behavior, and the
+ * FlightMemo single-flight contract behind driver::Context.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "driver/context.hh"
 #include "driver/executor.hh"
 #include "driver/figures.hh"
+#include "driver/flight_memo.hh"
 #include "driver/job.hh"
 #include "driver/result_store.hh"
+#include "support/cancel.hh"
+#include "support/metrics.hh"
 
 using namespace rodinia;
 using driver::Executor;
@@ -46,6 +52,27 @@ class ScratchDir
   private:
     std::filesystem::path path;
 };
+
+/** A registry counter's current value; tests assert deltas. */
+uint64_t
+counter(const char *name, const char *label = "")
+{
+    return support::metrics::Registry::global().snapshot().value(name,
+                                                                 label);
+}
+
+/** Poll @p pred (max ~10 s); returns its final value. */
+template <typename Pred>
+bool
+eventually(Pred pred)
+{
+    for (int i = 0; i < 1000; ++i) {
+        if (pred())
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return pred();
+}
 
 } // namespace
 
@@ -169,10 +196,10 @@ TEST(Executor, DeterministicAcrossThreadCounts)
         for (size_t j = 0; j < slots.size(); ++j) {
             g.add("slot" + std::to_string(j), [&slots, j, &ex] {
                 double acc = double(j) + 1.0;
+                std::vector<double> parts(16, 0.0);
                 ex.parallelFor(16, [&](size_t i) {
                     // independent per-iteration contribution
-                    slots[j] += 0.0; // no cross-iteration state
-                    (void)i;
+                    parts[i] += 0.0; // no cross-iteration state
                 });
                 for (int i = 0; i < 1000; ++i)
                     acc = acc * 1.0000001 + double(j % 7);
@@ -516,14 +543,16 @@ TEST(GpuStats, MemoizesWithinAProcessAndCachesAcrossProcesses)
     {
         ResultStore store(scratch.dir());
         driver::Context ctx(&store);
+        uint64_t sims0 = counter("gpusim.sims_run");
+        uint64_t served0 = counter("gpusim.store_served");
         const auto &a =
             ctx.gpuStats("kmeans", core::Scale::Tiny, 0, cfg);
         const auto &b =
             ctx.gpuStats("kmeans", core::Scale::Tiny, 0, cfg);
         EXPECT_EQ(&a, &b); // memoized, not re-simulated
         EXPECT_GT(a.cycles, 0u);
-        EXPECT_EQ(ctx.gpuStatsStoreHits(), 0u);
-        EXPECT_EQ(ctx.gpuSimTelemetrySnapshot().size(), 1u);
+        EXPECT_EQ(counter("gpusim.store_served"), served0);
+        EXPECT_EQ(counter("gpusim.sims_run"), sims0 + 1);
         first = a;
     }
 
@@ -531,10 +560,12 @@ TEST(GpuStats, MemoizesWithinAProcessAndCachesAcrossProcesses)
     // disk — zero simulations — and reproduce them byte for byte.
     ResultStore store(scratch.dir());
     driver::Context ctx2(&store);
+    uint64_t sims0 = counter("gpusim.sims_run");
+    uint64_t served0 = counter("gpusim.store_served");
     const auto &reloaded =
         ctx2.gpuStats("kmeans", core::Scale::Tiny, 0, cfg);
-    EXPECT_EQ(ctx2.gpuStatsStoreHits(), 1u);
-    EXPECT_TRUE(ctx2.gpuSimTelemetrySnapshot().empty());
+    EXPECT_EQ(counter("gpusim.store_served"), served0 + 1);
+    EXPECT_EQ(counter("gpusim.sims_run"), sims0);
     EXPECT_TRUE(reloaded == first);
     EXPECT_EQ(gpusim::serializeKernelStats(reloaded),
               gpusim::serializeKernelStats(first));
@@ -543,6 +574,7 @@ TEST(GpuStats, MemoizesWithinAProcessAndCachesAcrossProcesses)
 TEST(GpuStats, DistinctConfigsSimulateSeparately)
 {
     driver::Context ctx; // no store: pure memoization
+    uint64_t sims0 = counter("gpusim.sims_run");
     const auto &sa = ctx.gpuStats("kmeans", core::Scale::Tiny, 0,
                                   gpusim::SimConfig::shaders(4));
     const auto &sb = ctx.gpuStats("kmeans", core::Scale::Tiny, 0,
@@ -551,7 +583,7 @@ TEST(GpuStats, DistinctConfigsSimulateSeparately)
     EXPECT_GT(sa.cycles, 0u);
     EXPECT_GT(sb.cycles, 0u);
     EXPECT_LE(sb.cycles, sa.cycles); // more shaders never slower
-    EXPECT_EQ(ctx.gpuSimTelemetrySnapshot().size(), 2u);
+    EXPECT_EQ(counter("gpusim.sims_run"), sims0 + 2);
 }
 
 TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)
@@ -564,9 +596,11 @@ TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)
     {
         ResultStore store(scratch.dir());
         driver::Context ctx(&store);
+        uint64_t sims0 = counter("gpusim.sims_run");
+        uint64_t served0 = counter("gpusim.store_served");
         cold = def->build(ctx);
-        EXPECT_EQ(ctx.gpuStatsStoreHits(), 0u);
-        EXPECT_FALSE(ctx.gpuSimTelemetrySnapshot().empty());
+        EXPECT_EQ(counter("gpusim.store_served"), served0);
+        EXPECT_GT(counter("gpusim.sims_run"), sims0);
     }
 
     // Warm rerun in a new process-equivalent (fresh Context), with a
@@ -575,10 +609,179 @@ TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)
     ResultStore store(scratch.dir());
     Executor ex(4);
     driver::Context ctx(&store, &ex);
+    uint64_t sims0 = counter("gpusim.sims_run");
+    uint64_t served0 = counter("gpusim.store_served");
     std::string warm = def->build(ctx);
     EXPECT_EQ(warm, cold);
-    EXPECT_GT(ctx.gpuStatsStoreHits(), 0u);
-    EXPECT_TRUE(ctx.gpuSimTelemetrySnapshot().empty());
+    EXPECT_GT(counter("gpusim.store_served"), served0);
+    EXPECT_EQ(counter("gpusim.sims_run"), sims0);
+}
+
+// ---------------------------------------------------------------
+// Memo: the FlightMemo single-flight contract
+// ---------------------------------------------------------------
+
+TEST(Memo, ConcurrentCallersOfOneKeyComputeOnce)
+{
+    driver::FlightMemo<int> memo("test-once");
+    std::atomic<int> computes{0};
+    constexpr size_t kThreads = 8;
+    std::vector<const int *> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            got[t] = &memo.get("k", [&] {
+                computes.fetch_add(1);
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(50));
+                return 42;
+            });
+        });
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(computes.load(), 1);
+    for (const int *p : got) {
+        EXPECT_EQ(p, got[0]); // one entry, shared by every caller
+        EXPECT_EQ(*p, 42);
+    }
+    EXPECT_EQ(memo.pending(), 0u);
+}
+
+TEST(Memo, ComputeErrorReachesEveryWaiterAndNextCallRecomputes)
+{
+    driver::FlightMemo<int> memo("test-throw");
+    constexpr size_t kWaiters = 4;
+    std::atomic<int> computes{0};
+    // The first compute fails only once every waiter has joined it,
+    // so each waiter is present when the error settles.
+    auto failing = [&] {
+        computes.fetch_add(1);
+        while (counter("memo.joins", "test-throw") < kWaiters)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        throw std::runtime_error("compute failed");
+        return 0;
+    };
+    std::string leaderError;
+    std::thread leader([&] {
+        try {
+            memo.get("k", failing);
+        } catch (const std::runtime_error &e) {
+            leaderError = e.what();
+        }
+    });
+    ASSERT_TRUE(eventually([&] { return memo.pending() == 1; }));
+    std::vector<std::string> waiterErrors(kWaiters);
+    std::array<bool, kWaiters> joined{};
+    std::vector<std::thread> waiters;
+    for (size_t w = 0; w < kWaiters; ++w)
+        waiters.emplace_back([&, w] {
+            bool j = false;
+            try {
+                memo.get("k", failing, &j);
+            } catch (const std::runtime_error &e) {
+                waiterErrors[w] = e.what();
+            }
+            joined[w] = j;
+        });
+    leader.join();
+    for (auto &th : waiters)
+        th.join();
+    EXPECT_EQ(leaderError, "compute failed");
+    for (size_t w = 0; w < kWaiters; ++w) {
+        EXPECT_EQ(waiterErrors[w], "compute failed") << "waiter " << w;
+        EXPECT_TRUE(joined[w]) << "waiter " << w;
+    }
+    EXPECT_EQ(computes.load(), 1);
+    EXPECT_EQ(memo.pending(), 0u);
+    EXPECT_EQ(memo.done("k"), nullptr); // the failure was retired
+
+    // The key is not poisoned: the next caller computes afresh.
+    bool joined2 = true;
+    EXPECT_EQ(memo.get(
+                  "k",
+                  [&] {
+                      computes.fetch_add(1);
+                      return 7;
+                  },
+                  &joined2),
+              7);
+    EXPECT_FALSE(joined2);
+    EXPECT_EQ(computes.load(), 2);
+}
+
+TEST(Memo, CancelledWaiterLeavesTheComputeRunning)
+{
+    driver::FlightMemo<int> memo("test-cancel");
+    std::atomic<bool> release{false};
+    std::atomic<int> computes{0};
+    int value = 0;
+    std::thread leader([&] {
+        value = memo.get("k", [&] {
+            computes.fetch_add(1);
+            while (!release.load())
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            return 7;
+        });
+    });
+    ASSERT_TRUE(eventually([&] { return memo.pending() == 1; }));
+
+    support::CancelToken token;
+    std::string waiterError;
+    std::thread waiter([&] {
+        support::CancelScope scope(&token);
+        try {
+            memo.get("k", [&] {
+                computes.fetch_add(1);
+                return -1;
+            });
+        } catch (const support::CancelledError &e) {
+            waiterError = e.what();
+        }
+    });
+    ASSERT_TRUE(eventually(
+        [&] { return counter("memo.joins", "test-cancel") == 1; }));
+    token.cancel("waiter cancelled");
+    waiter.join();
+    EXPECT_EQ(waiterError, "waiter cancelled");
+    // The waiter's cancel did not touch the compute it had joined.
+    EXPECT_EQ(memo.pending(), 1u);
+    EXPECT_EQ(memo.done("k"), nullptr);
+
+    release.store(true);
+    leader.join();
+    EXPECT_EQ(value, 7);
+    EXPECT_EQ(computes.load(), 1);
+    ASSERT_NE(memo.done("k"), nullptr);
+    EXPECT_EQ(*memo.done("k"), 7);
+}
+
+TEST(Memo, DoneNeverBlocks)
+{
+    driver::FlightMemo<int> memo("test-done");
+    EXPECT_EQ(memo.done("k"), nullptr);
+    std::atomic<bool> release{false};
+    const int *settled = nullptr;
+    std::thread leader([&] {
+        settled = &memo.get("k", [&] {
+            while (!release.load())
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(1));
+            return 9;
+        });
+    });
+    ASSERT_TRUE(eventually([&] { return memo.pending() == 1; }));
+    // The compute stays blocked until released: done() must answer
+    // "not settled" without waiting for it.
+    auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 100; ++i)
+        EXPECT_EQ(memo.done("k"), nullptr);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(2));
+    release.store(true);
+    leader.join();
+    EXPECT_EQ(memo.done("k"), settled);
+    EXPECT_EQ(*memo.done("k"), 9);
 }
 
 // ---------------------------------------------------------------

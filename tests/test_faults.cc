@@ -560,6 +560,36 @@ TEST(Watchdog, CancelsDeliberatelyStalledSim)
                              "a checkpoint, not served";
 }
 
+TEST(Watchdog, MemoWaiterHonoursItsOwnDeadline)
+{
+    // Both jobs want the same timing sim. The leader takes the key
+    // and stalls in it; the waiter starts 200 ms later and joins that
+    // simulation. The waiter's own 600 ms deadline must end its wait,
+    // long before the leader's 4 s deadline cancels the simulation.
+    FaultConfig cfg("stall=sim:@10000,stall=job:waiter@200");
+    Executor ex(2);
+    driver::Context ctx(nullptr, &ex);
+    auto simulate = [&] {
+        ctx.gpuStats("kmeans", core::Scale::Tiny, 0,
+                     gpusim::SimConfig::shaders(4));
+    };
+    JobGraph g;
+    size_t leader = g.add("leader", simulate);
+    size_t waiter = g.add("waiter", simulate);
+    g.job(leader).softDeadlineMs = 4000.0;
+    g.job(waiter).softDeadlineMs = 600.0;
+    EXPECT_FALSE(ex.run(g));
+
+    EXPECT_EQ(g.job(waiter).status, JobStatus::Failed);
+    EXPECT_EQ(g.job(waiter).errorClass, ErrorClass::Deadline);
+    EXPECT_EQ(g.job(waiter).error,
+              "watchdog: job 'waiter' exceeded soft deadline of 600 ms");
+    EXPECT_LT(g.job(waiter).wallMs, 2000.0)
+        << "the waiter stayed blocked on the leader's simulation";
+    EXPECT_EQ(g.job(leader).errorClass, ErrorClass::Deadline);
+    EXPECT_GE(g.job(leader).wallMs, 4000.0);
+}
+
 TEST(Watchdog, DeadlineCancellationReachesNestedParallelFor)
 {
     Executor ex(2);

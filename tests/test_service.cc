@@ -3,10 +3,10 @@
  * Tests for the experiment service (src/service/): protocol parsing
  * and fuzz robustness (including the batch/hello grammar),
  * admission-control accounting, end-to-end request handling over a
- * real Unix socket and the loopback TCP listener, cancellation and
- * deadlines, batch sweep streaming, the warm/cold isolation
- * property, and the experimentd + expload child-process smoke path
- * against the golden corpus (plus the weighted/batch replay modes).
+ * real Unix socket, cancellation and deadlines, batch sweep
+ * streaming, the warm/cold isolation property, and the experimentd +
+ * expload child-process smoke path against the golden corpus (plus
+ * the weighted/batch replay modes).
  *
  * The WFQ fairness properties, single-flight edge cases, and the
  * seeded multi-client stress flood live in test_service_stress.cc
@@ -1054,51 +1054,6 @@ TEST(Service, BatchMidStreamDisconnectSettlesAccounting)
     for (const auto &[name, cs] : svc.admission().snapshot())
         inFlight += cs.inFlight;
     EXPECT_EQ(inFlight, 0u);
-    svc.stop();
-}
-
-// ---------------------------------------------------------------
-// The loopback TCP listener: same protocol, same admission path.
-// ---------------------------------------------------------------
-
-TEST(Service, TcpListenerSharesProtocolAndAdmission)
-{
-    ScratchDir scratch("tcp");
-    ServiceConfig cfg = testConfig(scratch);
-    cfg.tcpPort = 0; // kernel-chosen ephemeral port
-    ExperimentService svc(cfg);
-    ASSERT_TRUE(svc.start());
-    ASSERT_GT(svc.tcpPort(), 0);
-
-    ServiceClient t;
-    ASSERT_TRUE(t.connectTcp(svc.tcpPort()));
-    ASSERT_TRUE(t.sendPing());
-    EXPECT_EQ(t.readEvent().type, service::Event::Type::Pong);
-    ASSERT_TRUE(t.sendSim("s1", "backprop", "tiny", "{}"));
-    Outcome out = t.await("s1");
-    ASSERT_TRUE(out.ok()) << out.detail;
-    EXPECT_EQ(out.lane, "cold");
-
-    // The fuzz contract holds over TCP too: garbage and oversized
-    // lines are per-request rejections, never a dropped connection.
-    ASSERT_TRUE(t.sendRaw("definitely not json\n"));
-    service::Event ev = t.readEvent();
-    EXPECT_EQ(ev.type, service::Event::Type::Rejected);
-    std::string big(service::kMaxRequestBytes + 10, 'y');
-    big += "\n";
-    ASSERT_TRUE(t.sendRaw(big));
-    ev = t.readEvent();
-    EXPECT_EQ(ev.type, service::Event::Type::Rejected);
-
-    // Both transports front the same Context: a sim primed over TCP
-    // is a warm hit over the Unix socket, byte for byte.
-    ServiceClient u;
-    ASSERT_TRUE(u.connect(scratch.socket()));
-    ASSERT_TRUE(u.sendSim("warm", "backprop", "tiny", "{}"));
-    Outcome w = u.await("warm");
-    ASSERT_TRUE(w.ok()) << w.detail;
-    EXPECT_EQ(w.lane, "warm");
-    EXPECT_EQ(w.payload, out.payload);
     svc.stop();
 }
 

@@ -10,8 +10,8 @@
  *    progresses every round no matter how heavy the competing
  *    flood), idle-credit forfeiture, no mid-round barging, quantum
  *    scaling, composition with the per-client quota, and a
- *    deterministic end-to-end served-order check against the
- *    Context's sim telemetry.
+ *    deterministic end-to-end served-order check read from the
+ *    daemon's service spans.
  *
  *  - SingleFlight: coalescing edge cases over a live daemon —
  *    followers receive the leader's bytes while exactly one sim
@@ -21,11 +21,10 @@
  *    serial identical requests never count as coalesced.
  *
  *  - Stress: a seeded multi-client flood (mixed warm/cold/batch/
- *    cancel plus a mid-stream disconnect, over both transports)
- *    asserting the acceptance criterion directly: sims computed ==
- *    distinct fingerprints requested, responses byte-identical
- *    across every client, and accounting settled to zero after the
- *    drain.
+ *    cancel plus a mid-stream disconnect) asserting the acceptance
+ *    criterion directly: sims computed == distinct fingerprints
+ *    requested, responses byte-identical across every client, and
+ *    accounting settled to zero after the drain.
  */
 
 #include <gtest/gtest.h>
@@ -38,11 +37,13 @@
 #include <map>
 #include <mutex>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "driver/context.hh"
+#include "driver/tracing.hh"
 #include "gpusim/timing.hh"
 #include "service/admission.hh"
 #include "service/client.hh"
@@ -102,9 +103,10 @@ testConfig(const ScratchDir &scratch)
 }
 
 uint64_t
-metric(const char *name)
+metric(const char *name, const char *label = "")
 {
-    return support::metrics::Registry::global().snapshot().value(name);
+    return support::metrics::Registry::global().snapshot().value(name,
+                                                                 label);
 }
 
 uint64_t
@@ -325,16 +327,22 @@ TEST(Wfq, ComposesWithPerClientQuota)
 }
 
 // ---------------------------------------------------------------
-// Wfq end to end: served ORDER over a live daemon. The Context's
-// sim telemetry records executions in completion order, and with
-// one cold worker completion order == DRR service order.
+// Wfq end to end: served ORDER over a live daemon. Every request
+// records one service span from the moment a worker takes it, and
+// with one cold worker span start order == DRR service order.
 // ---------------------------------------------------------------
 
 TEST(Wfq, ServedShareTracksWeightsEndToEnd)
 {
     ScratchDir scratch("wfq_e2e");
     ServiceConfig cfg = testConfig(scratch);
-    cfg.coldWorkers = 1; // serialize: telemetry order = DRR order
+    cfg.coldWorkers = 1; // serialize: span start order = DRR order
+    driver::TraceCollector trace;
+    driver::TraceCollector::install(&trace);
+    struct Uninstall
+    {
+        ~Uninstall() { driver::TraceCollector::install(nullptr); }
+    } uninstall; // outlives svc, so no worker records past it
     ExperimentService svc(cfg);
     ASSERT_TRUE(svc.start());
 
@@ -349,7 +357,7 @@ TEST(Wfq, ServedShareTracksWeightsEndToEnd)
     })) << "gate never started";
 
     // Heavy (weight 4) backlogs 8 distinct tiny sims; light (weight
-    // 1) backlogs 2. Distinct workloads so the telemetry keys name
+    // 1) backlogs 2. Distinct workloads so the spans' "what" names
     // the client that issued them.
     ServiceClient heavy, light;
     ASSERT_TRUE(heavy.connect(scratch.socket()));
@@ -379,16 +387,31 @@ TEST(Wfq, ServedShareTracksWeightsEndToEnd)
     for (int i = 0; i < 2; ++i)
         ASSERT_TRUE(light.await("l" + std::to_string(i)).ok());
 
-    // Completion order, gate excluded: with weights 4:1 and both
-    // clients backlogged, every DRR round serves 4 heavy + 1 light,
-    // so each window of 5 holds exactly one light sim.
-    std::vector<std::string> order;
-    for (const auto &t : svc.context().gpuSimTelemetrySnapshot()) {
-        if (t.key.rfind("backprop/", 0) == 0)
-            order.push_back("heavy");
-        else if (t.key.rfind("bfs/", 0) == 0)
-            order.push_back("light");
+    svc.stop();
+
+    // Service order, gate excluded, from the start times of the
+    // service "sim" spans (one per request, one line each): with
+    // weights 4:1 and both clients backlogged, every DRR round serves
+    // 4 heavy + 1 light, so each window of 5 holds exactly one light
+    // sim.
+    std::vector<std::pair<uint64_t, std::string>> started;
+    std::istringstream lines(trace.render());
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find(R"("cat":"service","name":"sim")") ==
+            std::string::npos)
+            continue;
+        size_t ts = line.find(R"("ts":)");
+        ASSERT_NE(ts, std::string::npos) << line;
+        uint64_t start = std::stoull(line.substr(ts + 5));
+        if (line.find(R"("what":"backprop")") != std::string::npos)
+            started.emplace_back(start, "heavy");
+        else if (line.find(R"("what":"bfs")") != std::string::npos)
+            started.emplace_back(start, "light");
     }
+    std::sort(started.begin(), started.end());
+    std::vector<std::string> order;
+    for (const auto &[start, who] : started)
+        order.push_back(who);
     ASSERT_EQ(order.size(), 10u);
     int lightFirst5 = 0, lightSecond5 = 0;
     for (int i = 0; i < 5; ++i)
@@ -397,7 +420,6 @@ TEST(Wfq, ServedShareTracksWeightsEndToEnd)
         lightSecond5 += order[size_t(i)] == "light";
     EXPECT_EQ(lightFirst5, 1) << "round 1 violated the 4:1 share";
     EXPECT_EQ(lightSecond5, 1) << "round 2 violated the 4:1 share";
-    svc.stop();
 }
 
 // ---------------------------------------------------------------
@@ -522,7 +544,7 @@ TEST(SingleFlight, LeaderFailurePropagatesErrorClassToFollowers)
     ServiceClient a, b;
     ASSERT_TRUE(a.connect(scratch.socket()));
     ASSERT_TRUE(b.connect(scratch.socket()));
-    uint64_t followers0 = metric("service.coalesce.followers");
+    uint64_t joins0 = metric("memo.joins", "stats");
 
     ASSERT_TRUE(a.sendSim("lead", "bfs", "full", slowConfig(3)));
     ASSERT_TRUE(eventually(
@@ -532,7 +554,7 @@ TEST(SingleFlight, LeaderFailurePropagatesErrorClassToFollowers)
     // cancelling the leader first would just let the follower start
     // a flight of its own and serve.
     ASSERT_TRUE(eventually([&] {
-        return metric("service.coalesce.followers") == followers0 + 1;
+        return metric("memo.joins", "stats") == joins0 + 1;
     })) << "follower never joined the leader's flight";
     // Kill the LEADER: the follower must inherit the leader's error
     // class rather than hang or fabricate a success.
@@ -593,11 +615,8 @@ TEST(SingleFlight, SerialIdenticalRequestsNeverCountAsCoalesced)
 TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
 {
     ScratchDir scratch("flood");
-    ServiceConfig cfg = testConfig(scratch);
-    cfg.tcpPort = 0; // half the clients connect over TCP
-    ExperimentService svc(cfg);
+    ExperimentService svc(testConfig(scratch));
     ASSERT_TRUE(svc.start());
-    ASSERT_GT(svc.tcpPort(), 0);
 
     // Prime one warm sim (the flood's warm traffic) and take the
     // baseline AFTER, so the acceptance criterion is exact: the
@@ -627,9 +646,7 @@ TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
 
     auto client = [&](int idx) {
         ServiceClient c;
-        bool up = (idx % 2 == 0) ? c.connect(scratch.socket())
-                                 : c.connectTcp(svc.tcpPort());
-        if (!up) {
+        if (!c.connect(scratch.socket())) {
             failures[size_t(idx)] = 1000;
             return;
         }
@@ -732,8 +749,8 @@ TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
     // Zero duplicate cold executions: sims computed == distinct
     // fingerprints in the pool.
     EXPECT_EQ(simsRun(), sims0 + uint64_t(kPool));
-    // Byte-identical responses for every variant, across clients,
-    // transports, and the single/batch paths.
+    // Byte-identical responses for every variant, across clients and
+    // the single/batch paths.
     for (int v = 0; v < kPool; ++v) {
         ASSERT_FALSE(seen[size_t(v)].empty()) << "variant " << v;
         for (const auto &payload : seen[size_t(v)])

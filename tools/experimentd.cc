@@ -13,7 +13,7 @@
  *   experimentd --socket PATH [--cache-dir DIR] [--no-cache]
  *               [--jobs N] [--cold-workers N] [--warm-workers N]
  *               [--max-cold-queue N] [--max-warm-queue N]
- *               [--per-client N] [--max-weight N] [--tcp PORT]
+ *               [--per-client N] [--max-weight N]
  *               [--deadline MS] [--trace FILE] [--verbose]
  *
  * Runs until SIGINT/SIGTERM, then drains (queued requests fail as
@@ -64,9 +64,6 @@ usage(const char *argv0)
         "16)\n"
         "  --max-weight N     WFQ weight ceiling for 'hello'\n"
         "                     (default 64)\n"
-        "  --tcp PORT         also listen on 127.0.0.1:PORT (0 =\n"
-        "                     kernel-chosen ephemeral port, printed\n"
-        "                     at startup)\n"
         "  --deadline MS      default soft deadline for requests\n"
         "                     that send none (default: none)\n"
         "  --trace FILE       write a Chrome trace_event JSON dump\n"
@@ -164,11 +161,6 @@ main(int argc, char **argv)
                 !parsePositive("--max-weight", v, 1, 4096, n))
                 return 2;
             cfg.admission.maxWeight = uint32_t(n);
-        } else if (!std::strcmp(arg, "--tcp")) {
-            const char *v = value();
-            if (!v || !parsePositive("--tcp", v, 0, 65535, n))
-                return 2;
-            cfg.tcpPort = int(n);
         } else if (!std::strcmp(arg, "--deadline")) {
             const char *v = value();
             if (!v ||
@@ -207,9 +199,6 @@ main(int argc, char **argv)
         return 1;
     std::fprintf(stderr, "experimentd: listening on %s\n",
                  cfg.socketPath.c_str());
-    if (cfg.tcpPort >= 0)
-        std::fprintf(stderr, "experimentd: tcp on 127.0.0.1:%d\n",
-                     svc.tcpPort());
 
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);

@@ -64,7 +64,6 @@ struct Options
     int batch = 0;  //!< points per cold batch; 0 = single sims.
                     //!< Batch variants are SHARED across clients, so
                     //!< concurrent clients coalesce naturally.
-    int tcpPort = 0; //!< >0: connect via 127.0.0.1:PORT instead
 };
 
 /** Per-thread tallies, summed after join. */
@@ -123,8 +122,6 @@ usage(const char *argv0)
         "                   points each; variant indices are shared\n"
         "                   across clients so concurrent batches\n"
         "                   coalesce (single flight)\n"
-        "  --tcp PORT       connect to 127.0.0.1:PORT instead of\n"
-        "                   the Unix socket\n"
         "  --golden DIR     byte-compare figure payloads against\n"
         "                   DIR/<figure>.txt; mismatch fails the "
         "run\n"
@@ -174,9 +171,7 @@ runClient(const Options &opt, int clientIdx, Tally &tally,
           const std::string &goldenText)
 {
     service::ServiceClient conn;
-    bool up = opt.tcpPort > 0 ? conn.connectTcp(opt.tcpPort)
-                              : conn.connect(opt.socketPath);
-    if (!up) {
+    if (!conn.connect(opt.socketPath)) {
         tally.lost += uint64_t(opt.requests);
         return;
     }
@@ -392,10 +387,6 @@ main(int argc, char **argv)
             if (!number(1, 128, d))
                 return 2;
             opt.batch = int(d);
-        } else if (!std::strcmp(arg, "--tcp")) {
-            if (!number(1, 65535, d))
-                return 2;
-            opt.tcpPort = int(d);
         } else if (!std::strcmp(arg, "--golden")) {
             const char *v = value();
             if (!v)
@@ -413,9 +404,8 @@ main(int argc, char **argv)
             return 2;
         }
     }
-    if (opt.socketPath.empty() && opt.tcpPort <= 0) {
-        std::fprintf(stderr,
-                     "expload: --socket or --tcp is required\n");
+    if (opt.socketPath.empty()) {
+        std::fprintf(stderr, "expload: --socket is required\n");
         usage(argv[0]);
         return 2;
     }
