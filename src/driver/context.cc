@@ -212,11 +212,74 @@ Context::allCpu(core::Scale scale, int threads)
     return out;
 }
 
+namespace {
+
+/** What a recording holds, for the record and hash spans. */
+struct RecordingSize
+{
+    uint64_t launches = 0, blocks = 0, events = 0, encodedBytes = 0;
+
+    explicit RecordingSize(const gpusim::LaunchSequence &seq)
+        : launches(seq.launches.size())
+    {
+        for (const auto &launch : seq.launches) {
+            blocks += launch.blocks.size();
+            for (const auto &block : launch.blocks)
+                for (const auto &lane : block.lanes) {
+                    events += lane.size();
+                    encodedBytes += lane.encodedBytes();
+                }
+        }
+    }
+
+    TraceArgs
+    args(const std::string &key) const
+    {
+        TraceArgs a;
+        a.str("key", key)
+            .num("launches", launches)
+            .num("blocks", blocks)
+            .num("events", events)
+            .num("encoded_bytes", encodedBytes);
+        return a;
+    }
+};
+
+uint64_t
+microsSince(std::chrono::steady_clock::time_point t0,
+            std::chrono::steady_clock::time_point t1)
+{
+    return uint64_t(
+        std::chrono::duration<double, std::micro>(t1 - t0).count());
+}
+
+} // namespace
+
 const gpusim::LaunchSequence &
 Context::gpu(const std::string &name, core::Scale scale, int version)
 {
-    return gpuMemo.get(recordingKey(name, scale, version), [&] {
-        return recordGpuLaunch(name, scale, version);
+    std::string key = recordingKey(name, scale, version);
+    return gpuMemo.get(key, [&] {
+        namespace m = support::metrics;
+        auto t0 = std::chrono::steady_clock::now();
+        uint64_t switches0 = gpusim::fiberSwitches();
+        gpusim::LaunchSequence seq = recordGpuLaunch(name, scale, version);
+        uint64_t switches = gpusim::fiberSwitches() - switches0;
+        auto t1 = std::chrono::steady_clock::now();
+        RecordingSize size(seq);
+        m::count("gpusim.record.calls");
+        m::countLabeled("gpusim.record.launches", key, size.launches);
+        m::countLabeled("gpusim.record.blocks", key, size.blocks);
+        m::countLabeled("gpusim.record.events", key, size.events);
+        m::countLabeled("gpusim.record.encoded_bytes", key,
+                        size.encodedBytes);
+        m::countLabeled("gpusim.record.fiber_switches", key, switches);
+        m::gaugeLabeled("gpusim.record.wall_us", key, microsSince(t0, t1));
+        if (auto *tc = TraceCollector::active())
+            tc->record("gpusim", "record",
+                       size.args(key).num("fiber_switches", switches).json(),
+                       t0, t1);
+        return seq;
     });
 }
 
@@ -224,8 +287,19 @@ uint64_t
 Context::recordingHash(const std::string &name, core::Scale scale,
                        int version)
 {
-    return hashMemo.get(recordingKey(name, scale, version), [&] {
-        return gpusim::contentHash(gpu(name, scale, version));
+    std::string key = recordingKey(name, scale, version);
+    return hashMemo.get(key, [&] {
+        const gpusim::LaunchSequence &seq = gpu(name, scale, version);
+        auto t0 = std::chrono::steady_clock::now();
+        uint64_t h = gpusim::contentHash(seq);
+        auto t1 = std::chrono::steady_clock::now();
+        support::metrics::count("gpusim.hash.calls");
+        support::metrics::gaugeLabeled("gpusim.hash.wall_us", key,
+                                       microsSince(t0, t1));
+        if (auto *tc = TraceCollector::active())
+            tc->record("gpusim", "hash",
+                       RecordingSize(seq).args(key).json(), t0, t1);
+        return h;
     });
 }
 

@@ -637,9 +637,14 @@ Executor::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     }
 
     // All drainers have settled; errors is no longer concurrently
-    // mutated. Sort by iteration index so aggregation is independent
-    // of scheduling order.
-    auto &errors = st->errors;
+    // mutated. Move it out so the exception objects are released on
+    // this thread: a helper may drop the last reference to st, and
+    // freeing an exception there would race (as TSan sees it, blind
+    // to libsupc++'s refcount) with the caller's reads of it. Sort
+    // by iteration index so aggregation is independent of
+    // scheduling order.
+    std::vector<std::pair<size_t, std::exception_ptr>> errors =
+        std::move(st->errors);
     std::sort(errors.begin(), errors.end(),
               [](const auto &a, const auto &b) {
                   return a.first < b.first;

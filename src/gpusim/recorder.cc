@@ -1,11 +1,114 @@
 #include "gpusim/recorder.hh"
 
-#include <ucontext.h>
-
 #include <cstdint>
+#include <cstring>
+#include <exception>
 #include <memory>
 
+#if !defined(__x86_64__)
+#include <ucontext.h>
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/common_interface_defs.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 #include "support/logging.hh"
+
+#if defined(__x86_64__)
+/*
+ * rodinia_gpusim_fiber_switch(saveSp, loadSp): push the SysV
+ * callee-saved state (rbp, rbx, r12-r15, then MXCSR and the x87
+ * control word in one 8-byte slot), store rsp into *saveSp, load rsp
+ * from loadSp, pop the state saved there and return into that
+ * context. Caller-saved registers are the compiler's to spill around
+ * the call, so this is the whole switch: no signal mask, no syscall.
+ * Every context switched out has the same frame layout, so the CFI
+ * stays right across the rsp swap.
+ *
+ * rodinia_gpusim_fiber_entry: where a new fiber's first switch
+ * returns to. Its initial frame holds the body in r13 and the body's
+ * argument in r12; the body never returns (it switches away when
+ * done). rip is marked undefined so unwinders stop here.
+ */
+extern "C" void rodinia_gpusim_fiber_switch(void **saveSp, void *loadSp);
+extern "C" void rodinia_gpusim_fiber_entry();
+
+__asm__(R"(
+    .pushsection .text
+    .p2align 4
+    .globl rodinia_gpusim_fiber_switch
+    .hidden rodinia_gpusim_fiber_switch
+    .type rodinia_gpusim_fiber_switch, @function
+rodinia_gpusim_fiber_switch:
+    .cfi_startproc
+    pushq %rbp
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbp, 0
+    pushq %rbx
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %rbx, 0
+    pushq %r12
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r12, 0
+    pushq %r13
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r13, 0
+    pushq %r14
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r14, 0
+    pushq %r15
+    .cfi_adjust_cfa_offset 8
+    .cfi_rel_offset %r15, 0
+    subq $8, %rsp
+    .cfi_adjust_cfa_offset 8
+    stmxcsr (%rsp)
+    fnstcw 4(%rsp)
+    movq %rsp, (%rdi)
+    movq %rsi, %rsp
+    ldmxcsr (%rsp)
+    fldcw 4(%rsp)
+    addq $8, %rsp
+    .cfi_adjust_cfa_offset -8
+    popq %r15
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r15
+    popq %r14
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r14
+    popq %r13
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r13
+    popq %r12
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %r12
+    popq %rbx
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %rbx
+    popq %rbp
+    .cfi_adjust_cfa_offset -8
+    .cfi_restore %rbp
+    ret
+    .cfi_endproc
+    .size rodinia_gpusim_fiber_switch, .-rodinia_gpusim_fiber_switch
+
+    .p2align 4
+    .globl rodinia_gpusim_fiber_entry
+    .hidden rodinia_gpusim_fiber_entry
+    .type rodinia_gpusim_fiber_entry, @function
+rodinia_gpusim_fiber_entry:
+    .cfi_startproc
+    .cfi_undefined %rip
+    movq %r12, %rdi
+    callq *%r13
+    ud2
+    .cfi_endproc
+    .size rodinia_gpusim_fiber_entry, .-rodinia_gpusim_fiber_entry
+    .popsection
+)");
+#endif
 
 namespace rodinia {
 namespace gpusim {
@@ -23,61 +126,207 @@ constexpr uint64_t sharedBase = 0x10000;
  */
 constexpr uint64_t maxEventsPerLaunch = 320ULL * 1000 * 1000;
 
+/** Fiber switches made on this thread (see fiberSwitches()). */
+thread_local uint64_t switchCount = 0;
+
 /**
- * Recycles fiber stacks across the blocks of one launch. Blocks run
- * sequentially, so at most blockDim stacks are live at once; without
- * the pool every block re-allocates (and re-faults) blockDim x 128 KB
- * of stack, which dominates recording time for launches with many
- * blocks.
+ * One context the recorder switches between: the scheduler (on the
+ * caller's stack) or one thread's fiber. Under a sanitizer it also
+ * carries what the sanitizer must be told about each switch.
  */
-class StackPool
+struct FiberContext
 {
-  public:
-    std::unique_ptr<char[]>
-    get()
-    {
-        if (!free.empty()) {
-            auto s = std::move(free.back());
-            free.pop_back();
-            return s;
-        }
-        return std::make_unique<char[]>(fiberStackBytes);
-    }
-
-    void
-    put(std::unique_ptr<char[]> s)
-    {
-        free.push_back(std::move(s));
-    }
-
-  private:
-    std::vector<std::unique_ptr<char[]>> free;
+#if defined(__x86_64__)
+    void *sp = nullptr; //!< saved stack pointer while switched out
+#else
+    ucontext_t uc;
+    void (*entry)(void *) = nullptr;
+    void *arg = nullptr;
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    const void *stackBottom = nullptr;
+    size_t stackSize = 0;
+    void *fakeStack = nullptr;
+#endif
+#if defined(__SANITIZE_THREAD__)
+    void *tsanFiber = nullptr;
+#endif
 };
+
+#if !defined(__x86_64__)
+/** makecontext passes int arguments only: the context arrives split
+ *  into two 32-bit halves. */
+void
+ucontextEntry(unsigned hi, unsigned lo)
+{
+    auto *c = reinterpret_cast<FiberContext *>(
+        uintptr_t((uint64_t(hi) << 32) | uint64_t(lo)));
+    c->entry(c->arg);
+}
+#endif
+
+/** Make @p c the context of the code running now (the scheduler). */
+void
+adoptCurrentContext([[maybe_unused]] FiberContext &c)
+{
+#if defined(__SANITIZE_THREAD__)
+    c.tsanFiber = __tsan_get_current_fiber();
+#endif
+}
+
+/**
+ * Prepare @p c to run entry(arg) on @p stack when first switched to.
+ * entry must never return; it switches away instead.
+ */
+void
+prepareFiber(FiberContext &c, char *stack, size_t bytes,
+             void (*entry)(void *), void *arg)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    c.stackBottom = stack;
+    c.stackSize = bytes;
+#endif
+#if defined(__SANITIZE_THREAD__)
+    c.tsanFiber = __tsan_create_fiber(0);
+#endif
+#if defined(__x86_64__)
+    // The initial frame, in the switch's pop order. MXCSR and the x87
+    // control word start as the creator's; the body starts at the
+    // SysV call alignment (rsp + 8 a multiple of 16 at its entry).
+    uint32_t mxcsr = 0;
+    uint16_t fcw = 0;
+    __asm__ volatile("stmxcsr %0" : "=m"(mxcsr));
+    __asm__ volatile("fnstcw %0" : "=m"(fcw));
+    const uint64_t frame[8] = {
+        uint64_t(mxcsr) | uint64_t(fcw) << 32,
+        0, // r15
+        0, // r14
+        uint64_t(reinterpret_cast<uintptr_t>(entry)), // r13
+        uint64_t(reinterpret_cast<uintptr_t>(arg)),   // r12
+        0,                                            // rbx
+        0, // rbp: ends frame-pointer walks
+        uint64_t(reinterpret_cast<uintptr_t>(&rodinia_gpusim_fiber_entry)),
+    };
+    uintptr_t top = (uintptr_t(stack) + bytes) & ~uintptr_t(15);
+    void *sp = reinterpret_cast<void *>(top - sizeof(frame));
+    std::memcpy(sp, frame, sizeof(frame));
+    c.sp = sp;
+#else
+    if (getcontext(&c.uc) != 0)
+        panic("getcontext failed");
+    c.uc.uc_stack.ss_sp = stack;
+    c.uc.uc_stack.ss_size = bytes;
+    c.uc.uc_link = nullptr;
+    c.entry = entry;
+    c.arg = arg;
+    uint64_t bits = uint64_t(reinterpret_cast<uintptr_t>(&c));
+    makecontext(&c.uc, reinterpret_cast<void (*)()>(ucontextEntry), 2,
+                unsigned(bits >> 32), unsigned(bits));
+#endif
+}
+
+/** Release what prepareFiber() acquired; @p c must not be running. */
+void
+releaseFiber([[maybe_unused]] FiberContext &c)
+{
+#if defined(__SANITIZE_THREAD__)
+    if (c.tsanFiber)
+        __tsan_destroy_fiber(c.tsanFiber);
+#endif
+}
+
+/**
+ * First call of a fiber's body, just after its first switch in:
+ * completes the switch and learns the stack of the scheduler (@p
+ * from), which the fiber switches back to.
+ */
+void
+enterFiber([[maybe_unused]] FiberContext &from)
+{
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(nullptr, &from.stackBottom,
+                                    &from.stackSize);
+#endif
+}
+
+/**
+ * Suspend @p from and resume @p to; returns when something switches
+ * back to @p from.
+ */
+void
+switchFiber(FiberContext &from, FiberContext &to)
+{
+    ++switchCount;
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_start_switch_fiber(&from.fakeStack, to.stackBottom,
+                                   to.stackSize);
+#endif
+#if defined(__SANITIZE_THREAD__)
+    __tsan_switch_to_fiber(to.tsanFiber, 0);
+#endif
+#if defined(__x86_64__)
+    rodinia_gpusim_fiber_switch(&from.sp, to.sp);
+#else
+    swapcontext(&from.uc, &to.uc);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+    __sanitizer_finish_switch_fiber(from.fakeStack, nullptr, nullptr);
+#endif
+}
 
 } // namespace
 
+uint64_t
+fiberSwitches()
+{
+    return switchCount;
+}
+
 /**
- * Executes the threads of one block as fibers, giving real barrier
- * and shared-memory semantics while recording per-lane traces.
+ * Executes the blocks of one launch, one after another, with the
+ * threads of a block as fibers, giving real barrier and shared-memory
+ * semantics while recording per-lane traces. Fiber t runs thread t
+ * of every block: it parks after each block, so its stack and its
+ * sanitizer state are set up once per launch, not once per thread.
+ * Stacks are not zero-filled: a fiber writes its frames before it
+ * reads them, and pages it never touches are never faulted in.
+ *
+ * Exceptions: a fiber's body catches everything its kernel throws.
+ * The first error stops the block's schedule; every suspended fiber
+ * is then resumed once more so that barrier() throws Abandon through
+ * it, running its destructors, and run() rethrows the error on the
+ * caller's stack. No switch happens while an exception is in flight
+ * or being handled: the runtime's caught-exception stack belongs to
+ * the OS thread, not the fiber.
  */
 class BlockRunner
 {
   public:
-    BlockRunner(const LaunchConfig &launch, const Kernel &kernel,
-                int block_idx, StackPool &stacks)
-        : launch(launch), kernel(kernel), blockIdx(block_idx),
-          stacks(stacks)
+    BlockRunner(const LaunchConfig &launch, const Kernel &kernel)
+        : launch(launch), kernel(kernel), fibers(size_t(launch.blockDim))
     {
+        adoptCurrentContext(sched);
+        for (Fiber &f : fibers) {
+            f.stack = std::make_unique_for_overwrite<char[]>(fiberStackBytes);
+            prepareFiber(f.ctx, f.stack.get(), fiberStackBytes, fiberMain,
+                         this);
+        }
     }
 
-    BlockRecord run();
+    BlockRunner(const BlockRunner &) = delete;
+    BlockRunner &operator=(const BlockRunner &) = delete;
+
+    /** Run block @p block_idx of the launch to completion. */
+    BlockRecord run(int block_idx);
 
     /** Fiber-yielding barrier, called from KernelCtx::sync(). */
     void
     barrier(int tid)
     {
         fibers[tid].atBarrier = true;
-        swapcontext(&fibers[tid].ctx, &schedCtx);
+        switchFiber(fibers[tid].ctx, sched);
+        if (abandoning)
+            throw Abandon{};
     }
 
     /**
@@ -106,14 +355,32 @@ class BlockRunner
         return a.buf.data();
     }
 
+    /** Events committed by the launch's finished blocks. */
     uint64_t eventBudgetUsed = 0;
 
   private:
+    /** Thrown by barrier() into a fiber abandoned after an error. */
+    struct Abandon
+    {
+    };
+
+    /**
+     * A parked fiber holds only its body's loop frame, so releasing
+     * it needs no last switch. (Under ASan with stack-use-after-
+     * return detection, that would leave its fake stack unfreed;
+     * the sanitizer lanes run without it.)
+     */
     struct Fiber
     {
-        ucontext_t ctx;
+        Fiber() = default;
+        ~Fiber() { releaseFiber(ctx); }
+        Fiber(const Fiber &) = delete;
+        Fiber &operator=(const Fiber &) = delete;
+
+        FiberContext ctx;
         std::unique_ptr<char[]> stack;
-        bool done = false;
+        bool started = false; //!< has begun the current block
+        bool done = false;    //!< has finished the current block
         bool atBarrier = false;
     };
 
@@ -123,73 +390,78 @@ class BlockRunner
         uint64_t base = 0;
     };
 
-    static void trampoline(unsigned hi, unsigned lo);
-
-    void
-    runThreadBody()
-    {
-        kernel(*ctxs[currentThread]);
-        fibers[currentThread].done = true;
-    }
+    [[noreturn]] static void fiberMain(void *self);
+    void resume(int tid);
 
     LaunchConfig launch;
     const Kernel &kernel;
-    int blockIdx;
-    StackPool &stacks;
+    int blockIdx = 0;
 
-    ucontext_t schedCtx;
+    FiberContext sched;
     std::vector<Fiber> fibers;
     std::vector<std::unique_ptr<KernelCtx>> ctxs;
     int currentThread = 0;
+    std::exception_ptr error; //!< first exception a kernel thread threw
+    bool abandoning = false;
 
     std::vector<SharedAllocation> allocs;
     uint64_t sharedTop = sharedBase;
 };
 
 void
-BlockRunner::trampoline(unsigned hi, unsigned lo)
+BlockRunner::fiberMain(void *arg)
 {
-    auto *self = reinterpret_cast<BlockRunner *>(
-        (uint64_t(hi) << 32) | uint64_t(lo));
-    self->runThreadBody();
-    // Returning lets ucontext follow uc_link back to the scheduler.
+    auto *self = static_cast<BlockRunner *>(arg);
+    enterFiber(self->sched);
+    for (;;) {
+        const int tid = self->currentThread;
+        try {
+            self->kernel(*self->ctxs[tid]);
+        } catch (const Abandon &) {
+            // Unwound on request: another thread of the block failed.
+        } catch (...) {
+            if (!self->error)
+                self->error = std::current_exception();
+        }
+        // Park until thread tid of the next block starts.
+        self->fibers[tid].done = true;
+        switchFiber(self->fibers[tid].ctx, self->sched);
+    }
+}
+
+void
+BlockRunner::resume(int tid)
+{
+    currentThread = tid;
+    fibers[tid].started = true;
+    switchFiber(sched, fibers[tid].ctx);
 }
 
 BlockRecord
-BlockRunner::run()
+BlockRunner::run(int block_idx)
 {
     const int n = launch.blockDim;
-    fibers.resize(n);
+    blockIdx = block_idx;
+    allocs.clear();
+    sharedTop = sharedBase;
     ctxs.clear();
-    for (int t = 0; t < n; ++t)
+    for (int t = 0; t < n; ++t) {
         ctxs.push_back(
             std::make_unique<KernelCtx>(this, t, blockIdx, launch));
-
-    uint64_t self_bits = uint64_t(uintptr_t(this));
-    for (int t = 0; t < n; ++t) {
-        Fiber &f = fibers[t];
-        f.stack = stacks.get();
-        if (getcontext(&f.ctx) != 0)
-            panic("getcontext failed");
-        f.ctx.uc_stack.ss_sp = f.stack.get();
-        f.ctx.uc_stack.ss_size = fiberStackBytes;
-        f.ctx.uc_link = &schedCtx;
-        makecontext(&f.ctx, reinterpret_cast<void (*)()>(trampoline), 2,
-                    unsigned(self_bits >> 32), unsigned(self_bits));
+        fibers[t].started = fibers[t].done = fibers[t].atBarrier = false;
     }
 
     // Scheduler: run every live, unblocked fiber in thread order;
     // when all live fibers sit at the barrier, release them together.
-    while (true) {
+    while (!error) {
         bool all_done = true;
-        for (int t = 0; t < n; ++t) {
+        for (int t = 0; t < n && !error; ++t) {
             Fiber &f = fibers[t];
             if (f.done || f.atBarrier) {
                 all_done = all_done && f.done;
                 continue;
             }
-            currentThread = t;
-            swapcontext(&schedCtx, &f.ctx);
+            resume(t);
             all_done = all_done && f.done;
         }
         if (all_done)
@@ -197,6 +469,16 @@ BlockRunner::run()
         // Every fiber is now done or at a barrier: release the phase.
         for (int t = 0; t < n; ++t)
             fibers[t].atBarrier = false;
+    }
+
+    if (error) {
+        // Unwind every suspended fiber; fibers that have not started
+        // this block hold no kernel frames.
+        abandoning = true;
+        for (int t = 0; t < n; ++t)
+            while (fibers[t].started && !fibers[t].done)
+                resume(t);
+        std::rethrow_exception(error);
     }
 
     BlockRecord rec;
@@ -207,7 +489,6 @@ BlockRunner::run()
         ctxs[t]->flushPending();
         eventBudgetUsed += ctxs[t]->events.size();
         rec.lanes.push_back(std::move(ctxs[t]->events));
-        stacks.put(std::move(fibers[t].stack));
     }
     return rec;
 }
@@ -321,14 +602,9 @@ recordKernel(const LaunchConfig &launch, const Kernel &kernel)
     KernelRecording rec;
     rec.launch = launch;
     rec.blocks.reserve(launch.gridDim);
-    StackPool stacks;
-    uint64_t budget = 0;
-    for (int b = 0; b < launch.gridDim; ++b) {
-        BlockRunner runner(launch, kernel, b, stacks);
-        runner.eventBudgetUsed = budget;
-        rec.blocks.push_back(runner.run());
-        budget = runner.eventBudgetUsed;
-    }
+    BlockRunner runner(launch, kernel);
+    for (int b = 0; b < launch.gridDim; ++b)
+        rec.blocks.push_back(runner.run(b));
     return rec;
 }
 

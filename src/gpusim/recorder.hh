@@ -25,12 +25,22 @@ namespace gpusim {
  *
  * Blocks execute sequentially (deterministically); within a block,
  * threads are fibers scheduled in thread-id order between barriers.
+ * An exception thrown by a kernel thread propagates out of
+ * recordKernel, after the block's other threads have been unwound
+ * (their destructors run).
  *
  * @param launch grid/block geometry
  * @param kernel per-thread kernel function
  */
 KernelRecording recordKernel(const LaunchConfig &launch,
                              const Kernel &kernel);
+
+/**
+ * Fiber switches recordKernel has made on the calling thread so far:
+ * two per kernel thread (in and out) plus two per barrier wait.
+ * Callers take the difference across their recordings.
+ */
+uint64_t fiberSwitches();
 
 /**
  * A sequence of dependent kernel launches (iterative applications

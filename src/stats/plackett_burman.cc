@@ -85,7 +85,9 @@ pbEffects(const PbDesign &design, const std::vector<double> &responses,
         double effect = acc / (design.runs / 2.0);
         PbEffect e;
         e.factor = f;
-        e.name = f < int(names.size()) ? names[f] : "f" + std::to_string(f);
+        e.name = f < int(names.size())
+                     ? names[f]
+                     : std::string("f").append(std::to_string(f));
         e.effect = effect;
         e.magnitude = std::fabs(effect);
         out.push_back(e);

@@ -737,6 +737,21 @@ TEST(AllocFault, InjectedAllocationFailureFailsJobAsOom)
               2u);
 }
 
+TEST(AllocFault, FailureInsideKernelFailsTheJobNotTheProcess)
+{
+    // Seed 7 fails an allocation inside a recorder fiber, i.e. in
+    // the body of a GPU kernel thread, where an uncaught
+    // std::bad_alloc would abort the process. The gpu: job must fail
+    // as a transient oom and be retried instead.
+    ScratchDir scratch("allockernel");
+    RunResult r = runExperiments({"--figure", "fig2", "--quiet",
+                                  "--no-summary"},
+                                 "seed=7,alloc=0.00001",
+                                 scratch.dir().string());
+    EXPECT_TRUE(r.exit == 0 || r.exit == 1)
+        << "exit " << r.exit << " (128+N means killed by signal N)";
+}
+
 // ---------------------------------------------------------------
 // KeepGoing — MISSING rendering (child-process integration)
 // ---------------------------------------------------------------

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cmath>
+#include <cstring>
 #include <functional>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -126,6 +130,205 @@ TEST(Recorder, AluEventsMerge)
     });
     ASSERT_EQ(rec.blocks[0].lanes[0].size(), 1u);
     EXPECT_EQ(rec.blocks[0].lanes[0].decodeAll()[0].count, 100u);
+}
+
+namespace {
+
+/**
+ * 12 integer and 12 double recurrences over @p syncs barriers, each
+ * seeded and stepped by thread id @p g so that no value (not even
+ * the loop counter) is the same in two threads, and none folds into
+ * a closed form: all of them are live across every barrier. Returns
+ * a digest of the final values.
+ */
+template <typename Sync>
+uint64_t
+barrierRecurrences(uint64_t g, int syncs, Sync &&sync)
+{
+    uint64_t i0 = g, i1 = g + 1, i2 = g * 2, i3 = g * 3, i4 = g ^ 5,
+             i5 = g + 77, i6 = ~g, i7 = g * g, i8 = g << 4, i9 = g - 9,
+             i10 = g * 11, i11 = g | 64;
+    double d0 = double(g) * 0.5, d1 = double(g) + 0.25,
+           d2 = double(g) * 2.0, d3 = -double(g), d4 = 1e6 + double(g),
+           d5 = double(g) / 4.0, d6 = double(g) * double(g),
+           d7 = double(g) - 0.75, d8 = double(g) * 8.0,
+           d9 = 3.0 - double(g), d10 = double(g) + 1e-3,
+           d11 = double(g) * 0.125;
+    for (uint64_t k = g * 1000; k < g * 1000 + uint64_t(syncs); ++k) {
+        sync();
+        i0 = i0 * 3 + k, i1 = (i1 ^ k) * 5, i2 = i2 * 7 + i0;
+        i3 = (i3 ^ i1) * 9, i4 = i4 * 11 + k, i5 = (i5 ^ i2) * 13;
+        i6 = i6 * 15 + i3, i7 = (i7 ^ k) * 17, i8 = i8 * 19 + i4;
+        i9 = (i9 ^ i5) * 21, i10 = i10 * 23 + i6, i11 = (i11 ^ i7) * 25;
+        d0 = d0 * 0.5 + double(k), d1 = d1 * 0.75 + d0;
+        d2 = d2 * 0.25 - double(k), d3 = d3 * 0.5 + d1;
+        d4 = d4 * 0.125 + double(i0 & 255), d5 = d5 * 0.5 - d2;
+        d6 = d6 * 0.75 + d3, d7 = d7 * 0.5 + double(k & 7);
+        d8 = d8 * 0.25 + d4, d9 = d9 * 0.5 - d5, d10 = d10 * 0.75 + d6;
+        d11 = d11 * 0.5 + d7;
+    }
+    const uint64_t ints[] = {i0, i1, i2, i3, i4,  i5,
+                             i6, i7, i8, i9, i10, i11};
+    const double dbls[] = {d0, d1, d2, d3, d4,  d5,
+                           d6, d7, d8, d9, d10, d11};
+    uint64_t h = 0;
+    for (uint64_t v : ints)
+        h = (h ^ v) * 0x100000001b3ull;
+    for (double v : dbls) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &v, sizeof(bits));
+        h = (h ^ bits) * 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(Recorder, LocalsSurviveManyBarriers)
+{
+    // More live values than the callee-saved registers hold, so some
+    // sit in registers and the rest in the fiber's stack frame, and
+    // the block's other threads run between every pair of barriers:
+    // each thread must get exactly its own values back.
+    const int grid = 2, block = 8, syncs = 64;
+    std::vector<uint64_t> got(grid * block, 0);
+    recordKernel(launchOf(grid, block), [&](KernelCtx &ctx) {
+        const uint64_t g = uint64_t(ctx.globalId());
+        got[g] = barrierRecurrences(g, syncs, [&] { ctx.sync(); });
+    });
+    for (int g = 0; g < grid * block; ++g)
+        EXPECT_EQ(got[g], barrierRecurrences(uint64_t(g), syncs, [] {}))
+            << "thread " << g;
+}
+
+TEST(Recorder, RoundingModeIsPerThread)
+{
+    // Thread 1 rounds upward across a barrier; the rest keep the
+    // default. The x87 control word (fegetround) and MXCSR (an SSE
+    // division) both belong to the fiber, and neither leaks into the
+    // caller.
+    const int n = 4;
+    std::vector<int> before(n), after(n);
+    std::vector<double> third(n);
+    volatile double one = 1.0, three = 3.0;
+    ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+    recordKernel(launchOf(1, n), [&](KernelCtx &ctx) {
+        const int t = ctx.tid();
+        if (t == 1)
+            std::fesetround(FE_UPWARD);
+        before[t] = std::fegetround();
+        ctx.sync();
+        after[t] = std::fegetround();
+        third[t] = one / three;
+    });
+    EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+    for (int t = 0; t < n; ++t) {
+        int want = t == 1 ? FE_UPWARD : FE_TONEAREST;
+        EXPECT_EQ(before[t], want) << "thread " << t;
+        EXPECT_EQ(after[t], want) << "thread " << t;
+    }
+    // 1/3 rounds down to nearest, so upward gives the next double.
+    EXPECT_EQ(third[0], 1.0 / 3.0);
+    EXPECT_EQ(third[1], std::nextafter(third[0], 1.0));
+    EXPECT_EQ(third[2], third[0]);
+    EXPECT_EQ(third[3], third[0]);
+}
+
+TEST(Recorder, SwitchesTwicePerThreadAndBarrierWait)
+{
+    // Block b waits at 1 + b barriers; the recorder switches into and
+    // out of every thread once, and out and back in at every wait.
+    const int grid = 3, block = 24;
+    uint64_t before = fiberSwitches();
+    auto rec = recordKernel(launchOf(grid, block), [&](KernelCtx &ctx) {
+        for (int k = 0; k <= ctx.blockIdx(); ++k) {
+            ctx.alu(1);
+            ctx.sync();
+        }
+    });
+    uint64_t switches = fiberSwitches() - before;
+    uint64_t syncs = 0;
+    for (const auto &b : rec.blocks)
+        for (const auto &lane : b.lanes)
+            lane.forEach([&](const GEvent &e) {
+                syncs += e.op == GOp::Sync;
+            });
+    EXPECT_EQ(syncs, uint64_t(block) * (1 + 2 + 3));
+    EXPECT_EQ(switches, 2 * (uint64_t(grid) * block + syncs));
+}
+
+namespace {
+
+/** Per-thread counts of RAII locals made and destroyed in a launch
+ *  where block 1's thread 3 throws after @p syncsBeforeThrow barriers. */
+struct ThrowRun
+{
+    std::vector<int> made, destroyed;
+    std::string error;
+};
+
+ThrowRun
+recordWithThrow(int grid, int block, int syncsBeforeThrow)
+{
+    struct Local
+    {
+        int &count;
+        ~Local() { ++count; }
+    };
+    ThrowRun r;
+    r.made.assign(grid * block, 0);
+    r.destroyed.assign(grid * block, 0);
+    try {
+        recordKernel(launchOf(grid, block), [&](KernelCtx &ctx) {
+            const int g = ctx.globalId();
+            ++r.made[g];
+            Local local{r.destroyed[g]};
+            for (int k = 0; k < syncsBeforeThrow; ++k)
+                ctx.sync();
+            if (ctx.blockIdx() == 1 && ctx.tid() == 3)
+                throw std::runtime_error("thread 3 failed");
+            ctx.sync();
+        });
+    } catch (const std::runtime_error &e) {
+        r.error = e.what();
+    }
+    return r;
+}
+
+} // namespace
+
+TEST(Recorder, ThrowingThreadUnwindsTheBlock)
+{
+    // Block 0 completes; in block 1, thread 3 throws after the first
+    // barrier. By then threads 0-2 of block 1 wait at the second
+    // barrier and threads 4-7 still at the first: all of them are
+    // unwound, so every thread's RAII local is destroyed exactly
+    // once, block 2 never starts, and the error reaches the caller.
+    const int grid = 3, n = 8;
+    ThrowRun r = recordWithThrow(grid, n, 1);
+    EXPECT_EQ(r.error, "thread 3 failed");
+    for (int g = 0; g < grid * n; ++g) {
+        int want = g < 2 * n ? 1 : 0;
+        EXPECT_EQ(r.made[g], want) << "thread " << g;
+        EXPECT_EQ(r.destroyed[g], want) << "thread " << g;
+    }
+
+    // Thrown before any barrier: threads 4-7 of block 1 never start
+    // (their fibers stay parked from block 0) and are not run.
+    r = recordWithThrow(grid, n, 0);
+    EXPECT_EQ(r.error, "thread 3 failed");
+    for (int g = 0; g < grid * n; ++g) {
+        int want = g < n + 4 ? 1 : 0;
+        EXPECT_EQ(r.made[g], want) << "thread " << g;
+        EXPECT_EQ(r.destroyed[g], want) << "thread " << g;
+    }
+
+    // The recorder is usable again on the same thread.
+    auto rec = recordKernel(launchOf(1, n), [&](KernelCtx &ctx) {
+        ctx.sync();
+        ctx.fp(1);
+    });
+    EXPECT_EQ(rec.threadInstructions(), uint64_t(n) * 2);
 }
 
 TEST(Replay, UniformKernelFullyOccupied)

@@ -856,12 +856,12 @@ TEST(Service, ColdQueueCapSheds)
     // are admitted, and at least one must shed as overload.
     for (int i = 0; i < 6; ++i)
         ASSERT_TRUE(c.sendSim(
-            "f" + std::to_string(i), "bfs", "full",
+            std::string("f").append(std::to_string(i)), "bfs", "full",
             "{\"gmemLatencyCycles\":" + std::to_string(520 + i) +
                 "}"));
     int served = 0, overload = 0;
     for (int i = 0; i < 6; ++i) {
-        Outcome out = c.await("f" + std::to_string(i));
+        Outcome out = c.await(std::string("f").append(std::to_string(i)));
         if (out.ok())
             ++served;
         else if (out.reason == "overload")

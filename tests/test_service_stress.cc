@@ -183,9 +183,9 @@ TEST(Wfq, WeightOneClientIsNeverStarvedByAFlood)
     q.setWeight("flood", 8);
     q.setWeight("meek", 1);
     for (int i = 0; i < 800; ++i)
-        q.push("flood", "f" + std::to_string(i));
+        q.push("flood", std::string("f").append(std::to_string(i)));
     for (int i = 0; i < 10; ++i)
-        q.push("meek", "m" + std::to_string(i));
+        q.push("meek", std::string("m").append(std::to_string(i)));
 
     std::string item, who;
     int sinceMeek = 0, meekServed = 0;
@@ -305,7 +305,7 @@ TEST(Wfq, ComposesWithPerClientQuota)
     int hogQueued = 0;
     for (int i = 0; i < 5; ++i) {
         if (ac.admit("hog", Lane::Cold) == Verdict::Admit) {
-            q.push("hog", "h" + std::to_string(i));
+            q.push("hog", std::string("h").append(std::to_string(i)));
             ++hogQueued;
         }
     }
@@ -657,8 +657,10 @@ TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
         // response depends on (warm requests touch no flight).
         bool saboteur = idx == kClients - 1;
         for (int r = 0; r < kOps; ++r) {
-            std::string id =
-                "c" + std::to_string(idx) + "r" + std::to_string(r);
+            std::string id = std::string("c")
+                                 .append(std::to_string(idx))
+                                 .append("r")
+                                 .append(std::to_string(r));
             if (saboteur) {
                 if (r == kOps / 2) {
                     c.sendRaw(R"({"op":"sim","id":"trunc")");

@@ -102,8 +102,9 @@ usage(const char *argv0)
         "  --no-summary   suppress the job accounting table\n"
         "  --list         print figure ids and exit\n"
         "  --stats        print cache-sweep replay throughput, GPU\n"
-        "                 timing-simulation telemetry, and\n"
-        "                 result-store health after the figures\n"
+        "                 timing-simulation telemetry, GPU recording\n"
+        "                 work, and result-store health after the\n"
+        "                 figures\n"
         "  --keep-going   on job failure, still emit every\n"
         "                 completable figure and render failed ones\n"
         "                 as MISSING(<error-class>) markers\n"
@@ -558,6 +559,43 @@ main(int argc, char **argv)
                         "make-progress hatch; set RODINIA_STRICT=1 "
                         "to fail fast)\n",
                         (unsigned long long)over);
+        // Work counts only, all stable: a run whose only committed
+        // jobs are recordings must still print byte-identical
+        // stats. The wall times are the volatile
+        // gpusim.{record,hash}.wall_us gauges in --metrics.
+        Table r("GPU recording");
+        r.setHeader({"Recording", "Launches", "Blocks", "Events",
+                     "B/event", "Fiber switches"});
+        uint64_t recTotals[5] = {0, 0, 0, 0, 0};
+        static const char *const recCounters[5] = {
+            "gpusim.record.launches", "gpusim.record.blocks",
+            "gpusim.record.events", "gpusim.record.encoded_bytes",
+            "gpusim.record.fiber_switches"};
+        if (const auto *events = snap.find("gpusim.record.events")) {
+            for (const auto &[key, n] : events->values) {
+                uint64_t v[5];
+                for (int i = 0; i < 5; ++i) {
+                    v[i] = snap.value(recCounters[i], key);
+                    recTotals[i] += v[i];
+                }
+                r.addRow({key, std::to_string(v[0]), std::to_string(v[1]),
+                          std::to_string(v[2]),
+                          Table::fmt(n ? double(v[3]) / double(n) : 0.0,
+                                     2),
+                          std::to_string(v[4])});
+            }
+        }
+        std::fputs(r.render().c_str(), stdout);
+        std::printf("%llu recordings: %llu launches / %llu blocks / "
+                    "%llu events in %llu encoded bytes / %llu fiber "
+                    "switches; %llu hashes\n",
+                    (unsigned long long)snap.value("gpusim.record.calls"),
+                    (unsigned long long)recTotals[0],
+                    (unsigned long long)recTotals[1],
+                    (unsigned long long)recTotals[2],
+                    (unsigned long long)recTotals[3],
+                    (unsigned long long)recTotals[4],
+                    (unsigned long long)snap.value("gpusim.hash.calls"));
         std::printf("result store: %llu hits / %llu misses / "
                     "%llu publish failures / %llu orphaned tmp "
                     "collected\n",

@@ -198,8 +198,10 @@ runClient(const Options &opt, int clientIdx, Tally &tally,
             nextSend += interval;
         }
         bool warm = rng.uniform() < opt.warmRatio;
-        std::string id = "c" + std::to_string(clientIdx) + "-r" +
-                         std::to_string(r);
+        std::string id = std::string("c")
+                             .append(std::to_string(clientIdx))
+                             .append("-r")
+                             .append(std::to_string(r));
         auto t0 = clock::now();
         bool wrote;
         if (warm) {
