@@ -47,21 +47,27 @@ allCpuWorkloads()
     return all;
 }
 
+int
+gpuVersion(const std::string &name, int version)
+{
+    core::registerAllWorkloads();
+    int shipped = core::Registry::instance().create(name)->gpuVersions();
+    if (shipped < 1)
+        fatal("workload '", name, "' has no GPU implementation");
+    return version > 0 ? version : shipped;
+}
+
 gpusim::LaunchSequence
 recordGpuLaunch(const std::string &name, core::Scale scale, int version)
 {
-    core::registerAllWorkloads();
-    auto w = core::Registry::instance().create(name);
-    if (w->gpuVersions() < 1)
-        fatal("workload '", name, "' has no GPU implementation");
-    if (version <= 0)
-        version = w->gpuVersions(); // shipped (most optimized)
-    return w->runGpu(scale, version);
+    version = gpuVersion(name, version);
+    return core::Registry::instance().create(name)->runGpu(scale, version);
 }
 
 namespace {
 
-/** Memo key of one recording: "name/s<scale>/v<version>". */
+/** Memo key of one recording: "name/s<scale>/v<version>", with
+ *  the version already resolved by gpuVersion. */
 std::string
 recordingKey(const std::string &name, core::Scale scale, int version)
 {
@@ -255,18 +261,21 @@ microsSince(std::chrono::steady_clock::time_point t0,
 
 } // namespace
 
-const gpusim::LaunchSequence &
-Context::gpu(const std::string &name, core::Scale scale, int version)
+const Context::Recording &
+Context::recording(const std::string &name, core::Scale scale,
+                   int version)
 {
     std::string key = recordingKey(name, scale, version);
     return gpuMemo.get(key, [&] {
         namespace m = support::metrics;
+        auto *tc = TraceCollector::active();
         auto t0 = std::chrono::steady_clock::now();
         uint64_t switches0 = gpusim::fiberSwitches();
-        gpusim::LaunchSequence seq = recordGpuLaunch(name, scale, version);
+        Recording rec;
+        rec.seq = recordGpuLaunch(name, scale, version);
         uint64_t switches = gpusim::fiberSwitches() - switches0;
         auto t1 = std::chrono::steady_clock::now();
-        RecordingSize size(seq);
+        RecordingSize size(rec.seq);
         m::count("gpusim.record.calls");
         m::countLabeled("gpusim.record.launches", key, size.launches);
         m::countLabeled("gpusim.record.blocks", key, size.blocks);
@@ -275,31 +284,53 @@ Context::gpu(const std::string &name, core::Scale scale, int version)
                         size.encodedBytes);
         m::countLabeled("gpusim.record.fiber_switches", key, switches);
         m::gaugeLabeled("gpusim.record.wall_us", key, microsSince(t0, t1));
-        if (auto *tc = TraceCollector::active())
+        if (tc)
             tc->record("gpusim", "record",
                        size.args(key).num("fiber_switches", switches).json(),
                        t0, t1);
-        return seq;
+
+        // The digest walks every event, so it is taken once here,
+        // in the recording's own job, not per config by its readers.
+        rec.hash = gpusim::contentHash(rec.seq);
+        auto t2 = std::chrono::steady_clock::now();
+        m::count("gpusim.hash.calls");
+        m::gaugeLabeled("gpusim.hash.wall_us", key, microsSince(t1, t2));
+        if (tc)
+            tc->record("gpusim", "hash", size.args(key).json(), t1, t2);
+        return rec;
     });
 }
 
-uint64_t
-Context::recordingHash(const std::string &name, core::Scale scale,
-                       int version)
+const gpusim::LaunchSequence &
+Context::gpu(const std::string &name, core::Scale scale, int version)
 {
+    return recording(name, scale, gpuVersion(name, version)).seq;
+}
+
+const gpusim::TraceStats &
+Context::traceStats(const std::string &name, core::Scale scale,
+                    int version)
+{
+    version = gpuVersion(name, version);
     std::string key = recordingKey(name, scale, version);
-    return hashMemo.get(key, [&] {
-        const gpusim::LaunchSequence &seq = gpu(name, scale, version);
+    return traceMemo.get(key, [&] {
+        namespace m = support::metrics;
+        const Recording &rec = recording(name, scale, version);
         auto t0 = std::chrono::steady_clock::now();
-        uint64_t h = gpusim::contentHash(seq);
+        gpusim::TraceStats stats = gpusim::analyzeTrace(rec.seq);
         auto t1 = std::chrono::steady_clock::now();
-        support::metrics::count("gpusim.hash.calls");
-        support::metrics::gaugeLabeled("gpusim.hash.wall_us", key,
-                                       microsSince(t0, t1));
+        m::count("gpusim.replay.calls");
+        m::countLabeled("gpusim.replay.warp_insts", key,
+                        stats.warpInstructions);
+        m::gaugeLabeled("gpusim.replay.wall_us", key, microsSince(t0, t1));
         if (auto *tc = TraceCollector::active())
-            tc->record("gpusim", "hash",
-                       RecordingSize(seq).args(key).json(), t0, t1);
-        return h;
+            tc->record("gpusim", "replay",
+                       TraceArgs()
+                           .str("key", key)
+                           .num("warp_insts", stats.warpInstructions)
+                           .json(),
+                       t0, t1);
+        return stats;
     });
 }
 
@@ -307,14 +338,15 @@ bool
 Context::gpuStatsWarm(const std::string &name, core::Scale scale,
                       int version, const gpusim::SimConfig &config)
 {
+    version = gpuVersion(name, version);
     std::string fp = config.fingerprint();
     std::string recKey = recordingKey(name, scale, version);
     if (statsMemo.done(recKey + "/" + fp))
         return true;
-    const uint64_t *recHash = hashMemo.done(recKey);
-    if (!recHash || !store || !store->enabled())
+    const Recording *rec = gpuMemo.done(recKey);
+    if (!rec || !store || !store->enabled())
         return false;
-    auto key = gpuStatsKey(name, scale, version, fp, *recHash);
+    auto key = gpuStatsKey(name, scale, fp, rec->hash);
     std::error_code ec;
     return std::filesystem::exists(store->pathFor(key), ec);
 }
@@ -324,6 +356,7 @@ Context::gpuStats(const std::string &name, core::Scale scale,
                   int version, const gpusim::SimConfig &config,
                   bool *joined)
 {
+    version = gpuVersion(name, version);
     std::string fp = config.fingerprint();
     std::string keyName = recordingKey(name, scale, version) + "/" + fp;
     auto compute = [&] {
@@ -331,9 +364,8 @@ Context::gpuStats(const std::string &name, core::Scale scale,
         // The recording is needed even on a store hit: its content
         // hash is part of the key (a changed recording must not be
         // served stale stats).
-        const gpusim::LaunchSequence &seq = gpu(name, scale, version);
-        uint64_t rec_hash = recordingHash(name, scale, version);
-        auto key = gpuStatsKey(name, scale, version, fp, rec_hash);
+        const Recording &rec = recording(name, scale, version);
+        auto key = gpuStatsKey(name, scale, fp, rec.hash);
         gpusim::KernelStats s;
         bool fromStore = false;
         if (store) {
@@ -350,7 +382,7 @@ Context::gpuStats(const std::string &name, core::Scale scale,
             support::checkpointCancellation();
             auto t0 = std::chrono::steady_clock::now();
             gpusim::TimingSim sim(config);
-            s = sim.simulate(seq);
+            s = sim.simulate(rec.seq);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
             if (store)

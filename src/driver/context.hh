@@ -11,6 +11,11 @@
  * waiter still honours its own cancel token. A compute that fails is
  * rethrown to the callers waiting on it and retried by the next one.
  *
+ * GPU keys name a distinct kernel: version 0 resolves to the
+ * shipped version (gpuVersion), so a figure asking for the shipped
+ * SRAD and Table III asking for SRAD v2 share one recording, one
+ * content hash, one trace analysis and one simulation per config.
+ *
  * All public methods are thread-safe and return references that
  * stay valid for the Context's lifetime (entries are never evicted).
  */
@@ -28,6 +33,7 @@
 #include "driver/flight_memo.hh"
 #include "driver/result_store.hh"
 #include "gpusim/recorder.hh"
+#include "gpusim/replay.hh"
 #include "gpusim/timing.hh"
 
 namespace rodinia {
@@ -50,6 +56,13 @@ std::vector<std::string> allCpuWorkloads();
 gpusim::LaunchSequence recordGpuLaunch(const std::string &name,
                                        core::Scale scale,
                                        int version = 0);
+
+/**
+ * The GPU kernel version @p version names: 0 resolves to the shipped
+ * (most optimized) version; any other value is returned as is. A
+ * workload without a GPU implementation is fatal.
+ */
+int gpuVersion(const std::string &name, int version);
 
 class Context
 {
@@ -77,9 +90,16 @@ class Context
     std::vector<core::CpuCharacterization>
     allCpu(core::Scale scale, int threads = 8);
 
-    /** One workload's recorded launch sequence (memoized). */
+    /** One workload's recorded launch sequence (memoized, and
+     *  content-hashed in the same compute). */
     const gpusim::LaunchSequence &
     gpu(const std::string &name, core::Scale scale, int version = 0);
+
+    /** One recording's trace analysis (memoized): the memory-space
+     *  mix and warp occupancy Figs. 2-3 and Table III report. */
+    const gpusim::TraceStats &
+    traceStats(const std::string &name, core::Scale scale,
+               int version = 0);
 
     /**
      * Timing-simulation stats for one workload under one SimConfig
@@ -138,15 +158,21 @@ class Context
     trace::ChunkSink *prevSpillSink = nullptr;
     uint32_t prevSpillResident = 0;
 
-    /** Content hash of a memoized recording (memoized itself: the
-     *  digest walks every event, so figures sharing a recording
-     *  should not rehash it per config). */
-    uint64_t recordingHash(const std::string &name, core::Scale scale,
-                           int version);
+    /** A recording and its content hash, hashed right after
+     *  recording so the digest runs in the recording's own job. */
+    struct Recording
+    {
+        gpusim::LaunchSequence seq;
+        uint64_t hash = 0;
+    };
+
+    /** The memoized recording of an already resolved version. */
+    const Recording &recording(const std::string &name,
+                               core::Scale scale, int version);
 
     FlightMemo<core::CpuCharacterization> cpuMemo{"cpu"};
-    FlightMemo<gpusim::LaunchSequence> gpuMemo{"gpu"};
-    FlightMemo<uint64_t> hashMemo{"rhash"};
+    FlightMemo<Recording> gpuMemo{"gpu"};
+    FlightMemo<gpusim::TraceStats> traceMemo{"trace"};
     FlightMemo<gpusim::KernelStats> statsMemo{"stats"};
 };
 

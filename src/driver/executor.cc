@@ -45,6 +45,7 @@ struct Executor::Impl
     ~Impl();
 
     void submit(Task t);
+    void submitInOrder(std::vector<Task> tasks);
     bool tryRunOne(int self);
     void workerLoop(int id);
 
@@ -147,6 +148,27 @@ Executor::Impl::submit(Task t)
         std::lock_guard<std::mutex> lock(idleMu);
     }
     idleCv.notify_one();
+}
+
+void
+Executor::Impl::submitInOrder(std::vector<Task> tasks)
+{
+    // Task k goes to queue k % n. Each queue takes its whole share
+    // under one lock, each task in front of the one before it, so
+    // the owner's back-pop starts the share in order (and a thief's
+    // front-steal takes its latest task): across the pool, tasks
+    // start in index order.
+    const size_t n = queues.size();
+    for (size_t q = 0; q < n; ++q) {
+        std::lock_guard<std::mutex> lock(queues[q]->mu);
+        for (size_t k = q; k < tasks.size(); k += n)
+            queues[q]->q.push_front(std::move(tasks[k]));
+    }
+    pending.fetch_add(tasks.size());
+    {
+        std::lock_guard<std::mutex> lock(idleMu);
+    }
+    idleCv.notify_all();
 }
 
 bool
@@ -528,10 +550,13 @@ Executor::run(JobGraph &graph, support::ProgressReporter *progress)
     if (anyDeadline)
         watchdog = std::thread([ctx] { Impl::watchdogLoop(ctx); });
 
+    std::vector<Impl::Task> rootTasks;
+    rootTasks.reserve(roots.size());
     for (size_t r : roots) {
         ctx->submitted[r] = std::chrono::steady_clock::now();
-        impl->submit([ctx, r] { Impl::executeJob(ctx, r); });
+        rootTasks.push_back([ctx, r] { Impl::executeJob(ctx, r); });
     }
+    impl->submitInOrder(std::move(rootTasks));
 
     {
         std::unique_lock<std::mutex> lock(ctx->mu);

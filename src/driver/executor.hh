@@ -14,10 +14,16 @@
  *
  * Two entry points:
  *
- *  - run(graph): execute a JobGraph respecting dependencies. Ready
- *    jobs are distributed across the pool; when a job finishes, its
- *    dependents with no remaining dependencies are released. A
- *    failed job marks every transitive dependent Skipped.
+ *  - run(graph): execute a JobGraph respecting dependencies. The
+ *    roots (jobs without dependencies) start in graph order: root k
+ *    goes to worker k % n, and each worker's queue receives its
+ *    share under one lock, ordered so the owner's back-pop takes it
+ *    first-added first (a thief takes the share's last root).
+ *    Callers therefore add the jobs that gate the most work
+ *    first. When a job finishes, its dependents with no
+ *    remaining dependencies are released onto the finishing
+ *    worker's queue. A failed job marks every transitive dependent
+ *    Skipped.
  *
  *  - parallelFor(n, fn): data-parallel helper, callable both from
  *    outside and from *inside* a running job (nested parallelism for

@@ -1,8 +1,10 @@
 #include "driver/figures.hh"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
+#include <mutex>
 #include <sstream>
 #include <tuple>
 
@@ -179,6 +181,20 @@ buildFig1(Context &ctx)
     return t.render() + "\n" + bars.str();
 }
 
+/** The trace analyses of the 12 shipped recordings in figure
+ *  order, fanned out across the pool (Context::traceStats memoizes
+ *  them, so Figs. 2 and 3 share one analysis per recording). */
+std::vector<const gpusim::TraceStats *>
+figureOrderTraceStats(Context &ctx)
+{
+    const auto &order = figureOrder();
+    std::vector<const gpusim::TraceStats *> stats(order.size());
+    ctx.parallelFor(order.size(), [&](size_t b) {
+        stats[b] = &ctx.traceStats(order[b].first, primaryScale());
+    });
+    return stats;
+}
+
 // ---------------------------------------------------------------
 // Figure 2: memory-operation breakdown by space.
 // ---------------------------------------------------------------
@@ -187,16 +203,16 @@ std::string
 buildFig2(Context &ctx)
 {
     using gpusim::Space;
+    const auto &order = figureOrder();
+    auto stats = figureOrderTraceStats(ctx);
     Table t("Figure 2: memory operation breakdown (percent)");
     t.setHeader({"Benchmark", "Shared", "Tex", "Const", "Param",
                  "Global/Local"});
-    for (const auto &[name, label] : figureOrder()) {
-        const auto &seq = ctx.gpu(name, primaryScale());
-        auto stats = gpusim::analyzeTrace(seq);
-        auto f = stats.memOpFractions();
+    for (size_t b = 0; b < order.size(); ++b) {
+        auto f = stats[b]->memOpFractions();
         double globloc =
             f[size_t(Space::Global)] + f[size_t(Space::Local)];
-        t.addRow({label, Table::pct(f[size_t(Space::Shared)]),
+        t.addRow({order[b].second, Table::pct(f[size_t(Space::Shared)]),
                   Table::pct(f[size_t(Space::Tex)]),
                   Table::pct(f[size_t(Space::Const)]),
                   Table::pct(f[size_t(Space::Param)]),
@@ -212,16 +228,16 @@ buildFig2(Context &ctx)
 std::string
 buildFig3(Context &ctx)
 {
+    const auto &order = figureOrder();
+    auto stats = figureOrderTraceStats(ctx);
     Table t("Figure 3: warp occupancy (percent of warp instructions)");
     t.setHeader({"Benchmark", "1-8", "9-16", "17-24", "25-32",
                  "avg active"});
-    for (const auto &[name, label] : figureOrder()) {
-        const auto &seq = ctx.gpu(name, primaryScale());
-        auto stats = gpusim::analyzeTrace(seq);
-        auto f = stats.occupancyFractions();
-        t.addRow({label, Table::pct(f[0]), Table::pct(f[1]),
+    for (size_t b = 0; b < order.size(); ++b) {
+        auto f = stats[b]->occupancyFractions();
+        t.addRow({order[b].second, Table::pct(f[0]), Table::pct(f[1]),
                   Table::pct(f[2]), Table::pct(f[3]),
-                  Table::fmt(stats.avgWarpOccupancy(), 1)});
+                  Table::fmt(stats[b]->avgWarpOccupancy(), 1)});
     }
     return t.render();
 }
@@ -336,9 +352,8 @@ buildTable3(Context &ctx)
         slots[i].st =
             ctx.gpuStats(name, primaryScale(), version,
                          gpusim::SimConfig::gpgpusimDefault());
-        slots[i].mix = gpusim::analyzeTrace(
-                           ctx.gpu(name, primaryScale(), version))
-                           .memOpFractions();
+        slots[i].mix =
+            ctx.traceStats(name, primaryScale(), version).memOpFractions();
     });
 
     Table t("Table III: incrementally optimized SRAD and Leukocyte");
@@ -752,69 +767,69 @@ figureOrderDeps(core::Scale scale)
     return deps;
 }
 
+/** Every figure in paper order, its primary GPU inputs at @p scale. */
+std::vector<FigureDef>
+figureTable(core::Scale scale)
+{
+    std::vector<FigureDef> f;
+    auto fullOrder = figureOrderDeps(scale);
+    auto smallOrder = figureOrderDeps(core::Scale::Small);
+
+    f.push_back({"table1", "table1/inventory", buildTable1, false, {}});
+    f.push_back({"fig1", "fig1/ipc", buildFig1, false, fullOrder});
+    f.push_back({"fig2", "fig2/memmix", buildFig2, false, fullOrder});
+    f.push_back(
+        {"fig3", "fig3/occupancy", buildFig3, false, fullOrder});
+    f.push_back(
+        {"fig4", "fig4/channels", buildFig4, false, fullOrder});
+    f.push_back({"fig5", "fig5/fermi", buildFig5, false, fullOrder});
+    f.push_back({"table3", "table3/incremental", buildTable3, false,
+                 {{"srad", scale, 1},
+                  {"srad", scale, 2},
+                  {"leukocyte", scale, 1},
+                  {"leukocyte", scale, 2},
+                  {"nw", scale, 1},
+                  {"nw", scale, 2},
+                  {"lud", scale, 1},
+                  {"lud", scale, 2}}});
+    f.push_back({"pb", "sec3e/plackett_burman", buildPbSensitivity,
+                 false, smallOrder});
+    f.push_back({"fig6", "fig6/dendrogram", buildFig6, true, {}});
+    f.push_back({"fig7", "fig7/instmix_pca", buildFig7, true, {}});
+    f.push_back({"fig8", "fig8/workingset_pca", buildFig8, true, {}});
+    f.push_back({"fig9", "fig9/sharing_pca", buildFig9, true, {}});
+    f.push_back({"fig10", "fig10/missrates", buildFig10, true, {}});
+    f.push_back({"fig11", "fig11/ifootprint", buildFig11, true, {}});
+    f.push_back({"fig12", "fig12/dfootprint", buildFig12, true, {}});
+    f.push_back({"ablation_simt", "ablation/simt_keys",
+                 buildAblationSimt, false, {}});
+    f.push_back({"ablation_coalesce", "ablation/coalesce",
+                 buildAblationCoalesce, false,
+                 {{"kmeans", core::Scale::Small, 0},
+                  {"cfd", core::Scale::Small, 0},
+                  {"bfs", core::Scale::Small, 0}}});
+    return f;
+}
+
 } // namespace
 
 const std::vector<FigureDef> &
 allFigures()
 {
-    // Cached per primary scale: the GPU dependency lists embed the
-    // scale, so a --scale change (set once at startup, before any
-    // figure is built) rebuilds the table on the next call.
-    static core::Scale builtFor = core::Scale::Full;
-    static std::vector<FigureDef> figures;
-    if (!figures.empty() && builtFor == primaryScale())
-        return figures;
-    builtFor = primaryScale();
-    figures = [] {
-        std::vector<FigureDef> f;
-        auto fullOrder = figureOrderDeps(primaryScale());
-        auto smallOrder = figureOrderDeps(core::Scale::Small);
-
-        f.push_back({"table1", "table1/inventory", buildTable1, false,
-                     {}});
-        f.push_back({"fig1", "fig1/ipc", buildFig1, false, fullOrder});
-        f.push_back(
-            {"fig2", "fig2/memmix", buildFig2, false, fullOrder});
-        f.push_back(
-            {"fig3", "fig3/occupancy", buildFig3, false, fullOrder});
-        f.push_back(
-            {"fig4", "fig4/channels", buildFig4, false, fullOrder});
-        f.push_back({"fig5", "fig5/fermi", buildFig5, false, fullOrder});
-        f.push_back({"table3", "table3/incremental", buildTable3, false,
-                     {{"srad", primaryScale(), 1},
-                      {"srad", primaryScale(), 2},
-                      {"leukocyte", primaryScale(), 1},
-                      {"leukocyte", primaryScale(), 2},
-                      {"nw", primaryScale(), 1},
-                      {"nw", primaryScale(), 2},
-                      {"lud", primaryScale(), 1},
-                      {"lud", primaryScale(), 2}}});
-        f.push_back({"pb", "sec3e/plackett_burman", buildPbSensitivity,
-                     false, smallOrder});
-        f.push_back(
-            {"fig6", "fig6/dendrogram", buildFig6, true, {}});
-        f.push_back(
-            {"fig7", "fig7/instmix_pca", buildFig7, true, {}});
-        f.push_back(
-            {"fig8", "fig8/workingset_pca", buildFig8, true, {}});
-        f.push_back(
-            {"fig9", "fig9/sharing_pca", buildFig9, true, {}});
-        f.push_back(
-            {"fig10", "fig10/missrates", buildFig10, true, {}});
-        f.push_back(
-            {"fig11", "fig11/ifootprint", buildFig11, true, {}});
-        f.push_back(
-            {"fig12", "fig12/dfootprint", buildFig12, true, {}});
-        f.push_back({"ablation_simt", "ablation/simt_keys",
-                     buildAblationSimt, false, {}});
-        f.push_back({"ablation_coalesce", "ablation/coalesce",
-                     buildAblationCoalesce, false,
-                     {{"kmeans", core::Scale::Small, 0},
-                      {"cfd", core::Scale::Small, 0},
-                      {"bfs", core::Scale::Small, 0}}});
-        return f;
-    }();
-    return figures;
+    // One table per primary scale (the GPU dependency lists embed
+    // it), each built exactly once: the daemon looks figures up from
+    // one reader thread per connection, so first lookups may race.
+    struct Slot
+    {
+        std::once_flag once;
+        std::vector<FigureDef> figures;
+    };
+    static std::array<Slot, size_t(core::Scale::Paper) + 1> slots;
+    const core::Scale scale = primaryScale();
+    Slot &slot = slots[size_t(scale)];
+    std::call_once(slot.once,
+                   [&] { slot.figures = figureTable(scale); });
+    return slot.figures;
 }
 
 const FigureDef *

@@ -33,8 +33,7 @@ namespace driver {
  * (defaults to Scale::Full). The experiments CLI sets this from its
  * --scale flag before building anything; ablation and sensitivity
  * figures that intentionally run at Scale::Small are unaffected.
- * Changing the scale invalidates FigureDef pointers previously
- * returned by allFigures()/findFigure(), so set it once at startup.
+ * Not synchronized: set it once at startup, before the pool runs.
  */
 core::Scale primaryScale();
 void setPrimaryScale(core::Scale scale);
@@ -57,7 +56,11 @@ struct FigureDef
     std::vector<GpuDep> gpuDeps;  //!< recordings the builder replays
 };
 
-/** Every figure in paper order. */
+/**
+ * Every figure in paper order, for the current primaryScale().
+ * Thread-safe: each scale's table is built exactly once, and the
+ * returned references stay valid for the process's lifetime.
+ */
 const std::vector<FigureDef> &allFigures();
 
 /** Find by CLI id; nullptr if unknown. */

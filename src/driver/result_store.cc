@@ -297,14 +297,13 @@ cpuCharKey(const std::string &workload, core::Scale scale, int threads)
 
 ResultStore::Key
 gpuStatsKey(const std::string &workload, core::Scale scale,
-            int version, const std::string &config_fingerprint,
+            const std::string &config_fingerprint,
             uint64_t recording_hash)
 {
     ResultStore::Key key;
     key.kind = "gpustats";
     key.workload = workload;
     key.scale = int(scale);
-    key.threads = version;
     std::ostringstream cfg;
     cfg << config_fingerprint << "|rec=" << std::hex
         << recording_hash;

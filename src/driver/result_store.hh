@@ -131,10 +131,12 @@ ResultStore::Key cpuCharKey(const std::string &workload,
  * hash, so a change to either the architecture under test or the
  * recording itself (workload logic, problem size, recorder fixes)
  * moves the key instead of serving stale stats. The kernel version
- * rides in the threads slot (0 if shipped).
+ * is not part of the key: the recording's hash already names the
+ * kernel, so the shipped version and its explicit number share one
+ * entry.
  */
 ResultStore::Key gpuStatsKey(const std::string &workload,
-                             core::Scale scale, int version,
+                             core::Scale scale,
                              const std::string &config_fingerprint,
                              uint64_t recording_hash);
 

@@ -25,6 +25,7 @@
 #define RODINIA_TRACE_TRACE_HH
 
 #include <algorithm>
+#include <atomic>
 #include <barrier>
 #include <cassert>
 #include <cstdint>
@@ -126,6 +127,20 @@ class ThreadCtx
     {
         store(p, sizeof(T), loc);
         *p = v;
+    }
+
+    /**
+     * st() for an element several threads store in one phase, all
+     * with the same value: a relaxed atomic store keeps the race
+     * well-defined. Records the same store event as st().
+     */
+    template <typename T>
+    void
+    stShared(T *p, const T &v,
+             std::source_location loc = std::source_location::current())
+    {
+        store(p, sizeof(T), loc);
+        std::atomic_ref<T>(*p).store(v, std::memory_order_relaxed);
     }
 
     /** Report `n` integer ALU operations at this site. */

@@ -137,8 +137,8 @@ Bfs::runCpu(trace::TraceSession &session, core::Scale scale)
                     // this thread's recorded trace — the trace is a
                     // pure function of the graph.
                     if (ctx.ld(&prevCost[v]) < 0) {
-                        ctx.st(&cost[v], level + 1);
-                        ctx.st(&next[v], uint8_t(1));
+                        ctx.stShared(&cost[v], level + 1);
+                        ctx.stShared(&next[v], uint8_t(1));
                     }
                 }
             }

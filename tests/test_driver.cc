@@ -239,6 +239,27 @@ TEST(Executor, DependentsRunExactlyOnceUnderContention)
     }
 }
 
+TEST(Executor, RootsStartInGraphOrder)
+{
+    // One worker runs the roots one at a time, so the order they run
+    // in is the order the pool starts them in: graph order, every
+    // time (callers add the jobs that gate the most work first).
+    constexpr size_t kRoots = 16;
+    std::vector<size_t> expected;
+    for (size_t i = 0; i < kRoots; ++i)
+        expected.push_back(i);
+    for (int run = 0; run < 20; ++run) {
+        Executor ex(1);
+        JobGraph g;
+        std::vector<size_t> order;
+        for (size_t i = 0; i < kRoots; ++i)
+            g.add("root" + std::to_string(i),
+                  [&order, i] { order.push_back(i); });
+        ASSERT_TRUE(ex.run(g));
+        EXPECT_EQ(order, expected) << "run " << run;
+    }
+}
+
 TEST(Executor, WallClockAccountingIsRecorded)
 {
     Executor ex(2);
@@ -511,6 +532,88 @@ TEST(Context, FigureOrderIsThreadSafeUnderConcurrentFirstUse)
     EXPECT_EQ(sum.load(), 64u * 12u);
 }
 
+TEST(Figures, ConcurrentFirstLookupSeesOneTable)
+{
+    // ctest runs each test in its own process, so this is the
+    // process's first lookup: 8 threads race to build the table, as
+    // the daemon's per-connection reader threads may.
+    constexpr size_t kThreads = 8;
+    std::atomic<bool> go{false};
+    std::vector<const driver::FigureDef *> got(kThreads, nullptr);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            got[t] = driver::findFigure("fig1");
+        });
+    go.store(true);
+    for (auto &th : threads)
+        th.join();
+    ASSERT_NE(got[0], nullptr);
+    for (const auto *def : got)
+        EXPECT_EQ(def, got[0]);
+}
+
+TEST(Context, ShippedVersionSharesOneRecording)
+{
+    // Version 0 names the shipped kernel, SRAD v2: one recording and
+    // one content hash serve both names.
+    EXPECT_EQ(driver::gpuVersion("srad", 0), 2);
+    EXPECT_EQ(driver::gpuVersion("srad", 1), 1);
+    driver::Context ctx;
+    uint64_t records0 = counter("gpusim.record.calls");
+    uint64_t hashes0 = counter("gpusim.hash.calls");
+    const auto &shipped = ctx.gpu("srad", core::Scale::Tiny, 0);
+    const auto &v2 = ctx.gpu("srad", core::Scale::Tiny, 2);
+    EXPECT_EQ(&shipped, &v2);
+    EXPECT_EQ(counter("gpusim.record.calls"), records0 + 1);
+    EXPECT_EQ(counter("gpusim.hash.calls"), hashes0 + 1);
+    EXPECT_NE(&ctx.gpu("srad", core::Scale::Tiny, 1), &shipped);
+    EXPECT_EQ(counter("gpusim.record.calls"), records0 + 2);
+}
+
+namespace {
+
+/** Sets the primary scale for one test and restores Full after. */
+class PrimaryScaleGuard
+{
+  public:
+    explicit PrimaryScaleGuard(core::Scale scale)
+    {
+        driver::setPrimaryScale(scale);
+    }
+    ~PrimaryScaleGuard() { driver::setPrimaryScale(core::Scale::Full); }
+};
+
+} // namespace
+
+TEST(Context, TraceFiguresAnalyseEachRecordingOnce)
+{
+    // Figs. 2 and 3 read the 12 shipped recordings and Table III its
+    // 8 versions, 4 of them shipped: 16 distinct trace analyses, each
+    // run once however the figures overlap on the pool.
+    PrimaryScaleGuard scale(core::Scale::Tiny);
+    Executor ex(4);
+    driver::Context ctx(nullptr, &ex);
+    uint64_t replays0 = counter("gpusim.replay.calls");
+    JobGraph g;
+    std::vector<std::string> text(3);
+    const char *ids[3] = {"fig2", "fig3", "table3"};
+    for (size_t i = 0; i < 3; ++i) {
+        const auto *def = driver::findFigure(ids[i]);
+        ASSERT_NE(def, nullptr);
+        g.add(ids[i], [&text, &ctx, def, i] { text[i] = def->build(ctx); });
+    }
+    ASSERT_TRUE(ex.run(g));
+    EXPECT_EQ(counter("gpusim.replay.calls"), replays0 + 16);
+    for (const auto &t : text)
+        EXPECT_FALSE(t.empty());
+    EXPECT_EQ(&ctx.traceStats("srad", core::Scale::Tiny, 0),
+              &ctx.traceStats("srad", core::Scale::Tiny, 2));
+    EXPECT_EQ(counter("gpusim.replay.calls"), replays0 + 16);
+}
+
 TEST(Context, ParallelFigureMatchesSerialFigure)
 {
     // The smallest GPU figure: ablation_coalesce records three
@@ -584,6 +687,36 @@ TEST(GpuStats, DistinctConfigsSimulateSeparately)
     EXPECT_GT(sb.cycles, 0u);
     EXPECT_LE(sb.cycles, sa.cycles); // more shaders never slower
     EXPECT_EQ(counter("gpusim.sims_run"), sims0 + 2);
+}
+
+TEST(GpuStats, ShippedAndExplicitVersionShareOneStoreEntry)
+{
+    ScratchDir scratch("gpustats_version");
+    gpusim::SimConfig cfg = gpusim::SimConfig::shaders(4);
+    {
+        ResultStore store(scratch.dir());
+        driver::Context ctx(&store);
+        uint64_t sims0 = counter("gpusim.sims_run");
+        EXPECT_FALSE(ctx.gpuStatsWarm("srad", core::Scale::Tiny, 2, cfg));
+        const auto &shipped =
+            ctx.gpuStats("srad", core::Scale::Tiny, 0, cfg);
+        EXPECT_TRUE(ctx.gpuStatsWarm("srad", core::Scale::Tiny, 2, cfg));
+        const auto &v2 = ctx.gpuStats("srad", core::Scale::Tiny, 2, cfg);
+        EXPECT_EQ(&shipped, &v2);
+        EXPECT_EQ(counter("gpusim.sims_run"), sims0 + 1);
+    }
+
+    // The store key carries no version: a fresh Context asking for
+    // v2 by number finds the entry the shipped-version call wrote.
+    ResultStore store(scratch.dir());
+    driver::Context ctx(&store);
+    ctx.gpu("srad", core::Scale::Tiny, 2);
+    EXPECT_TRUE(ctx.gpuStatsWarm("srad", core::Scale::Tiny, 2, cfg));
+    uint64_t sims0 = counter("gpusim.sims_run");
+    uint64_t served0 = counter("gpusim.store_served");
+    ctx.gpuStats("srad", core::Scale::Tiny, 2, cfg);
+    EXPECT_EQ(counter("gpusim.sims_run"), sims0);
+    EXPECT_EQ(counter("gpusim.store_served"), served0 + 1);
 }
 
 TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)

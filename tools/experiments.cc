@@ -4,13 +4,13 @@
  *
  * Where each bench binary reproduces a single figure serially, this
  * CLI builds a driver::JobGraph over every requested figure: one job
- * per CPU characterization (shared by Figs. 6-12), one per GPU
- * launch recording (shared by Figs. 1-5 / Table III / PB), and one
- * per figure assembly, wired with explicit dependencies and executed
- * on the work-stealing pool. Figure text is byte-identical to the
- * per-binary serial runs because both paths call the same
- * driver::FigureDef builders with deterministic slot-ordered
- * assembly.
+ * per distinct GPU kernel's launch recording (shared by Figs. 1-5 /
+ * Table III / PB), one per CPU characterization (shared by Figs.
+ * 6-12), and one per figure assembly, wired with explicit
+ * dependencies and executed on the work-stealing pool. Figure text
+ * is byte-identical to the per-binary serial runs because both paths
+ * call the same driver::FigureDef build functions with deterministic
+ * slot-ordered assembly.
  *
  * Usage:
  *   experiments [--figure <id>|all] [--scale S] [--jobs N] [--no-cache]
@@ -283,12 +283,13 @@ selectFigures(const Options &opt, bool &ok)
     return out;
 }
 
+/** One job per distinct kernel: version 0 names the shipped one. */
 std::string
 gpuJobName(const driver::GpuDep &dep)
 {
     std::ostringstream os;
     os << "gpu:" << dep.workload << "/s" << int(dep.scale) << "/v"
-       << dep.version;
+       << driver::gpuVersion(dep.workload, dep.version);
     return os.str();
 }
 
@@ -345,8 +346,28 @@ main(int argc, char **argv)
 
     driver::JobGraph graph;
 
-    // Shared input jobs: one per CPU characterization, one per GPU
-    // launch recording, deduplicated across figures.
+    // Shared input jobs: one per GPU launch recording (recording and
+    // content hash), deduplicated across figures by distinct kernel,
+    // then one per CPU characterization. The executor starts roots
+    // in graph order, so the recordings that gate Figs. 1-5 go first.
+    std::vector<std::pair<std::string, size_t>> gpuJobs;
+    std::vector<std::vector<size_t>> gpuDeps(figures.size());
+    for (size_t i = 0; i < figures.size(); ++i) {
+        for (const auto &dep : figures[i]->gpuDeps) {
+            std::string jobName = gpuJobName(dep);
+            auto it = std::find_if(
+                gpuJobs.begin(), gpuJobs.end(),
+                [&](const auto &job) { return job.first == jobName; });
+            if (it == gpuJobs.end()) {
+                size_t id = graph.add(jobName, [&ctx, dep] {
+                    ctx.gpu(dep.workload, dep.scale, dep.version);
+                });
+                it = gpuJobs.emplace(gpuJobs.end(), jobName, id);
+            }
+            gpuDeps[i].push_back(it->second);
+        }
+    }
+
     bool needsAllCpu = false;
     for (const auto *def : figures)
         needsAllCpu = needsAllCpu || def->needsAllCpu;
@@ -360,19 +381,6 @@ main(int argc, char **argv)
         }
     }
 
-    std::vector<std::pair<std::string, size_t>> gpuJobs;
-    auto gpuJobFor = [&](const driver::GpuDep &dep) {
-        std::string jobName = gpuJobName(dep);
-        for (const auto &[name, id] : gpuJobs)
-            if (name == jobName)
-                return id;
-        size_t id = graph.add(jobName, [&ctx, dep] {
-            ctx.gpu(dep.workload, dep.scale, dep.version);
-        });
-        gpuJobs.emplace_back(jobName, id);
-        return id;
-    };
-
     std::vector<std::string> outputs(figures.size());
     std::vector<size_t> figureJobIds(figures.size());
     for (size_t i = 0; i < figures.size(); ++i) {
@@ -380,8 +388,7 @@ main(int argc, char **argv)
         std::vector<size_t> deps;
         if (def->needsAllCpu)
             deps = cpuJobs;
-        for (const auto &dep : def->gpuDeps)
-            deps.push_back(gpuJobFor(dep));
+        deps.insert(deps.end(), gpuDeps[i].begin(), gpuDeps[i].end());
         figureJobIds[i] = graph.add(
             "figure:" + def->id,
             [&ctx, &outputs, i, def] {
@@ -562,7 +569,7 @@ main(int argc, char **argv)
         // Work counts only, all stable: a run whose only committed
         // jobs are recordings must still print byte-identical
         // stats. The wall times are the volatile
-        // gpusim.{record,hash}.wall_us gauges in --metrics.
+        // gpusim.{record,hash,replay}.wall_us gauges in --metrics.
         Table r("GPU recording");
         r.setHeader({"Recording", "Launches", "Blocks", "Events",
                      "B/event", "Fiber switches"});
@@ -588,14 +595,15 @@ main(int argc, char **argv)
         std::fputs(r.render().c_str(), stdout);
         std::printf("%llu recordings: %llu launches / %llu blocks / "
                     "%llu events in %llu encoded bytes / %llu fiber "
-                    "switches; %llu hashes\n",
+                    "switches; %llu hashes; %llu trace analyses\n",
                     (unsigned long long)snap.value("gpusim.record.calls"),
                     (unsigned long long)recTotals[0],
                     (unsigned long long)recTotals[1],
                     (unsigned long long)recTotals[2],
                     (unsigned long long)recTotals[3],
                     (unsigned long long)recTotals[4],
-                    (unsigned long long)snap.value("gpusim.hash.calls"));
+                    (unsigned long long)snap.value("gpusim.hash.calls"),
+                    (unsigned long long)snap.value("gpusim.replay.calls"));
         std::printf("result store: %llu hits / %llu misses / "
                     "%llu publish failures / %llu orphaned tmp "
                     "collected\n",
