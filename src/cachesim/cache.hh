@@ -9,6 +9,10 @@
  * threads touched it; a residency touched by more than one thread is
  * "shared", giving the fraction-of-lines-shared and
  * accesses-to-shared-lines-per-memory-reference metrics.
+ *
+ * The simulator is the single-pass CacheSweep (sweep.hh), which
+ * measures every swept size in one replay; the per-size reference
+ * cache it is checked against lives in tests/reference/.
  */
 
 #ifndef RODINIA_CACHESIM_CACHE_HH
@@ -117,52 +121,11 @@ struct CacheStats
 };
 
 /**
- * One shared, set-associative, LRU, write-allocate cache fed by a
- * multithreaded access stream.
- */
-class SharedCache
-{
-  public:
-    explicit SharedCache(const CacheConfig &config);
-
-    /** Replay one access; internally splits line-crossing accesses. */
-    void access(int tid, uint64_t addr, uint32_t size, bool is_write);
-
-    /**
-     * Finalize statistics: residencies still live in the cache are
-     * counted (and classified shared or private). Call once, after
-     * the full trace has been replayed.
-     */
-    const CacheStats &finish();
-
-    const CacheConfig &config() const { return cfg; }
-    const CacheStats &stats() const { return counters; }
-
-  private:
-    void accessLine(int tid, uint64_t line_addr, bool is_write);
-
-    struct Line
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        uint64_t threadMask = 0;
-        bool valid = false;
-    };
-
-    CacheConfig cfg;
-    CacheStats counters;
-    std::vector<Line> lines;   //!< numSets * assoc, set-major
-    uint64_t nSets = 0;        //!< cached cfg.numSets()
-    int setShift = 0;          //!< log2(nSets)
-    uint64_t useClock = 0;
-    bool finished = false;
-};
-
-/**
  * Replay the session's interleaved memory trace once and return the
  * per-size statistics for every given size. Implemented on the
  * single-pass stack-distance engine (see sweep.hh); byte-identical
- * to replaying a SharedCache per size.
+ * to replaying one independent cache per size (the reference model
+ * in tests/reference/).
  */
 std::vector<CacheStats> sweepCacheSizes(
     const trace::TraceSession &session,

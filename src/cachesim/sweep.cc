@@ -56,9 +56,13 @@ CacheSweep::accessLine(uint64_t tid_bit, uint64_t line_addr,
         CacheStats &st = lv.stats;
         ++st.accesses;
 
-        // Same XOR-folded index hash as SharedCache (see cache.cc for
-        // the rationale); the stacks below are its LRU order with the
-        // timestamps replaced by position.
+        // Set-index hashing (XOR-folded upper bits): real L2/L3
+        // caches hash the index, and without it our scaled power-of-
+        // two problem sizes place all threads' partition-aligned
+        // streams into the same set simultaneously — a synthetic
+        // conflict artifact the paper's odd-sized inputs (34
+        // features, 609x590 frames) never hit. The stacks below keep
+        // LRU order by position instead of timestamps.
         uint64_t set =
             (line_addr ^ (line_addr >> lv.setShift) * 0x9e3779b9) &
             (lv.nSets - 1);

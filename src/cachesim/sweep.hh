@@ -16,11 +16,12 @@
  * simulated one for free.
  *
  * Equivalence contract: for each size the per-set stack order equals
- * the lastUse-timestamp order SharedCache maintains, and the
- * sharing counters are updated at the same points, so every
- * CacheStats field is byte-identical to an independent SharedCache
- * replay of the same interleaved trace (asserted by the equivalence
- * property tests; SharedCache remains the oracle).
+ * the lastUse-timestamp order of an independent per-size LRU cache,
+ * and the sharing counters are updated at the same points, so every
+ * CacheStats field is byte-identical to replaying the same
+ * interleaved trace through one such cache per size (asserted by the
+ * equivalence property tests against the reference model in
+ * tests/reference/).
  */
 
 #ifndef RODINIA_CACHESIM_SWEEP_HH
@@ -89,7 +90,7 @@ class CacheSweep
 
     /**
      * Finalize statistics: residencies still live are counted and
-     * classified, exactly like SharedCache::finish(). Call once.
+     * classified as shared or private. Call once.
      */
     SweepResult finish(double replay_seconds = 0.0);
 

@@ -410,12 +410,6 @@ Context::gpuStats(const std::string &name, core::Scale scale,
                            .str("key", keyName)
                            .str("source",
                                 fromStore ? "store" : "simulated")
-                           // Requested parallelism, not the helper
-                           // count actually granted: the span must
-                           // stay deterministic across budget states
-                           // (results are identical either way).
-                           .num("sim_threads",
-                                uint64_t(config.effectiveSimThreads()))
                            .num("cycles", s.cycles)
                            .num("warp_insns", s.warpInstructions)
                            .num("channel_busy_cycles",

@@ -1,7 +1,5 @@
 #include "gpusim/simconfig.hh"
 
-#include <atomic>
-#include <cstdlib>
 #include <sstream>
 
 #include "support/logging.hh"
@@ -90,55 +88,8 @@ SimConfig::check() const
         return msg("SimConfig: l2Enabled with zero l2Bytes");
     if (simThreads < 0)
         return msg("SimConfig: simThreads (", simThreads,
-                   ") must be non-negative (0 = process default)");
+                   ") must be non-negative (0 = one per SM)");
     return "";
-}
-
-namespace {
-
-int
-clampThreads(int n)
-{
-    return n < 1 ? 1 : (n > 256 ? 256 : n);
-}
-
-std::atomic<int> &
-defaultSimThreadsSlot()
-{
-    static std::atomic<int> slot = [] {
-        const char *env = std::getenv("RODINIA_SIM_THREADS");
-        int n = env && *env ? std::atoi(env) : 1;
-        return clampThreads(n);
-    }();
-    return slot;
-}
-
-} // namespace
-
-int
-SimConfig::defaultSimThreads()
-{
-    return defaultSimThreadsSlot().load(std::memory_order_relaxed);
-}
-
-void
-SimConfig::setDefaultSimThreads(int n)
-{
-    defaultSimThreadsSlot().store(clampThreads(n),
-                                  std::memory_order_relaxed);
-}
-
-int
-SimConfig::effectiveSimThreads() const
-{
-    static const bool forceSerial = [] {
-        const char *env = std::getenv("RODINIA_SIM_SERIAL");
-        return env && *env && *env != '0';
-    }();
-    if (forceSerial)
-        return 1;
-    return clampThreads(simThreads == 0 ? defaultSimThreads()
-                                        : simThreads);
 }
 
 void
@@ -155,8 +106,9 @@ SimConfig::fingerprint() const
     // and bools print exactly, clocks are scaled to integral MHz
     // (every preset and sweep uses whole MHz) so no float formatting
     // is involved. simThreads is a runtime option, not architecture:
-    // the parallel engine is bit-identical to serial, so including it
-    // would only split the store key space for equal results.
+    // the engine is bit-identical at every lane-runner count, so
+    // including it would only split the store key space for equal
+    // results.
     std::ostringstream os;
     os << "sms=" << numSms << ";warp=" << warpSize
        << ";simd=" << simdWidth << ";thr=" << maxThreadsPerSm

@@ -76,14 +76,14 @@ struct SimConfig
     int l2HitLatency = 130;
 
     /**
-     * Runtime option, NOT an architectural parameter: how many
-     * threads one timing simulation may spread its SMs over.
-     * 0 = the process default (defaultSimThreads()), 1 = the serial
-     * reference engine, >= 2 = the epoch-synchronized parallel
-     * engine. Parallelism never changes simulation output — the
-     * parallel engine is bit-identical to serial by construction and
-     * by test — so this field is deliberately excluded from
-     * fingerprint(): the same store entry serves every thread count.
+     * Runtime option, NOT an architectural parameter: how many lane
+     * runners (threads) one timing simulation may spread its SMs
+     * over. 0 = up to one per SM, as support::ThreadBudget grants;
+     * a positive value caps that count. Lane runners never change
+     * simulation output — the engine is bit-identical at every count
+     * by construction and by test — so this field is deliberately
+     * excluded from fingerprint(): the same store entry serves every
+     * count.
      */
     int simThreads = 0;
 
@@ -133,24 +133,6 @@ struct SimConfig
         int c = int(mem_cycles * core_per_mem + 0.5);
         return c > 0 ? c : 1;
     }
-
-    /**
-     * The thread count simThreads == 0 resolves to; starts at the
-     * RODINIA_SIM_THREADS environment value if set, else 1 (serial).
-     * The experiments CLI raises it via --sim-threads.
-     */
-    static int defaultSimThreads();
-
-    /** Set the process default (clamped to [1, 256]). */
-    static void setDefaultSimThreads(int n);
-
-    /**
-     * The thread count a simulation with this config actually uses:
-     * simThreads, resolved through the process default, clamped to
-     * [1, 256], and forced to 1 when RODINIA_SIM_SERIAL=1 (the
-     * determinism-oracle escape hatch).
-     */
-    int effectiveSimThreads() const;
 
     /** Table II defaults (the paper's GPGPU-Sim configuration). */
     static SimConfig gpgpusimDefault();

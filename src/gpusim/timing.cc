@@ -158,7 +158,7 @@ epochCyclesFor(const SimConfig &cfg)
     // transaction that starts on an idle channel. Any request issued
     // at cycle c therefore completes at or after c + E, i.e. never
     // before the next epoch boundary — which is exactly what lets the
-    // parallel engine defer all shared-state arbitration to the
+    // engine defer all shared-state arbitration to the
     // boundary without changing any warp's wake cycle.
     uint64_t dram = uint64_t(cfg.channelServiceCycles()) +
                     uint64_t(cfg.gmemLatencyCycles > 0
@@ -195,8 +195,8 @@ strictChecksEnabled()
  * an *empty* SM — i.e. its standalone demand exceeds the SM's total
  * capacity — or nullptr if it fits. Such a CTA is only ever admitted
  * through the "always allow one CTA" deadlock-avoidance hatch, and
- * silently simulating it understates contention, so both engines
- * count it and optionally fail fast.
+ * silently simulating it understates contention, so the engine
+ * counts it and optionally fails fast.
  */
 const char *
 ctaOverloadReason(const SimConfig &cfg, const BlockRecord &block)
@@ -372,30 +372,111 @@ channelOf(uint64_t addr, uint64_t chan_mask, int num_channels)
                      : int((addr >> 8) % uint64_t(num_channels));
 }
 
-/** Single-launch serial simulation engine — the determinism oracle
- *  the parallel engine below is tested against. */
-class Engine
+/*
+ * The epoch timing engine.
+ *
+ * Its results are defined by a plain cycle-by-cycle scan that, each
+ * cycle, visits the SMs in index order and lets each issue at most
+ * one warp instruction, touching the shared L2/DRAM model and the
+ * global block counter as it goes (that scan is the reference model
+ * in tests/reference/, which the tests compare this engine against).
+ *
+ * SMs only interact through (a) the shared L2/DRAM channel model,
+ * (b) the global block-dispatch counter, and (c) the global
+ * simulation-end watermark. The engine advances every SM E cycles at
+ * a time where E = epochCyclesFor(cfg) is the minimum latency of any
+ * path through shared state, so a shared request issued inside an
+ * epoch cannot wake its warp before the next epoch boundary. Each SM
+ * therefore simulates its epoch on a private lane — buffering shared
+ * requests in issue order and parking their warps — and the
+ * coordinator replays the buffers through the real L2/channel state
+ * at the barrier in canonical (cycle, smIndex, lane-FIFO) order:
+ * exactly the scan's shared-access order. CTA completions suspend
+ * their lane mid-epoch so the coordinator can hand out blocks in the
+ * same canonical order. The result is bit-identical KernelStats for
+ * any lane-runner count and any epoch length <= E (DESIGN.md "Timing
+ * engine").
+ */
+
+/** One deferred shared-memory-system request (L2/DRAM). */
+struct DeferredReq
+{
+    uint64_t cycle;      //!< issue cycle: canonical replay major key
+    uint64_t addr;       //!< coalesced segment / constant word address
+    int64_t pendingSlot; //!< index into Lane::pending; -1 = none
+};
+
+/** A warp parked on at least one deferred request this epoch. */
+struct PendingWarp
+{
+    Warp *warp;    //!< nullptr when the warp finished at issue time
+    uint64_t wake; //!< max over the SM-locally-known components
+    uint64_t cycle; //!< issue cycle (for the max(wake, cycle+1) rule)
+    uint64_t seqNo; //!< lane seq reserved at issue: keeps heap order
+};
+
+/** One SM's private simulation state plus its epoch buffers. */
+struct Lane
+{
+    Sm sm;
+    size_t smIndex = 0;
+    uint64_t cycle = 0; //!< next unsimulated cycle
+    uint64_t seq = 0;   //!< lane-local (wake, seq) tie-break counter
+    uint64_t simEnd = 0;
+    uint64_t loops = 0;
+    bool paused = false;     //!< waiting for coordinator block handout
+    uint64_t pauseCycle = 0; //!< cycle of the suspending completion
+    KernelStats stats;       //!< SM-local partial sums
+    std::vector<uint64_t> scratch;
+    std::vector<uint64_t> defer; //!< current issue's deferred addrs
+    std::vector<DeferredReq> reqs;
+    std::vector<PendingWarp> pending;
+    size_t replayPos = 0;
+};
+
+/**
+ * Single-launch engine: per-SM lanes advanced in epochs by the
+ * calling thread plus a small helper pool, with all shared state
+ * touched only by the coordinator between epochs.
+ */
+class EpochEngine
 {
   public:
-    Engine(const SimConfig &cfg, const KernelRecording &rec)
-        : cfg(cfg), rec(rec)
+    EpochEngine(const SimConfig &cfg, const KernelRecording &rec,
+                int participants)
+        : cfg(cfg), rec(rec),
+          participants(std::max(1, participants)),
+          parentCancel(support::currentCancelToken())
     {
+    }
+
+    ~EpochEngine()
+    {
+        {
+            std::lock_guard<std::mutex> g(mu);
+            shutdown = true;
+        }
+        cvStart.notify_all();
+        for (auto &t : workers)
+            t.join();
     }
 
     KernelStats
     run()
     {
-        stats.numChannels = cfg.numChannels;
         stats.coreClockGhz = cfg.coreClockGhz;
 
-        sms.resize(size_t(cfg.numSms));
-        for (auto &sm : sms) {
+        lanes.resize(size_t(cfg.numSms));
+        for (size_t s = 0; s < lanes.size(); ++s) {
+            Lane &ln = lanes[s];
+            ln.smIndex = s;
             if (cfg.l1Enabled)
-                sm.l1 = std::make_unique<SimpleCache>(cfg.l1Bytes, 8,
-                                                      cfg.l1LineBytes);
-            sm.tex = std::make_unique<SimpleCache>(cfg.texCacheBytes, 8, 64);
-            sm.cst = std::make_unique<SimpleCache>(cfg.constCacheBytes, 8,
-                                                   64);
+                ln.sm.l1 = std::make_unique<SimpleCache>(
+                    cfg.l1Bytes, 8, cfg.l1LineBytes);
+            ln.sm.tex =
+                std::make_unique<SimpleCache>(cfg.texCacheBytes, 8, 64);
+            ln.sm.cst =
+                std::make_unique<SimpleCache>(cfg.constCacheBytes, 8, 64);
         }
         if (cfg.l2Enabled)
             l2 = std::make_unique<SimpleCache>(cfg.l2Bytes, 16,
@@ -409,231 +490,311 @@ class Engine
                        : 0;
         coalShift = __builtin_ctz(unsigned(cfg.coalesceBytes));
 
+        uint64_t epochLen = epochCyclesFor(cfg);
+        uint64_t cap = epochCapForTest.load(std::memory_order_relaxed);
+        if (cap && cap < epochLen)
+            epochLen = cap; // shorter epochs are always sound
+
         blocksRemaining = rec.blocks.size();
         for (size_t s = 0;
-             s < sms.size() && nextBlock < rec.blocks.size(); ++s)
-            placeBlocks(s, 0);
+             s < lanes.size() && nextBlock < rec.blocks.size(); ++s)
+            placeBlocks(lanes[s], 0);
 
-        // smNext[s] is a conservative lower bound on the next cycle
-        // at which SM s can make progress; the per-cycle scan skips
-        // an SM with one dense-array compare instead of touching its
-        // queues. Deferring the waiting->ready drain this way cannot
-        // change results: entries drain in (wake, seq) heap order
-        // whether moved cycle-by-cycle or in one batch, and issue
-        // itself only ever happens at cycles the bound admits. Only
-        // the SM an issue runs on can gain work (barrier release and
-        // block placement are SM-local), so recomputing the bound
-        // after visiting that SM keeps it valid.
-        smNext.assign(sms.size(), 0);
-        uint64_t cycle = 0;
-        uint64_t loops = 0;
-        while (blocksRemaining > 0) {
-            // Cooperative cancellation: a watchdog-cancelled job's
-            // sim unwinds here. Strided so the thread-local poll
-            // costs nothing measurable per cycle; cycles are
-            // logical, so the check cannot perturb results.
-            if ((++loops & 0x3fff) == 0)
-                support::checkpointCancellation();
-            bool issued = false;
-            for (size_t s = 0; s < sms.size(); ++s) {
-                if (smNext[s] > cycle)
-                    continue;
-                Sm &sm = sms[s];
-                while (!sm.waiting.empty() &&
-                       sm.waiting.top().wake <= cycle) {
-                    sm.ready.push_back(sm.waiting.top().warp);
-                    sm.waiting.pop();
+        uint64_t finalCycle = 0;
+        if (blocksRemaining > 0) {
+            spawnWorkers();
+            uint64_t base = 0;
+            for (;;) {
+                auto t0 = std::chrono::steady_clock::now();
+                uint64_t end = base + epochLen;
+                runRound(end);
+                bool done = resolvePauses(end, finalCycle);
+                // Replay even on the final epoch: buffered stores and
+                // finished-warp loads up to the final cycle are real
+                // traffic the reference scan counts too.
+                replayEpoch();
+                ++epochCount;
+                auto t1 = std::chrono::steady_clock::now();
+                support::metrics::observe(
+                    "gpusim.epoch.span_us",
+                    uint64_t(std::chrono::duration_cast<
+                                 std::chrono::microseconds>(t1 - t0)
+                                 .count()));
+                if (done)
+                    break;
+                // Idle-jump: next epoch starts at the earliest cycle
+                // any lane can make progress (never before `end`).
+                uint64_t next = kIdle;
+                for (Lane &ln : lanes)
+                    next = std::min(next, laneBound(ln));
+                if (next == kIdle) {
+                    std::vector<SmSnapshot> snaps(lanes.size());
+                    for (size_t s = 0; s < lanes.size(); ++s)
+                        snaps[s] = {lanes[s].sm.ready.size(),
+                                    lanes[s].sm.waiting.size(),
+                                    lanes[s].sm.usedCtas,
+                                    lanes[s].sm.freeCycle,
+                                    laneBound(lanes[s])};
+                    panic(formatDeadlockDiagnostics(
+                        end, nextBlock, rec.blocks.size(),
+                        blocksRemaining, snaps));
                 }
-                if (cycle >= sm.freeCycle && !sm.ready.empty()) {
-                    Warp *w = sm.ready.front();
-                    sm.ready.pop_front();
-                    issue(s, *w, cycle);
-                    issued = true;
-                    if (blocksRemaining == 0)
-                        break;
-                }
-                smNext[s] =
-                    !sm.ready.empty()
-                        ? std::max(sm.freeCycle, cycle + 1)
-                        : (!sm.waiting.empty()
-                               ? std::max(sm.waiting.top().wake,
-                                          cycle + 1)
-                               : kIdle);
+                base = std::max(end, next);
+                for (Lane &ln : lanes)
+                    ln.cycle = base;
             }
-            if (blocksRemaining == 0)
-                break;
-            if (issued) {
-                ++cycle;
-                continue;
-            }
-            // Nothing issued: jump to the next interesting cycle.
-            uint64_t next = kIdle;
-            for (uint64_t lb : smNext)
-                next = std::min(next, std::max(cycle + 1, lb));
-            if (next == kIdle) {
-                std::vector<SmSnapshot> snaps(sms.size());
-                for (size_t s = 0; s < sms.size(); ++s)
-                    snaps[s] = {sms[s].ready.size(),
-                                sms[s].waiting.size(),
-                                sms[s].usedCtas, sms[s].freeCycle,
-                                smNext[s]};
-                panic(formatDeadlockDiagnostics(
-                    cycle, nextBlock, rec.blocks.size(),
-                    blocksRemaining, snaps));
-            }
-            cycle = next;
         }
 
-        stats.cycles = std::max(cycle, simEnd);
+        // Merge lane partials into the shared (replay-side) totals.
+        for (Lane &ln : lanes) {
+            stats.add(ln.stats);
+            simEnd = std::max(simEnd, ln.simEnd);
+        }
+        stats.cycles = std::max(finalCycle, simEnd);
+        stats.numChannels = cfg.numChannels;
+        stats.coreClockGhz = cfg.coreClockGhz;
+
+        namespace m = support::metrics;
+        using St = m::Stability;
+        m::count("gpusim.epoch.runs", 1, St::Volatile);
+        m::count("gpusim.epoch.count", epochCount, St::Volatile);
+        m::count("gpusim.epoch.deferred_replays", replayCount,
+                 St::Volatile);
+        m::count("gpusim.epoch.cta_pauses", pauseCount, St::Volatile);
+        m::gauge("gpusim.epoch.threads", uint64_t(participants));
         return stats;
     }
 
   private:
-    bool
-    canFit(const Sm &sm, const BlockRecord &block) const
+    // ---- worker pool -------------------------------------------------
+
+    void
+    spawnWorkers()
     {
-        if (sm.usedCtas == 0)
-            return true; // always allow one CTA to avoid deadlock
-        return sm.usedCtas < cfg.maxCtasPerSm &&
-               sm.usedThreads + block.blockDim <= cfg.maxThreadsPerSm &&
-               sm.usedShared + block.sharedBytes <= cfg.sharedMemPerSm &&
-               sm.usedRegs + block.blockDim * cfg.regsPerThread <=
-                   cfg.regFileSize;
+        // Participant 0 is the coordinator (the calling thread).
+        int helpers = std::min(participants - 1, int(lanes.size()) - 1);
+        workers.reserve(size_t(std::max(helpers, 0)));
+        for (int p = 1; p <= helpers; ++p)
+            workers.emplace_back(&EpochEngine::workerMain, this);
+        participants = helpers + 1;
+    }
+
+    /**
+     * Run lanes of round @p r until none is left to claim. Lanes are
+     * claimed one at a time, so a helper the OS has not scheduled yet
+     * holds up nothing: whoever is running takes its lanes, and the
+     * round waits only for lanes already in flight. A helper that
+     * wakes after its round ended finds round != r and claims
+     * nothing.
+     */
+    void
+    claimLanes(uint64_t r, uint64_t epoch_end)
+    {
+        std::unique_lock<std::mutex> lock(mu);
+        while (round == r && nextLane < lanes.size()) {
+            Lane &ln = lanes[nextLane++];
+            lock.unlock();
+            std::exception_ptr err;
+            try {
+                runLane(ln, epoch_end);
+            } catch (...) {
+                err = std::current_exception();
+            }
+            lock.lock();
+            if (err)
+                errors.push_back(err);
+            if (++lanesDone == lanes.size())
+                cvDone.notify_one();
+        }
     }
 
     void
-    placeBlocks(size_t sm_index, uint64_t cycle)
+    workerMain()
     {
-        Sm &sm = sms[sm_index];
-        while (nextBlock < rec.blocks.size() &&
-               canFit(sm, rec.blocks[nextBlock])) {
-            const BlockRecord &block = rec.blocks[nextBlock];
-            ++nextBlock;
-            // Only the empty-SM hatch in canFit can admit a CTA whose
-            // standalone demand exceeds total SM capacity; flag it
-            // instead of silently under-modeling contention.
-            if (const char *why = ctaOverloadReason(cfg, block))
-                noteOversubscribedCta(cfg, block, sm_index, why);
+        // Workers poll the same cancellation token as the coordinator
+        // so a watchdog-cancelled sim unwinds on every thread.
+        support::CancelScope cancel(parentCancel);
+        uint64_t seen = 0;
+        std::unique_lock<std::mutex> lock(mu);
+        for (;;) {
+            cvStart.wait(lock, [&] { return shutdown || round != seen; });
+            if (shutdown)
+                return;
+            seen = round;
+            uint64_t end = roundEnd;
+            lock.unlock();
+            claimLanes(seen, end);
+            lock.lock();
+        }
+    }
 
-            auto cta = std::make_unique<Cta>();
-            cta->blockDim = block.blockDim;
-            cta->sharedBytes = block.sharedBytes;
-            cta->smIndex = int(sm_index);
-            int warps = warpsPerBlock(block.blockDim, cfg.warpSize);
-            for (int wi = 0; wi < warps; ++wi) {
-                auto warp = std::make_unique<Warp>(
-                    block, wi * cfg.warpSize, cfg.warpSize);
-                warp->cta = cta.get();
-                warp->hasInst = warp->rep.next(warp->inst);
-                if (warp->hasInst) {
-                    ++cta->aliveWarps;
-                    sm.waiting.push({cycle + 1, seq++, warp.get()});
-                }
-                cta->warps.push_back(std::move(warp));
+    /** One epoch's phase 1: the participants run every lane. */
+    void
+    runRound(uint64_t end)
+    {
+        uint64_t r;
+        {
+            std::lock_guard<std::mutex> g(mu);
+            r = ++round;
+            roundEnd = end;
+            nextLane = 0;
+            lanesDone = 0;
+        }
+        if (!workers.empty())
+            cvStart.notify_all();
+        claimLanes(r, end);
+        std::exception_ptr err;
+        {
+            std::unique_lock<std::mutex> lock(mu);
+            cvDone.wait(lock, [&] { return lanesDone == lanes.size(); });
+            if (!errors.empty()) {
+                err = errors.front();
+                errors.clear();
             }
+        }
+        if (err)
+            std::rethrow_exception(err);
+    }
 
-            if (cta->aliveWarps == 0) {
-                // Block recorded nothing; it completes immediately.
-                --blocksRemaining;
+    // ---- per-lane simulation (phase 1, parallel) ---------------------
+
+    /** Earliest cycle >= ln.cycle at which the lane can progress. */
+    uint64_t
+    laneBound(const Lane &ln) const
+    {
+        const Sm &sm = ln.sm;
+        if (!sm.ready.empty())
+            return std::max(sm.freeCycle, ln.cycle);
+        if (!sm.waiting.empty())
+            return std::max(sm.waiting.top().wake, ln.cycle);
+        return kIdle;
+    }
+
+    /** Advance one lane to epoch_end or to a CTA-completion pause. */
+    void
+    runLane(Lane &ln, uint64_t epoch_end)
+    {
+        Sm &sm = ln.sm;
+        while (!ln.paused) {
+            uint64_t cycle = ln.cycle;
+            if (cycle >= epoch_end)
+                return;
+            if ((++ln.loops & 0xfff) == 0)
+                support::checkpointCancellation();
+            while (!sm.waiting.empty() &&
+                   sm.waiting.top().wake <= cycle) {
+                sm.ready.push_back(sm.waiting.top().warp);
+                sm.waiting.pop();
+            }
+            if (cycle >= sm.freeCycle && !sm.ready.empty()) {
+                Warp *w = sm.ready.front();
+                sm.ready.pop_front();
+                issue(ln, *w, cycle);
+                ln.cycle = cycle + 1;
                 continue;
             }
-
-            sm.usedCtas += 1;
-            sm.usedThreads += block.blockDim;
-            sm.usedShared += block.sharedBytes;
-            sm.usedRegs += block.blockDim * cfg.regsPerThread;
-            sm.ctas.push_back(std::move(cta));
+            // Nothing issuable: jump to the lane's next progress
+            // bound, capped at the epoch boundary.
+            uint64_t nb =
+                !sm.ready.empty()
+                    ? std::max(sm.freeCycle, cycle + 1)
+                    : (!sm.waiting.empty()
+                           ? std::max(sm.waiting.top().wake, cycle + 1)
+                           : kIdle);
+            if (nb >= epoch_end) {
+                ln.cycle = epoch_end;
+                return;
+            }
+            ln.cycle = nb;
         }
     }
 
-    /** One global-memory transaction; returns its completion cycle. */
+    /**
+     * SM-local part of a global-memory access: probe the per-SM L1
+     * inline (its state and order are lane-private), defer the rest.
+     * Returns the known completion cycle for an L1 hit, or 0 after
+     * buffering the shared-path request into ln.defer.
+     */
     uint64_t
-    dramAccess(Sm &sm, uint64_t cycle, uint64_t addr, bool is_write,
-               bool use_l1)
+    localAccess(Lane &ln, uint64_t cycle, uint64_t addr, bool is_write,
+                bool use_l1)
     {
         if (cfg.l1Enabled && use_l1 && !is_write) {
-            if (sm.l1->access(addr)) {
-                ++stats.l1Hits;
-                return cycle + cfg.l1HitLatency;
+            if (ln.sm.l1->access(addr)) {
+                ++ln.stats.l1Hits;
+                return cycle + uint64_t(cfg.l1HitLatency);
             }
-            ++stats.l1Misses;
+            ++ln.stats.l1Misses;
         }
-        if (l2) {
-            if (l2->access(addr)) {
-                ++stats.l2Hits;
-                return cycle + cfg.l2HitLatency;
-            }
-            ++stats.l2Misses;
-        }
-        int ch = channelOf(addr, chanMask, cfg.numChannels);
-        uint64_t svc = uint64_t(cfg.channelServiceCycles());
-        uint64_t start = std::max(cycle, chFree[size_t(ch)]);
-        chFree[size_t(ch)] = start + svc;
-        stats.channelBusyCycles += svc;
-        stats.dramBytes += uint64_t(cfg.coalesceBytes);
-        ++stats.dramTransactions;
-        return start + svc + uint64_t(cfg.gmemLatencyCycles);
+        ln.defer.push_back(addr);
+        return 0;
+    }
+
+    /** Flush ln.defer as requests bound to pending slot @p slot. */
+    void
+    flushDeferred(Lane &ln, uint64_t cycle, int64_t slot)
+    {
+        for (uint64_t addr : ln.defer)
+            ln.reqs.push_back({cycle, addr, slot});
+        ln.defer.clear();
     }
 
     void
-    finishWarp(size_t sm_index, Warp &w, uint64_t cycle)
+    finishWarp(Lane &ln, Warp &w, uint64_t cycle)
     {
         Cta *cta = w.cta;
         --cta->aliveWarps;
         if (cta->aliveWarps > 0) {
-            // A warp ending can complete a barrier rendezvous.
             if (cta->arrived == cta->aliveWarps && cta->arrived > 0)
-                releaseBarrier(sm_index, *cta, cycle);
+                releaseBarrier(ln, *cta, cycle);
             return;
         }
 
-        // CTA complete: free resources, pull in pending work.
-        Sm &sm = sms[sm_index];
+        // CTA complete: free resources, then suspend. The global
+        // block counter and placement consume shared state, so the
+        // coordinator replays completions in canonical
+        // (cycle, smIndex) order between epochs.
+        Sm &sm = ln.sm;
         sm.usedCtas -= 1;
         sm.usedThreads -= cta->blockDim;
         sm.usedShared -= cta->sharedBytes;
         sm.usedRegs -= cta->blockDim * cfg.regsPerThread;
-        --blocksRemaining;
-        placeBlocks(sm_index, cycle);
+        ln.paused = true;
+        ln.pauseCycle = cycle;
     }
 
     void
-    releaseBarrier(size_t sm_index, Cta &cta, uint64_t cycle)
+    releaseBarrier(Lane &ln, Cta &cta, uint64_t cycle)
     {
-        Sm &sm = sms[sm_index];
         for (Warp *waiter : cta.barrierWaiters)
-            sm.waiting.push({cycle + barrierLatency, seq++, waiter});
+            ln.sm.waiting.push({cycle + barrierLatency, ln.seq++,
+                                waiter});
         cta.barrierWaiters.clear();
         cta.arrived = 0;
     }
 
     void
-    issue(size_t sm_index, Warp &w, uint64_t cycle)
+    issue(Lane &ln, Warp &w, uint64_t cycle)
     {
-        Sm &sm = sms[sm_index];
-        // Reference, not copy (WarpInst carries 32 lane addresses):
-        // every read below happens before w.rep.next(w.inst)
-        // overwrites the slot at the end of issue.
+        Sm &sm = ln.sm;
         const WarpInst &inst = w.inst;
         const int active = inst.activeLanes();
         const int issueC = cfg.warpIssueCycles();
 
-        // Commit statistics.
-        stats.warpInstructions += inst.count;
-        stats.threadInstructions += uint64_t(active) * inst.count;
+        KernelStats &ls = ln.stats;
+        ls.warpInstructions += inst.count;
+        ls.threadInstructions += uint64_t(active) * inst.count;
         size_t bucket = size_t(std::min((active - 1) / 8, 3));
-        stats.occupancyBuckets[bucket] += inst.count;
+        ls.occupancyBuckets[bucket] += inst.count;
 
-        // Memory instructions carry implicit address-arithmetic
-        // instructions: commit them and occupy the issue slot.
         uint64_t issue_done = cycle + uint64_t(issueC);
         if (inst.op == GOp::Load || inst.op == GOp::Store) {
-            stats.memOps[size_t(inst.space)] += uint64_t(active);
+            ls.memOps[size_t(inst.space)] += uint64_t(active);
             uint64_t extra = uint64_t(cfg.addressAluPerMem);
             if (extra) {
-                stats.warpInstructions += extra;
-                stats.threadInstructions += extra * uint64_t(active);
-                stats.occupancyBuckets[bucket] += extra;
+                ls.warpInstructions += extra;
+                ls.threadInstructions += extra * uint64_t(active);
+                ls.occupancyBuckets[bucket] += extra;
                 issue_done = cycle + uint64_t(issueC) * (1 + extra);
             }
         }
@@ -650,18 +811,17 @@ class Engine
             break;
 
           case GOp::Sync: {
-            // Advance past the barrier, then park until release.
             Cta *cta = w.cta;
             w.hasInst = w.rep.next(w.inst);
             if (!w.hasInst) {
-                finishWarp(sm_index, w, cycle);
+                finishWarp(ln, w, cycle);
             } else {
                 cta->barrierWaiters.push_back(&w);
                 ++cta->arrived;
                 if (cta->arrived == cta->aliveWarps)
-                    releaseBarrier(sm_index, *cta, cycle);
+                    releaseBarrier(ln, *cta, cycle);
             }
-            simEnd = std::max(simEnd, cycle + uint64_t(issueC));
+            ln.simEnd = std::max(ln.simEnd, cycle + uint64_t(issueC));
             return;
           }
 
@@ -673,43 +833,45 @@ class Engine
                 sm.freeCycle = issue_done + uint64_t(issueC) *
                                                 uint64_t(factor - 1);
                 wake = sm.freeCycle;
-                stats.bankConflictExtraCycles +=
+                ls.bankConflictExtraCycles +=
                     uint64_t(issueC) * uint64_t(factor - 1);
                 break;
               }
               case Space::Param:
                 break; // register-speed, always hits
               case Space::Const: {
-                // Distinct words serialize on the constant cache.
-                constWords(inst, scratch);
-                uint64_t done = issue_done + uint64_t(cfg.constHitLatency);
-                for (uint64_t word : scratch) {
+                constWords(inst, ln.scratch);
+                uint64_t done =
+                    issue_done + uint64_t(cfg.constHitLatency);
+                for (uint64_t word : ln.scratch) {
                     if (sm.cst->access(word << 2)) {
-                        ++stats.constHits;
+                        ++ls.constHits;
                     } else {
-                        ++stats.constMisses;
-                        done = std::max(done, dramAccess(sm, cycle,
-                                                         word << 2, false,
-                                                         false));
+                        ++ls.constMisses;
+                        done = std::max(done,
+                                        localAccess(ln, cycle, word << 2,
+                                                    false, false));
                     }
                 }
                 sm.freeCycle =
                     issue_done +
                     uint64_t(issueC) *
-                        (std::max<size_t>(scratch.size(), 1) - 1);
+                        (std::max<size_t>(ln.scratch.size(), 1) - 1);
                 wake = std::max(done, sm.freeCycle);
                 break;
               }
               case Space::Tex: {
-                coalesceSegs(coalShift, inst, scratch);
-                uint64_t done = issue_done + uint64_t(cfg.texHitLatency);
-                for (uint64_t seg : scratch) {
+                coalesceSegs(coalShift, inst, ln.scratch);
+                uint64_t done =
+                    issue_done + uint64_t(cfg.texHitLatency);
+                for (uint64_t seg : ln.scratch) {
                     if (sm.tex->access(seg)) {
-                        ++stats.texHits;
+                        ++ls.texHits;
                     } else {
-                        ++stats.texMisses;
-                        done = std::max(done, dramAccess(sm, cycle, seg,
-                                                         false, false));
+                        ++ls.texMisses;
+                        done = std::max(done,
+                                        localAccess(ln, cycle, seg,
+                                                    false, false));
                     }
                 }
                 wake = done;
@@ -718,20 +880,20 @@ class Engine
               case Space::Global:
               case Space::Local:
               default: {
-                coalesceSegs(coalShift, inst, scratch);
+                coalesceSegs(coalShift, inst, ln.scratch);
                 if (inst.op == GOp::Load) {
                     uint64_t done = issue_done;
-                    for (uint64_t seg : scratch)
-                        done = std::max(done, dramAccess(sm, cycle, seg,
-                                                         false, true));
+                    for (uint64_t seg : ln.scratch)
+                        done = std::max(done,
+                                        localAccess(ln, cycle, seg,
+                                                    false, true));
                     wake = done;
                 } else {
-                    // Stores are buffered: consume bandwidth but do
-                    // not stall the warp.
-                    for (uint64_t seg : scratch)
-                        simEnd = std::max(simEnd,
-                                          dramAccess(sm, cycle, seg, true,
-                                                     true));
+                    // Buffered stores: shared-path bandwidth only;
+                    // their completions fold into simEnd at replay.
+                    for (uint64_t seg : ln.scratch)
+                        localAccess(ln, cycle, seg, true, true);
+                    flushDeferred(ln, cycle, -1);
                 }
                 break;
               }
@@ -739,84 +901,267 @@ class Engine
             break;
         }
 
-        simEnd = std::max(simEnd, wake);
+        // `wake` so far holds only the SM-locally-known components
+        // (issue slot, bank/const serialization, cache hits). If any
+        // request went to the shared path, the warp parks as pending
+        // and the coordinator folds the replayed completions in at
+        // the barrier — they cannot land before the next epoch, so
+        // nothing this lane simulates meanwhile can depend on them.
         w.hasInst = w.rep.next(w.inst);
         if (!w.hasInst) {
-            finishWarp(sm_index, w, cycle);
+            if (!ln.defer.empty())
+                flushDeferred(ln, cycle, -1);
+            ln.simEnd = std::max(ln.simEnd, wake);
+            finishWarp(ln, w, cycle);
             return;
         }
-        // Heap bypass for stall-bound instructions (ALU, shared,
-        // cache-hit constant): when the warp wakes no later than the
-        // SM's own issue stall, the SM cannot issue before `wake`, so
-        // every future push on this SM carries a strictly larger wake
-        // (freeCycle is monotone and wake' > cycle' >= freeCycle).
-        // If every already-parked warp also wakes strictly later,
-        // the (wake, seq) drain would deliver this warp exactly at
-        // the back of the current ready queue — append it there
-        // directly and skip the priority-queue round trip. An equal
-        // top wake means an older (smaller-seq) warp must go first,
-        // so that case takes the heap path.
-        if (wake <= sm.freeCycle &&
-            (sm.waiting.empty() || sm.waiting.top().wake > wake)) {
-            sm.ready.push_back(&w);
+        if (!ln.defer.empty()) {
+            int64_t slot = int64_t(ln.pending.size());
+            flushDeferred(ln, cycle, slot);
+            ln.pending.push_back({&w, wake, cycle, ln.seq++});
             return;
         }
-        sm.waiting.push({std::max(wake, cycle + 1), seq++, &w});
+        ln.simEnd = std::max(ln.simEnd, wake);
+        // No ready-queue bypass here (the reference scan has one): it
+        // would peek at waiting.top(), which during an epoch is
+        // missing the still-pending deferred warps. The bypass is
+        // semantically neutral, so always taking the heap path
+        // preserves bit-identity.
+        sm.waiting.push({std::max(wake, cycle + 1), ln.seq++, &w});
+    }
+
+    // ---- coordinator phases (serial, between epochs) -----------------
+
+    bool
+    canFit(const Sm &sm, const BlockRecord &block) const
+    {
+        if (sm.usedCtas == 0)
+            return true; // always allow one CTA to avoid deadlock
+        return sm.usedCtas < cfg.maxCtasPerSm &&
+               sm.usedThreads + block.blockDim <= cfg.maxThreadsPerSm &&
+               sm.usedShared + block.sharedBytes <= cfg.sharedMemPerSm &&
+               sm.usedRegs + block.blockDim * cfg.regsPerThread <=
+                   cfg.regFileSize;
+    }
+
+    void
+    placeBlocks(Lane &ln, uint64_t cycle)
+    {
+        Sm &sm = ln.sm;
+        while (nextBlock < rec.blocks.size() &&
+               canFit(sm, rec.blocks[nextBlock])) {
+            const BlockRecord &block = rec.blocks[nextBlock];
+            ++nextBlock;
+            if (const char *why = ctaOverloadReason(cfg, block))
+                noteOversubscribedCta(cfg, block, ln.smIndex, why);
+
+            auto cta = std::make_unique<Cta>();
+            cta->blockDim = block.blockDim;
+            cta->sharedBytes = block.sharedBytes;
+            cta->smIndex = int(ln.smIndex);
+            int warps = warpsPerBlock(block.blockDim, cfg.warpSize);
+            for (int wi = 0; wi < warps; ++wi) {
+                auto warp = std::make_unique<Warp>(
+                    block, wi * cfg.warpSize, cfg.warpSize);
+                warp->cta = cta.get();
+                warp->hasInst = warp->rep.next(warp->inst);
+                if (warp->hasInst) {
+                    ++cta->aliveWarps;
+                    sm.waiting.push({cycle + 1, ln.seq++, warp.get()});
+                }
+                cta->warps.push_back(std::move(warp));
+            }
+
+            if (cta->aliveWarps == 0) {
+                --blocksRemaining;
+                continue;
+            }
+
+            sm.usedCtas += 1;
+            sm.usedThreads += block.blockDim;
+            sm.usedShared += block.sharedBytes;
+            sm.usedRegs += block.blockDim * cfg.regsPerThread;
+            sm.ctas.push_back(std::move(cta));
+        }
+    }
+
+    /**
+     * Phase 2: replay CTA completions in canonical order. Each pause
+     * decrements the block counter and hands out new blocks exactly
+     * as the reference scan's in-order placement does; the resumed
+     * lane then continues its epoch on the coordinator (a lane can
+     * pause more than once per epoch, but the canonical order of its
+     * later pauses is always after the one just handled, so a simple
+     * rescan preserves order). Returns true when the last block
+     * completed, with the simulation's final cycle in @p final_cycle.
+     */
+    bool
+    resolvePauses(uint64_t epoch_end, uint64_t &final_cycle)
+    {
+        for (;;) {
+            Lane *best = nullptr;
+            for (Lane &ln : lanes) {
+                if (!ln.paused)
+                    continue;
+                if (!best || ln.pauseCycle < best->pauseCycle)
+                    best = &ln; // index order breaks cycle ties
+            }
+            if (!best)
+                return false;
+            best->paused = false;
+            ++pauseCount;
+            --blocksRemaining;
+            if (blocksRemaining == 0) {
+                final_cycle = best->pauseCycle;
+                return true;
+            }
+            placeBlocks(*best, best->pauseCycle);
+            if (blocksRemaining == 0) {
+                // Placement drained the tail through empty blocks.
+                final_cycle = best->pauseCycle;
+                return true;
+            }
+            runLane(*best, epoch_end);
+        }
+    }
+
+    /** The shared half of a global access (the lane-local L1 probe
+     *  is localAccess); returns the completion cycle. */
+    uint64_t
+    sharedAccess(uint64_t cycle, uint64_t addr)
+    {
+        if (l2) {
+            if (l2->access(addr)) {
+                ++stats.l2Hits;
+                return cycle + uint64_t(cfg.l2HitLatency);
+            }
+            ++stats.l2Misses;
+        }
+        int ch = channelOf(addr, chanMask, cfg.numChannels);
+        uint64_t svc = uint64_t(cfg.channelServiceCycles());
+        uint64_t start = std::max(cycle, chFree[size_t(ch)]);
+        chFree[size_t(ch)] = start + svc;
+        stats.channelBusyCycles += svc;
+        stats.dramBytes += uint64_t(cfg.coalesceBytes);
+        ++stats.dramTransactions;
+        return start + svc + uint64_t(cfg.gmemLatencyCycles);
+    }
+
+    /**
+     * Phase 3: replay every lane's buffered requests through the
+     * shared L2/channel state in (cycle, smIndex) order — lane
+     * buffers are cycle-monotone FIFOs, so a k-way merge reproduces
+     * the reference scan's access order exactly — then wake the
+     * pending warps with their reserved seq numbers.
+     */
+    void
+    replayEpoch()
+    {
+        struct Head
+        {
+            uint64_t cycle;
+            size_t lane;
+            bool
+            operator>(const Head &o) const
+            {
+                return cycle != o.cycle ? cycle > o.cycle
+                                        : lane > o.lane;
+            }
+        };
+        std::priority_queue<Head, std::vector<Head>,
+                            std::greater<Head>>
+            heads;
+        for (size_t li = 0; li < lanes.size(); ++li) {
+            lanes[li].replayPos = 0;
+            if (!lanes[li].reqs.empty())
+                heads.push({lanes[li].reqs[0].cycle, li});
+        }
+        while (!heads.empty()) {
+            Head h = heads.top();
+            heads.pop();
+            Lane &ln = lanes[h.lane];
+            const DeferredReq &rq = ln.reqs[ln.replayPos++];
+            uint64_t done = sharedAccess(rq.cycle, rq.addr);
+            if (rq.pendingSlot >= 0) {
+                PendingWarp &p = ln.pending[size_t(rq.pendingSlot)];
+                p.wake = std::max(p.wake, done);
+            } else {
+                simEnd = std::max(simEnd, done);
+            }
+            ++replayCount;
+            if (ln.replayPos < ln.reqs.size())
+                heads.push({ln.reqs[ln.replayPos].cycle, h.lane});
+        }
+        for (Lane &ln : lanes) {
+            for (const PendingWarp &p : ln.pending) {
+                ln.simEnd = std::max(ln.simEnd, p.wake);
+                if (p.warp)
+                    ln.sm.waiting.push({std::max(p.wake, p.cycle + 1),
+                                        p.seqNo, p.warp});
+            }
+            ln.pending.clear();
+            ln.reqs.clear();
+            ln.replayPos = 0;
+        }
     }
 
     static constexpr uint64_t barrierLatency = 8;
 
     const SimConfig &cfg;
     const KernelRecording &rec;
-    KernelStats stats;
-    std::vector<Sm> sms;
+    int participants;
+    const support::CancelToken *parentCancel;
+
+    KernelStats stats; //!< shared-path counters + merged totals
+    std::vector<Lane> lanes;
     std::unique_ptr<SimpleCache> l2;
     std::vector<uint64_t> chFree;
-    std::vector<uint64_t> scratch;
-    std::vector<uint64_t> smNext; //!< per-SM next-progress lower bound
-    uint64_t bankMask = 0; //!< sharedBanks-1 when a power of two
-    uint64_t chanMask = 0; //!< numChannels-1 when a power of two
-    int coalShift = 0;     //!< log2(coalesceBytes)
+    uint64_t bankMask = 0;
+    uint64_t chanMask = 0;
+    int coalShift = 0;
     size_t nextBlock = 0;
     size_t blocksRemaining = 0;
-    uint64_t seq = 0;
     uint64_t simEnd = 0;
+
+    uint64_t epochCount = 0;
+    uint64_t replayCount = 0;
+    uint64_t pauseCount = 0;
+
+    // Pool state, all guarded by mu. A lane passes to its runner with
+    // the nextLane claim and back to the coordinator with lanesDone.
+    std::mutex mu;
+    std::condition_variable cvStart, cvDone;
+    uint64_t round = 0;
+    uint64_t roundEnd = 0;
+    size_t nextLane = 0;  //!< next lane of this round to claim
+    size_t lanesDone = 0; //!< lanes of this round finished
+    bool shutdown = false;
+    std::vector<std::exception_ptr> errors;
+    std::vector<std::thread> workers; //!< last: they use all of the above
 };
 
 } // namespace
 
-} // namespace gpusim
-} // namespace rodinia
-
-#include "gpusim/timing_epoch.inc"
-
-namespace rodinia {
-namespace gpusim {
-
 KernelStats
 TimingSim::simulate(const KernelRecording &rec) const
 {
-    // The epoch engine needs at least two blocks to have any cross-SM
-    // work to overlap; single-block launches and explicit simThreads=1
-    // take the serial oracle path. The *structure* (epoch batching)
-    // is chosen by the requested thread count alone so --sim-threads N
-    // deterministically exercises the parallel engine; only the
-    // helper-pool *size* adapts to the process-wide thread budget.
-    int want = cfg.effectiveSimThreads();
-    if (want > 1 && rec.blocks.size() > 1 && cfg.numSms > 1) {
-        int target = std::min(want, cfg.numSms);
-        auto &budget = support::ThreadBudget::instance();
-        int granted = budget.tryAcquire(target - 1);
-        struct Release
-        {
-            support::ThreadBudget &b;
-            int n;
-            ~Release() { b.release(n); }
-        } release{budget, granted};
-        EpochEngine engine(cfg, rec, 1 + granted);
-        return engine.run();
-    }
-    Engine engine(cfg, rec);
+    // One lane runner per SM at most; simThreads > 0 caps the count.
+    // The process budget sizes the helper pool. An executor worker
+    // already counts itself in the budget, but a caller outside the
+    // pool does not, so helpers stop at capacity - 1: the sim never
+    // runs more threads than the budget's capacity.
+    int want = cfg.simThreads > 0 ? std::min(cfg.simThreads, cfg.numSms)
+                                  : cfg.numSms;
+    auto &budget = support::ThreadBudget::instance();
+    int granted =
+        budget.tryAcquire(std::min(want, budget.capacity()) - 1);
+    struct Release
+    {
+        support::ThreadBudget &b;
+        int n;
+        ~Release() { b.release(n); }
+    } release{budget, granted};
+    EpochEngine engine(cfg, rec, 1 + granted);
     return engine.run();
 }
 

@@ -126,17 +126,17 @@ std::string formatDeadlockDiagnostics(uint64_t cycle, size_t next_block,
                                       const std::vector<SmSnapshot> &sms);
 
 /**
- * The epoch length (in core cycles) the parallel engine uses for the
+ * The epoch length (in core cycles) the timing engine uses for the
  * given configuration: the minimum latency of any path through the
  * shared L2/DRAM model. Any request issued inside an epoch completes
  * at or after the next epoch boundary, which is what makes deferring
  * shared-state arbitration to the boundary exact rather than
- * approximate (see DESIGN.md "Parallel timing engine").
+ * approximate (see DESIGN.md "Timing engine").
  */
 uint64_t epochCyclesFor(const SimConfig &cfg);
 
 /**
- * Test hook: cap the parallel engine's epoch length at @p cycles
+ * Test hook: cap the timing engine's epoch length at @p cycles
  * (0 restores the automatic epochCyclesFor value). Values above the
  * safe bound are clamped to it — shorter epochs are always sound,
  * longer ones are not — so property tests can sweep epoch lengths

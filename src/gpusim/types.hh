@@ -16,9 +16,7 @@
  * repeat counts) decoded sequentially during replay. A 40-byte GEvent
  * compresses to a few bytes because consecutive events share key
  * prefixes and access strides — that is what makes paper-scale
- * recordings fit in memory. The materialized GEvent-vector
- * representation survives behind support::traceOracleMode() as the
- * byte-equivalence oracle.
+ * recordings fit in memory.
  */
 
 #ifndef RODINIA_GPUSIM_TYPES_HH
@@ -29,7 +27,6 @@
 #include <source_location>
 #include <vector>
 
-#include "support/tracemode.hh"
 #include "support/varint.hh"
 
 namespace rodinia {
@@ -128,29 +125,16 @@ struct GEvent
  *
  * Decoding is sequential via Cursor, which is exactly how the warp
  * replayer, the content hash, and the aggregate counters consume
- * lanes. In oracle mode (support::traceOracleMode()) the stream
- * stores plain GEvents instead and must behave identically.
+ * lanes.
  */
 class LaneStream
 {
   public:
-    LaneStream() : materializedMode(support::traceOracleMode()) {}
-
-    /** Force a representation (tests); production uses the default. */
-    explicit LaneStream(bool materialized)
-        : materializedMode(materialized)
-    {
-    }
-
     /** Append one event at the tail of the lane. */
     void
     append(const GEvent &e)
     {
         ++count;
-        if (materializedMode) {
-            vec.push_back(e);
-            return;
-        }
         bool hasAddr = e.addr != 0 || e.size != 0;
         bool hasCount = e.count != 1;
         uint8_t tag = uint8_t(uint8_t(e.op) | (uint8_t(e.space) << 3) |
@@ -181,14 +165,8 @@ class LaneStream
 
     uint64_t size() const { return count; }
     bool empty() const { return count == 0; }
-    bool materialized() const { return materializedMode; }
-
-    /** Encoded payload bytes (materialized mode: struct bytes). */
-    uint64_t
-    encodedBytes() const
-    {
-        return materializedMode ? count * sizeof(GEvent) : buf.size();
-    }
+    /** Encoded payload bytes. */
+    uint64_t encodedBytes() const { return buf.size(); }
 
     /** Sequential decoder; do not append while cursors exist. */
     class Cursor
@@ -207,10 +185,6 @@ class LaneStream
             if (remaining == 0)
                 return false;
             --remaining;
-            if (s->materializedMode) {
-                out = s->vec[idx++];
-                return true;
-            }
             const uint8_t *p = s->buf.data() + off;
             uint8_t tag = *p++;
             out.op = GOp(tag & 7);
@@ -236,8 +210,7 @@ class LaneStream
       private:
         const LaneStream *s = nullptr;
         uint64_t remaining = 0;
-        std::size_t idx = 0; //!< materialized-mode position
-        std::size_t off = 0; //!< compact-mode byte offset
+        std::size_t off = 0; //!< byte offset of the next event
         uint64_t prevKeyHi = 0;
         uint64_t prevKeyLo = 0;
         uint64_t prevAddr = 0;
@@ -273,12 +246,7 @@ class LaneStream
     void
     transform(Fn &&fn)
     {
-        if (materializedMode) {
-            for (auto &e : vec)
-                fn(e);
-            return;
-        }
-        LaneStream out(false);
+        LaneStream out;
         out.buf.reserve(buf.size());
         forEach([&](const GEvent &ev) {
             GEvent m = ev;
@@ -289,10 +257,8 @@ class LaneStream
     }
 
   private:
-    bool materializedMode;
     uint64_t count = 0;
-    std::vector<GEvent> vec;  //!< materialized (oracle) storage
-    std::vector<uint8_t> buf; //!< delta-encoded compact storage
+    std::vector<uint8_t> buf; //!< delta-encoded events
     uint64_t prevKeyHi = 0;   //!< encoder state: byte-swapped key words
     uint64_t prevKeyLo = 0;
     uint64_t prevAddr = 0;    //!< encoder state: previous mem address

@@ -44,12 +44,8 @@ ThreadBudget::tryAcquire(int want)
     int cur = used.load(std::memory_order_relaxed);
     for (;;) {
         int free = cap.load(std::memory_order_relaxed) - cur;
-        // A completely unreserved budget always yields one helper
-        // even when capacity == active == 0 reservations would say
-        // no: see the header comment.
-        int grant = free > 0 ? (free < want ? free : want)
-                             : (cur == 0 ? 1 : 0);
-        if (grant == 0)
+        int grant = free < want ? free : want;
+        if (grant <= 0)
             return 0;
         if (used.compare_exchange_weak(cur, cur + grant,
                                        std::memory_order_relaxed))

@@ -3,8 +3,8 @@
  * Process-wide helper-thread budget for nested parallelism.
  *
  * Two layers of the system want the machine's cores: the driver's
- * work-stealing Executor runs many jobs concurrently, and a single
- * GPU timing simulation can now spread its SMs over helper threads.
+ * work-stealing Executor runs many jobs concurrently, and every GPU
+ * timing simulation spreads its SMs over lane-runner threads.
  * Letting both claim hardware_concurrency independently
  * oversubscribes the machine (N jobs x M sim threads); statically
  * splitting it starves whichever layer happens to be idle. The
@@ -16,7 +16,7 @@
  * gets the whole machine.
  *
  * Grants only size thread *pools*; they never influence simulation
- * results (the epoch engine is bit-identical for any helper count),
+ * results (the timing engine is bit-identical for any helper count),
  * so the budget needs no fairness or determinism guarantees — a
  * single atomic reservation counter suffices.
  */
@@ -53,10 +53,8 @@ class ThreadBudget
      * Reserve up to @p want helper threads beyond the already-active
      * ones. Returns the number granted, in [0, want]; the caller must
      * release() exactly that many when its helpers exit. Never blocks
-     * and never grants past capacity, but always grants at least one
-     * helper when nothing at all is reserved — a lone caller on a
-     * one-core box still deserves a concurrency-exercising helper
-     * (the sanitizer lanes rely on this to see real threads).
+     * and never grants past capacity; since capacity is at least 1,
+     * an unreserved budget always grants at least one helper.
      */
     int tryAcquire(int want);
 

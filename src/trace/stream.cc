@@ -169,8 +169,6 @@ EventStream::Cursor::openNextChunk()
 uint64_t
 EventStream::encodedBytes() const
 {
-    if (materializedMode)
-        return count * sizeof(MemEvent);
     uint64_t bytes = 0;
     for (const auto &c : chunks) {
         if (c.spilled)

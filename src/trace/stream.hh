@@ -19,11 +19,6 @@
  * resident ring, and cursors fetch them back transparently during
  * replay.
  *
- * The original materialized representation is kept behind
- * support::traceOracleMode() (RODINIA_TRACE_ORACLE=1) as a
- * byte-equivalence oracle: both representations must reproduce every
- * figure byte-identically.
- *
  * Concurrency contract: one EventStream belongs to one recording
  * thread. Cursors may read concurrently with each other but not with
  * append()/transform(). The ChunkSink must be thread-safe (streams on
@@ -41,7 +36,6 @@
 #include <utility>
 #include <vector>
 
-#include "support/tracemode.hh"
 #include "support/varint.hh"
 
 namespace rodinia {
@@ -93,8 +87,7 @@ uint64_t traceChunksSpilled();
 
 /**
  * Append-only store for one thread's memory-access sequence, with
- * sequential decode via Cursor. Representation is chosen at
- * construction from support::traceOracleMode().
+ * sequential decode via Cursor.
  */
 class EventStream
 {
@@ -102,22 +95,11 @@ class EventStream
     /** Events per sealed chunk (the columnar framing granularity). */
     static constexpr uint32_t kChunkEvents = 4096;
 
-    EventStream() : materializedMode(support::traceOracleMode()) {}
-
-    /** Force a representation (tests); production uses the default. */
-    explicit EventStream(bool materialized) : materializedMode(materialized)
-    {
-    }
-
     /** Record one access at the tail of the sequence. */
     void
     append(uint64_t addr, uint16_t size, uint8_t isWrite)
     {
         ++count;
-        if (materializedMode) {
-            vec.push_back({addr, size, isWrite});
-            return;
-        }
         if (openN == 0)
             startChunk(addr);
         Chunk &c = chunks.back();
@@ -136,7 +118,6 @@ class EventStream
 
     uint64_t size() const { return count; }
     bool empty() const { return count == 0; }
-    bool materialized() const { return materializedMode; }
 
     /** Encoded bytes across all chunks (spilled ones included). */
     uint64_t encodedBytes() const;
@@ -162,12 +143,6 @@ class EventStream
         {
             if (s == nullptr)
                 return false;
-            if (s->materializedMode) {
-                if (vecIdx >= s->vec.size())
-                    return false;
-                out = s->vec[vecIdx++];
-                return true;
-            }
             if (inChunk == chunkN) {
                 if (!openNextChunk())
                     return false;
@@ -188,7 +163,6 @@ class EventStream
         bool openNextChunk();
 
         const EventStream *s = nullptr;
-        size_t vecIdx = 0;       //!< materialized-mode position
         size_t nextChunk = 0;    //!< next chunk index to open
         uint32_t inChunk = 0;    //!< events consumed in open chunk
         uint32_t chunkN = 0;     //!< events in open chunk
@@ -228,12 +202,7 @@ class EventStream
     void
     transform(Fn &&fn)
     {
-        if (materializedMode) {
-            for (auto &e : vec)
-                fn(e);
-            return;
-        }
-        EventStream out(false);
+        EventStream out;
         forEach([&](const MemEvent &ev) {
             MemEvent m = ev;
             fn(m);
@@ -267,10 +236,8 @@ class EventStream
     void seal();
     void spillOldest();
 
-    bool materializedMode;
     uint64_t count = 0;
-    std::vector<MemEvent> vec; //!< materialized (oracle) storage
-    std::vector<Chunk> chunks; //!< compact storage; back() may be open
+    std::vector<Chunk> chunks; //!< back() may be the open chunk
     uint32_t openN = 0;        //!< events in the open chunk (0 = none)
     uint64_t prevAddr = 0;     //!< delta-encode accumulator
     uint8_t flagAccum = 0;     //!< pending flag bits

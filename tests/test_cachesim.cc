@@ -7,6 +7,7 @@
 
 #include "cachesim/cache.hh"
 #include "cachesim/sweep.hh"
+#include "reference/shared_cache.hh"
 #include "support/rng.hh"
 #include "trace/trace.hh"
 

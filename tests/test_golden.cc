@@ -24,9 +24,7 @@
 #include "driver/context.hh"
 #include "driver/executor.hh"
 #include "driver/figures.hh"
-#include "gpusim/simconfig.hh"
 #include "support/threadbudget.hh"
-#include "support/tracemode.hh"
 
 using namespace rodinia;
 
@@ -86,51 +84,21 @@ TEST(Golden, FiguresMatchCorpusByteForByte)
 }
 
 /**
- * The streaming-vs-materialized byte-equivalence oracle. The normal
- * corpus test above runs with the default compact streaming traces;
- * this one rebuilds every figure with the materialized (oracle)
- * representation — the pre-streaming per-event structs — and pins it
- * against the same corpus. Together the two tests prove the two
- * representations agree byte-for-byte on all figures at full scale:
- * any encode/decode bug in EventStream or LaneStream that survives
- * the unit tests breaks one of them.
- */
-TEST(Golden, OracleModeMatchesCorpusByteForByte)
-{
-    bool prev = support::setTraceOracleModeForTest(true);
-    {
-        driver::Executor pool(0);
-        driver::Context ctx(nullptr, &pool);
-        for (const auto &def : driver::allFigures()) {
-            SCOPED_TRACE(def.id);
-            std::filesystem::path ref = goldenDir() / (def.id + ".txt");
-            ASSERT_TRUE(std::filesystem::exists(ref)) << ref;
-            std::string got = driver::buildFigure(def, ctx);
-            EXPECT_EQ(got, slurp(ref))
-                << "figure '" << def.id << "' differs between the "
-                << "materialized oracle traces and the golden corpus "
-                << "(which the streaming representation reproduces)";
-        }
-    }
-    support::setTraceOracleModeForTest(prev);
-}
-
-/**
- * The parallel-timing-engine determinism oracle at figure scale:
- * rebuild every figure with a multi-threaded GPU timing sim (an odd
- * thread count, to dodge any accidentally-even partitioning
- * symmetry) and pin it against the same corpus the serial engine
- * reproduces. Epoch parallelism must never shift a single byte of
- * reproduced output.
+ * The timing engine's determinism check at figure scale: rebuild
+ * every figure with lane-runner helpers forced on and pin it against
+ * the same corpus. Every sim asks for one lane runner per SM; a
+ * budget capacity three above the pool's worker count leaves helpers
+ * to grant even while every worker is busy (an odd count, to dodge
+ * any accidentally-even partitioning symmetry). Lane runners must
+ * never shift a single byte of reproduced output.
  */
 TEST(Golden, ParallelSimThreadsMatchCorpusByteForByte)
 {
-    int prev_threads = gpusim::SimConfig::defaultSimThreads();
     int prev_cap = support::ThreadBudget::instance().capacity();
-    gpusim::SimConfig::setDefaultSimThreads(3);
-    support::ThreadBudget::instance().setCapacity(8);
     {
         driver::Executor pool(0);
+        support::ThreadBudget::instance().setCapacity(
+            pool.threadCount() + 3);
         driver::Context ctx(nullptr, &pool);
         for (const auto &def : driver::allFigures()) {
             SCOPED_TRACE(def.id);
@@ -138,13 +106,11 @@ TEST(Golden, ParallelSimThreadsMatchCorpusByteForByte)
             ASSERT_TRUE(std::filesystem::exists(ref)) << ref;
             std::string got = driver::buildFigure(def, ctx);
             EXPECT_EQ(got, slurp(ref))
-                << "figure '" << def.id << "' differs between the "
-                << "parallel (sim-threads=3) and serial timing "
-                << "engines";
+                << "figure '" << def.id << "' differs between sims "
+                << "with lane-runner helpers and the golden corpus";
         }
     }
     support::ThreadBudget::instance().setCapacity(prev_cap);
-    gpusim::SimConfig::setDefaultSimThreads(prev_threads);
 }
 
 /**

@@ -23,6 +23,7 @@
 #include "core/workload.hh"
 #include "gpusim/simconfig.hh"
 #include "gpusim/timing.hh"
+#include "reference/timing_reference.hh"
 #include "support/threadbudget.hh"
 #include "trace/trace.hh"
 
@@ -132,13 +133,12 @@ TEST(PaperSmokeDeep, LudGpuSimulatesAtPaperScale)
 }
 
 /**
- * The parallel timing engine at paper scale: record one dwarf
- * representative once, simulate it serially and with sim-threads
- * maxed (256 requested; the thread budget clamps the pool to the
- * machine), and require bit-identical stats — all inside the same
- * streaming RSS envelope. This is where a race or an epoch-boundary
- * bug that survives small inputs would surface: paper-scale traces
- * cross tens of thousands of epoch barriers.
+ * The timing engine at paper scale: record one dwarf representative
+ * once, simulate it on the serial reference model and on the engine
+ * at 1, 2, 4 and 8 lane runners, and require bit-identical stats —
+ * all inside the same streaming RSS envelope. This is where a race
+ * or an epoch-boundary bug that survives small inputs would surface:
+ * paper-scale traces cross tens of thousands of epoch barriers.
  */
 TEST(PaperSmokeDeep, SradParallelSimMatchesSerialAtPaperScale)
 {
@@ -149,19 +149,17 @@ TEST(PaperSmokeDeep, SradParallelSimMatchesSerialAtPaperScale)
     gpusim::LaunchSequence seq = w->runGpu(Scale::Paper);
     ASSERT_FALSE(seq.launches.empty());
 
-    gpusim::SimConfig serial_cfg = gpusim::SimConfig::gpgpusimDefault();
-    serial_cfg.simThreads = 1;
-    gpusim::KernelStats serial =
-        gpusim::TimingSim(serial_cfg).simulate(seq);
-
-    gpusim::SimConfig par_cfg = gpusim::SimConfig::gpgpusimDefault();
-    par_cfg.simThreads = 256; // maxed; clamped to numSms and budget
-    gpusim::KernelStats par = gpusim::TimingSim(par_cfg).simulate(seq);
-
-    EXPECT_EQ(serial, par);
-    EXPECT_EQ(gpusim::serializeKernelStats(serial),
-              gpusim::serializeKernelStats(par));
-    EXPECT_GT(serial.cycles, 0u);
+    const gpusim::SimConfig base = gpusim::SimConfig::gpgpusimDefault();
+    gpusim::KernelStats ref = gpusim::reference::simulate(base, seq);
+    EXPECT_GT(ref.cycles, 0u);
+    for (int lanes : {1, 2, 4, 8}) {
+        gpusim::SimConfig cfg = base;
+        cfg.simThreads = lanes;
+        gpusim::KernelStats got = gpusim::TimingSim(cfg).simulate(seq);
+        EXPECT_EQ(ref, got) << lanes << " lane runners";
+        EXPECT_EQ(gpusim::serializeKernelStats(ref),
+                  gpusim::serializeKernelStats(got));
+    }
     EXPECT_LE(peakRssMiB(), kRssBudgetMiB);
     support::ThreadBudget::instance().setCapacity(prev_cap);
 }

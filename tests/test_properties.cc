@@ -16,6 +16,7 @@
 #include "core/workload.hh"
 #include "gpusim/replay.hh"
 #include "gpusim/timing.hh"
+#include "reference/shared_cache.hh"
 #include "support/rng.hh"
 #include "trace/trace.hh"
 

@@ -4,11 +4,11 @@
  * CPU-side delta-encoded columnar EventStream (trace/stream.hh), the
  * GPU-side LaneStream (gpusim/types.hh), record-time line splitting
  * of oversized accesses, the packPc line-overflow fold, interleaved
- * replay order, and spill-to-sink round-trips. Each compact
- * representation must be event-for-event identical to the
- * materialized (oracle) representation for arbitrary inputs — that
- * equivalence is what lets the golden corpus pin paper figures while
- * traces stream through a bounded ring.
+ * replay order, and spill-to-sink round-trips. Each compact stream
+ * must decode event for event to the plain vector the test built
+ * for arbitrary inputs — that equivalence is what lets the golden
+ * corpus pin paper figures while traces stream through a bounded
+ * ring.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +23,6 @@
 #include "driver/result_store.hh"
 #include "gpusim/types.hh"
 #include "support/rng.hh"
-#include "support/tracemode.hh"
 #include "trace/stream.hh"
 #include "trace/trace.hh"
 
@@ -101,7 +100,7 @@ randomEvents(uint64_t n, uint64_t seed)
 } // namespace
 
 // ---------------------------------------------------------------
-// EventStream: compact encoding vs materialized oracle
+// EventStream: compact encoding vs the test-built event vector
 // ---------------------------------------------------------------
 
 TEST(EventStream, CompactDecodesIdenticalToMaterialized)
@@ -110,14 +109,10 @@ TEST(EventStream, CompactDecodesIdenticalToMaterialized)
     // tail, and the partial flag byte at a non-multiple-of-8 count.
     auto events = randomEvents(3 * EventStream::kChunkEvents + 1837,
                                0xE5E1);
-    EventStream compact(false);
-    EventStream oracle(true);
-    for (const auto &e : events) {
+    EventStream compact;
+    for (const auto &e : events)
         compact.append(e.addr, e.size, e.isWrite);
-        oracle.append(e.addr, e.size, e.isWrite);
-    }
     ASSERT_EQ(compact.size(), events.size());
-    ASSERT_EQ(oracle.size(), events.size());
     // The compact form must be dramatically smaller — that is the
     // point of streaming; a regression to per-event structs would
     // pass equivalence but fail this.
@@ -125,22 +120,18 @@ TEST(EventStream, CompactDecodesIdenticalToMaterialized)
               events.size() * sizeof(MemEvent) / 3);
 
     auto dc = compact.decodeAll();
-    auto dm = oracle.decodeAll();
     ASSERT_EQ(dc.size(), events.size());
     for (size_t i = 0; i < events.size(); ++i) {
         ASSERT_EQ(dc[i].addr, events[i].addr) << "event " << i;
         ASSERT_EQ(dc[i].size, events[i].size) << "event " << i;
         ASSERT_EQ(dc[i].isWrite, events[i].isWrite) << "event " << i;
-        ASSERT_EQ(dm[i].addr, events[i].addr) << "event " << i;
-        ASSERT_EQ(dm[i].size, events[i].size) << "event " << i;
-        ASSERT_EQ(dm[i].isWrite, events[i].isWrite) << "event " << i;
     }
 }
 
 TEST(EventStream, IndependentCursorsDoNotInterfere)
 {
     auto events = randomEvents(EventStream::kChunkEvents + 100, 7);
-    EventStream s(false);
+    EventStream s;
     for (const auto &e : events)
         s.append(e.addr, e.size, e.isWrite);
     EventStream::Cursor a(s), b(s);
@@ -165,7 +156,7 @@ TEST(EventStream, IndependentCursorsDoNotInterfere)
 TEST(EventStream, TransformRewritesAndStaysDecodable)
 {
     auto events = randomEvents(2 * EventStream::kChunkEvents + 5, 11);
-    EventStream s(false);
+    EventStream s;
     for (const auto &e : events)
         s.append(e.addr, e.size, e.isWrite);
     s.transform([](MemEvent &e) { e.addr ^= 0xfff; });
@@ -185,7 +176,7 @@ TEST(EventStream, SpillsOldestChunksAndRefetchesOnDecode)
     SpillGuard guard(&sink, 1); // keep at most 1 sealed chunk resident
 
     auto events = randomEvents(5 * EventStream::kChunkEvents, 0x5B1);
-    EventStream s(false);
+    EventStream s;
     for (const auto &e : events)
         s.append(e.addr, e.size, e.isWrite);
     // 5 sealed chunks, 1 resident: at least 3 must have spilled.
@@ -215,7 +206,7 @@ TEST(EventStream, SpilledChunkKeysAreContentHashes)
     // Spilling runs when the next chunk starts, so with 3 sealed
     // chunks + an open tail all three sealed chunks spill per stream.
     auto events = randomEvents(3 * EventStream::kChunkEvents + 10, 42);
-    EventStream a(false), b(false);
+    EventStream a, b;
     for (const auto &e : events) {
         a.append(e.addr, e.size, e.isWrite);
         b.append(e.addr, e.size, e.isWrite);
@@ -244,7 +235,7 @@ TEST(ResultStoreChunkSink, SpilledChunksRoundTripThroughStore)
 
         auto events =
             randomEvents(4 * EventStream::kChunkEvents, 0xD15C);
-        EventStream s(false);
+        EventStream s;
         for (const auto &e : events)
             s.append(e.addr, e.size, e.isWrite);
         EXPECT_GE(s.spilledChunks(), 2u);
@@ -325,7 +316,7 @@ TEST(PackPc, LinesPastFieldWidthFoldInsteadOfColliding)
 }
 
 // ---------------------------------------------------------------
-// LaneStream: compact encoding vs materialized oracle
+// LaneStream: compact encoding vs the test-built event vector
 // ---------------------------------------------------------------
 
 TEST(LaneStream, CompactDecodesIdenticalToMaterialized)
@@ -353,17 +344,15 @@ TEST(LaneStream, CompactDecodesIdenticalToMaterialized)
         events.push_back(e);
     }
 
-    gpusim::LaneStream compact(false), oracle(true);
-    for (const auto &e : events) {
+    gpusim::LaneStream compact;
+    for (const auto &e : events)
         compact.append(e);
-        oracle.append(e);
-    }
-    EXPECT_LT(compact.encodedBytes(), oracle.encodedBytes() / 3);
+    EXPECT_EQ(compact.size(), events.size());
+    EXPECT_LT(compact.encodedBytes(),
+              events.size() * sizeof(gpusim::GEvent) / 3);
 
     auto dc = compact.decodeAll();
-    auto dm = oracle.decodeAll();
     ASSERT_EQ(dc.size(), events.size());
-    ASSERT_EQ(dm.size(), events.size());
     for (size_t i = 0; i < events.size(); ++i) {
         ASSERT_TRUE(dc[i].key == events[i].key) << "event " << i;
         ASSERT_EQ(dc[i].addr, events[i].addr) << "event " << i;
@@ -372,8 +361,6 @@ TEST(LaneStream, CompactDecodesIdenticalToMaterialized)
         ASSERT_EQ(int(dc[i].op), int(events[i].op)) << "event " << i;
         ASSERT_EQ(int(dc[i].space), int(events[i].space))
             << "event " << i;
-        ASSERT_TRUE(dm[i].key == events[i].key) << "event " << i;
-        ASSERT_EQ(dm[i].addr, events[i].addr) << "event " << i;
     }
 }
 
@@ -382,7 +369,7 @@ TEST(LaneStream, ZeroAddrSizeEventRoundTrips)
     // addr == 0 && size == 0 drops the address column (hasAddr bit);
     // a Load with a real zero address but nonzero size must still
     // carry it.
-    gpusim::LaneStream s(false);
+    gpusim::LaneStream s;
     gpusim::GEvent a;
     a.op = gpusim::GOp::Load;
     a.space = gpusim::Space::Global;
@@ -447,19 +434,4 @@ TEST(TraceSession, InterleaveMatchesRoundRobinReference)
         ASSERT_EQ(got[i].first, expected[i].first) << "slot " << i;
         ASSERT_EQ(got[i].second, expected[i].second) << "slot " << i;
     }
-}
-
-// ---------------------------------------------------------------
-// Oracle mode plumbing
-// ---------------------------------------------------------------
-
-TEST(TraceOracle, ModeSwitchesDefaultRepresentation)
-{
-    bool prev = support::setTraceOracleModeForTest(true);
-    EXPECT_TRUE(EventStream().materialized());
-    EXPECT_TRUE(gpusim::LaneStream().materialized());
-    support::setTraceOracleModeForTest(false);
-    EXPECT_FALSE(EventStream().materialized());
-    EXPECT_FALSE(gpusim::LaneStream().materialized());
-    support::setTraceOracleModeForTest(prev);
 }

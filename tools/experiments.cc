@@ -47,7 +47,6 @@
 #include "driver/job.hh"
 #include "driver/result_store.hh"
 #include "driver/tracing.hh"
-#include "gpusim/simconfig.hh"
 #include "support/hash.hh"
 #include "support/metrics.hh"
 #include "support/progress.hh"
@@ -62,7 +61,6 @@ struct Options
     std::vector<std::string> figures; //!< empty = all
     core::Scale scale = core::Scale::Full;
     int jobs = 0;                     //!< 0 = hardware concurrency
-    int simThreads = 0;               //!< 0 = process default
     bool cache = true;
     // --cache-dir overrides; RODINIA_CACHE_DIR matches the bench
     // binaries' override so both share one store by default.
@@ -92,10 +90,6 @@ usage(const char *argv0)
         "                 tiny|small|full|paper (default full; paper\n"
         "                 streams Table I-scale traces)\n"
         "  --jobs N       worker threads (default: hardware threads)\n"
-        "  --sim-threads N  threads per GPU timing simulation\n"
-        "                 (default: RODINIA_SIM_THREADS or 1; the\n"
-        "                 parallel engine is bit-identical to serial,\n"
-        "                 so figures never depend on this)\n"
         "  --no-cache     bypass the on-disk result store\n"
         "  --cache-dir D  result store directory (default bench_cache)\n"
         "  --quiet        suppress per-job progress on stderr\n"
@@ -177,20 +171,6 @@ parseArgs(int argc, char **argv, Options &opt)
                 return false;
             }
             opt.jobs = int(n);
-        } else if (!std::strcmp(arg, "--sim-threads")) {
-            const char *v = value(i);
-            if (!v)
-                return false;
-            char *end = nullptr;
-            long n = std::strtol(v, &end, 10);
-            if (end == v || *end != '\0' || n < 1 || n > 256) {
-                std::fprintf(stderr,
-                             "--sim-threads: '%s' is not an integer "
-                             "in [1, 256]\n",
-                             v);
-                return false;
-            }
-            opt.simThreads = int(n);
         } else if (!std::strcmp(arg, "--no-cache")) {
             opt.cache = false;
         } else if (!std::strcmp(arg, "--cache-dir")) {
@@ -336,11 +316,6 @@ main(int argc, char **argv)
     if (hw < 1)
         hw = 1;
     int jobs = opt.jobs <= 0 ? hw : std::min(opt.jobs, hw);
-    // Per-sim parallelism composes with the job pool through the
-    // process-wide thread budget (busy workers shrink what a sim may
-    // claim), so an explicit request here cannot oversubscribe.
-    if (opt.simThreads > 0)
-        gpusim::SimConfig::setDefaultSimThreads(opt.simThreads);
     driver::Executor executor(jobs);
     driver::Context ctx(&store, &executor);
 
