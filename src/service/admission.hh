@@ -1,6 +1,6 @@
 /**
  * @file
- * Admission control and per-client fairness for the experiment
+ * Admission control and per-client quotas for the experiment
  * service.
  *
  * The daemon sits many clients in front of one warm Context and one
@@ -24,19 +24,9 @@
  *    earns REJECTED(quota). This is what makes the queue cap fair:
  *    without it, one client could legally fill every slot.
  *
- *  - Weighted fair queueing WITHIN each lane (WfqQueue below). The
- *    old FIFO lane queues served admitted requests in arrival
- *    order, so a client that managed to enqueue a deep backlog
- *    still monopolized the workers until it drained. Each lane's
- *    queue is now per-client deficit round-robin: every client owns
- *    its own sub-queue, rounds visit backlogged clients in order,
- *    and a client is served up to quantum x weight items per round
- *    — so under saturation the served-work ratio between two
- *    backlogged clients converges to their weight ratio, and a
- *    weight-1 client is structurally guaranteed at least quantum
- *    item(s) per round no matter how heavy the competing flood.
- *    Weights arrive via the protocol's "hello" op, clamped to
- *    AdmissionPolicy::maxWeight.
+ *  - FIFO lanes. Each lane's queue serves admitted requests in
+ *    arrival order; the quota above bounds how much of it one
+ *    client can hold.
  *
  * Every verdict is counted per client and surfaced through the
  * metrics registry (service.admitted / service.rejected, labeled by
@@ -47,13 +37,10 @@
 #ifndef RODINIA_SERVICE_ADMISSION_HH
 #define RODINIA_SERVICE_ADMISSION_HH
 
-#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
-#include <vector>
 
 namespace rodinia {
 namespace service {
@@ -68,8 +55,6 @@ struct AdmissionPolicy
     size_t maxColdQueue = 64;  //!< queued-but-unstarted cold requests
     size_t maxWarmQueue = 256; //!< warm hits are cheap; deeper cap
     size_t perClientInFlight = 16; //!< admitted and not yet finished
-    uint32_t maxWeight = 64;   //!< WFQ weight ceiling ("hello" clamp)
-    uint32_t wfqQuantum = 1;   //!< items a weight-1 client gets/round
 };
 
 /** Outcome of one admission decision. */
@@ -120,114 +105,6 @@ class AdmissionController
     mutable std::mutex mu_;
     size_t queued_[2] = {0, 0};  //!< per-lane queued (not started)
     std::map<std::string, ClientStats> clients_;
-};
-
-/**
- * Deficit-round-robin weighted fair queue: one per lane.
- *
- * Each client owns a FIFO sub-queue. Backlogged clients form a round
- * (joined at the tail, so a newcomer never barges mid-round). When a
- * client reaches the round's front it is granted quantum x weight
- * credits; pop() serves its items one per call until the credit runs
- * out or its sub-queue drains, then rotates it to the tail (credit
- * left over when the queue drains is forfeited — classic DRR, so an
- * idle client cannot bank service). With every client backlogged and
- * unit-cost items, one full round serves exactly quantum x weight
- * items per client — the fairness property the Wfq tests pin.
- *
- * Not internally synchronized: the server calls every method under
- * its queue mutex, and the property tests are single-threaded.
- */
-template <typename T>
-class WfqQueue
-{
-  public:
-    explicit WfqQueue(uint32_t quantum = 1)
-        : quantum_(quantum < 1 ? 1 : quantum)
-    {
-    }
-
-    /** Set (or pre-declare) a client's weight; persists across idle
-     *  periods. Takes effect the next time the client reaches the
-     *  round front. Clamped to >= 1. */
-    void setWeight(const std::string &client, uint32_t weight)
-    {
-        clients_[client].weight = std::max<uint32_t>(1, weight);
-    }
-
-    uint32_t weight(const std::string &client) const
-    {
-        auto it = clients_.find(client);
-        return it == clients_.end() ? 1 : it->second.weight;
-    }
-
-    void push(const std::string &client, T item)
-    {
-        PerClient &pc = clients_[client];
-        if (!pc.inRound) {
-            pc.inRound = true;
-            pc.fresh = true;
-            pc.credit = 0;
-            round_.push_back(client);
-        }
-        pc.items.push_back(std::move(item));
-        ++size_;
-    }
-
-    /**
-     * Serve one item under DRR order. Returns false when every
-     * sub-queue is empty. @p client (optional) receives the served
-     * client's id.
-     */
-    bool pop(T &out, std::string *client = nullptr)
-    {
-        while (!round_.empty()) {
-            const std::string &front = round_.front();
-            PerClient &pc = clients_[front];
-            if (pc.fresh) {
-                pc.credit += uint64_t(quantum_) * pc.weight;
-                pc.fresh = false;
-            }
-            if (pc.credit >= 1 && !pc.items.empty()) {
-                out = std::move(pc.items.front());
-                pc.items.pop_front();
-                pc.credit -= 1;
-                --size_;
-                if (client)
-                    *client = front;
-                if (pc.items.empty()) {
-                    pc.inRound = false;
-                    pc.credit = 0; // forfeit: no banking while idle
-                    round_.pop_front();
-                }
-                return true;
-            }
-            // Credit exhausted: rotate to the round's tail and grant
-            // a fresh allotment when it comes around again.
-            pc.fresh = true;
-            round_.push_back(front);
-            round_.pop_front();
-        }
-        return false;
-    }
-
-    size_t size() const { return size_; }
-    bool empty() const { return size_ == 0; }
-
-  private:
-    struct PerClient
-    {
-        std::deque<T> items;
-        uint32_t weight = 1;
-        uint64_t credit = 0;
-        bool inRound = false;
-        bool fresh = true; //!< grant credit on next round-front visit
-    };
-
-    uint32_t quantum_;
-    std::map<std::string, PerClient> clients_;
-    std::deque<std::string> round_; //!< backlogged clients, RR order
-    size_t size_ = 0;
 };
 
 } // namespace service

@@ -130,42 +130,6 @@ ServiceClient::sendSim(const std::string &id,
 }
 
 bool
-ServiceClient::sendBatch(const std::string &id,
-                         const std::string &workload,
-                         const std::string &scale,
-                         const std::vector<std::string> &sweep,
-                         double deadlineMs, int version)
-{
-    std::string line = "{\"op\":\"batch\",\"id\":\"" + jsonEscape(id) +
-                       "\",\"workload\":\"" + jsonEscape(workload) +
-                       "\"";
-    if (!scale.empty())
-        line += ",\"scale\":\"" + jsonEscape(scale) + "\"";
-    if (version > 0)
-        line += ",\"version\":" + std::to_string(version);
-    line += ",\"sweep\":[";
-    for (size_t i = 0; i < sweep.size(); ++i) {
-        if (i)
-            line += ",";
-        line += sweep[i].empty() ? "{}" : sweep[i];
-    }
-    line += "]";
-    if (deadlineMs > 0.0)
-        line += ",\"deadline_ms\":" +
-                std::to_string(int64_t(deadlineMs));
-    line += "}\n";
-    return writeAll(line);
-}
-
-bool
-ServiceClient::sendHello(const std::string &id, uint32_t weight)
-{
-    return writeAll("{\"op\":\"hello\",\"id\":\"" + jsonEscape(id) +
-                    "\",\"weight\":" + std::to_string(weight) +
-                    "}\n");
-}
-
-bool
 ServiceClient::sendStats(const std::string &id)
 {
     return writeAll("{\"op\":\"stats\",\"id\":\"" + jsonEscape(id) +
@@ -243,19 +207,6 @@ ServiceClient::readEvent()
         ev.type = Event::Type::Chunk;
         ev.seq = num("seq");
         ev.data = str("data");
-    } else if (type == "point") {
-        ev.type = Event::Type::Point;
-        ev.pointIndex = num("index");
-        std::string status = str("status");
-        if (status == "served") {
-            ev.pointOk = true;
-            ev.bytes = num("bytes");
-            ev.coalesced = num("coalesced") != 0;
-        } else {
-            ev.pointOk = false;
-            ev.errorClass = str("class");
-            ev.detail = str("message");
-        }
     } else if (type == "done") {
         ev.type = Event::Type::Done;
         ev.lane = str("lane");
@@ -288,23 +239,8 @@ ServiceClient::await(const std::string &id)
             out.lane = ev.lane;
             return false;
         case Event::Type::Chunk:
-            // Inside a batch, chunks that follow a point header
-            // belong to that point (seq numbering continues across
-            // points, but reassembly is per point).
-            if (!out.points.empty())
-                out.points.back().payload += ev.data;
-            else
-                partial_[id] += ev.data;
+            partial_[id] += ev.data;
             return false;
-        case Event::Type::Point: {
-            Outcome::Point p;
-            p.ok = ev.pointOk;
-            p.coalesced = ev.coalesced;
-            p.errorClass = ev.errorClass;
-            p.detail = ev.detail;
-            out.points.push_back(std::move(p));
-            return false;
-        }
         case Event::Type::Done:
             out.status = Outcome::Status::Served;
             out.lane = ev.lane;

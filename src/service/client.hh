@@ -3,14 +3,15 @@
  * Client side of the experiment service protocol.
  *
  * ServiceClient owns one Unix-socket connection and speaks the
- * line-delimited JSON protocol: send*() methods render request
- * lines, readEvent() blocks for the next response line and decodes
- * it, and await() drives readEvent() until one request reaches a
- * terminal state, reassembling its streamed chunks into the full
- * payload. Responses for *other* in-flight requests that arrive
- * while awaiting are buffered and replayed to their own await()
- * calls, so a caller can pipeline many requests on one connection
- * and collect them in any order.
+ * line-delimited JSON protocol: one send*() method per op (ping,
+ * figure, sim, stats, cancel) renders its request line, readEvent()
+ * blocks for the next response line and decodes it, and await()
+ * drives readEvent() until one request reaches a terminal state,
+ * reassembling its streamed chunks into the full payload. Responses
+ * for *other* in-flight requests that arrive while awaiting are
+ * buffered and replayed to their own await() calls, so a caller can
+ * pipeline many requests on one connection and collect them in any
+ * order.
  *
  * The class is deliberately synchronous and single-threaded (one
  * load-generator client = one thread = one ServiceClient); it is not
@@ -37,7 +38,6 @@ struct Event
         Accepted,
         Rejected,
         Chunk,
-        Point, //!< batch per-point header (served or error)
         Done,
         Error,
         Stats,
@@ -56,15 +56,13 @@ struct Event
     std::string lane;    //!< accepted/done
     std::string reason;  //!< rejected: overload|quota|bad-request
     std::string detail;  //!< rejected detail / error message
-    std::string errorClass; //!< error responses / errored points
+    std::string errorClass; //!< error responses
     std::string data;    //!< chunk data / stats payload
     uint64_t seq = 0;    //!< chunk sequence number
-    uint64_t bytes = 0;  //!< done/served-point: payload bytes
+    uint64_t bytes = 0;  //!< done: payload bytes
     uint64_t wallUs = 0; //!< done: server-side wall time
-    uint64_t pointIndex = 0; //!< point: sweep index
-    bool pointOk = false;    //!< point: served (vs error)
-    bool coalesced = false;  //!< done: result rode another
-                             //!< request's execution (single flight)
+    bool coalesced = false; //!< done: result rode another
+                            //!< request's execution (single flight)
 };
 
 /** Terminal outcome of one request, payload reassembled. */
@@ -72,23 +70,12 @@ struct Outcome
 {
     enum class Status { Served, Rejected, Error, Lost };
 
-    /** One batch sweep point's verdict (index = position). */
-    struct Point
-    {
-        bool ok = false;
-        bool coalesced = false; //!< rode another request's execution
-        std::string errorClass; //!< when !ok
-        std::string detail;     //!< when !ok
-        std::string payload;    //!< this point's chunks, reassembled
-    };
-
     Status status = Status::Lost;
     std::string lane;       //!< from accepted/done
     std::string reason;     //!< rejection reason
     std::string errorClass; //!< error class
     std::string detail;     //!< rejection detail / error message
     std::string payload;    //!< chunks concatenated in seq order
-    std::vector<Point> points; //!< batch only, in sweep order
     bool coalesced = false; //!< done carried "coalesced":1
     uint64_t serverWallUs = 0;
 
@@ -128,16 +115,6 @@ class ServiceClient
                  const std::string &scale,
                  const std::string &configJson,
                  double deadlineMs = 0.0, int version = 0);
-    /**
-     * One batch request: @p sweep holds each point's config-object
-     * JSON text ("{}" for Table II defaults), sent in order.
-     */
-    bool sendBatch(const std::string &id, const std::string &workload,
-                   const std::string &scale,
-                   const std::vector<std::string> &sweep,
-                   double deadlineMs = 0.0, int version = 0);
-    /** Declare this connection's WFQ weight (server clamps). */
-    bool sendHello(const std::string &id, uint32_t weight);
     bool sendStats(const std::string &id);
     bool sendCancel(const std::string &id, const std::string &target);
     /** Raw bytes, no framing added — protocol fuzz tests only. */

@@ -52,9 +52,10 @@ class JsonParser
     }
 
   private:
-    /** Requests are depth <= 3, but clients parse the /stats
-     *  payload (metrics histograms nest to ~8) with this same
-     *  parser, so the cap leaves headroom over both. */
+    /** Requests nest at most 2 levels (a sim's "config" object and
+     *  its fields), but clients parse the /stats payload (metrics
+     *  histograms nest to ~8) with this same parser, so the cap
+     *  leaves headroom over both. */
     static constexpr int kMaxDepth = 16;
 
     std::string_view text_;
@@ -511,10 +512,6 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         out.op = Op::Stats;
     else if (opName == "cancel")
         out.op = Op::Cancel;
-    else if (opName == "batch")
-        out.op = Op::Batch;
-    else if (opName == "hello")
-        out.op = Op::Hello;
     else {
         error = "unknown op '" + opName + "'";
         return false;
@@ -537,14 +534,8 @@ parseRequest(const std::string &line, Request &out, std::string &error)
             return key == "workload" || key == "scale" ||
                    key == "version" || key == "config" ||
                    key == "deadline_ms";
-        case Op::Batch:
-            return key == "workload" || key == "scale" ||
-                   key == "version" || key == "sweep" ||
-                   key == "deadline_ms";
         case Op::Cancel:
             return key == "target";
-        case Op::Hello:
-            return key == "weight";
         }
         return false;
     };
@@ -571,11 +562,23 @@ parseRequest(const std::string &line, Request &out, std::string &error)
         out.deadlineMs = dl->number();
     }
 
-    // Shared by sim and batch: workload (required), scale, version.
-    auto parseTarget = [&]() -> bool {
+    switch (out.op) {
+    case Op::Ping:
+    case Op::Stats:
+        break;
+    case Op::Figure: {
+        const Json *fig = root.get("figure");
+        if (!fig || !fig->isString() || fig->string().empty()) {
+            error = "figure request needs a 'figure' id";
+            return false;
+        }
+        out.figure = fig->string();
+        break;
+    }
+    case Op::Sim: {
         const Json *wl = root.get("workload");
         if (!wl || !wl->isString() || wl->string().empty()) {
-            error = "request needs a 'workload' name";
+            error = "sim request needs a 'workload' name";
             return false;
         }
         out.workload = wl->string();
@@ -594,77 +597,10 @@ parseRequest(const std::string &line, Request &out, std::string &error)
             }
             out.version = int(v);
         }
-        return true;
-    };
-
-    switch (out.op) {
-    case Op::Ping:
-    case Op::Stats:
-        break;
-    case Op::Figure: {
-        const Json *fig = root.get("figure");
-        if (!fig || !fig->isString() || fig->string().empty()) {
-            error = "figure request needs a 'figure' id";
-            return false;
-        }
-        out.figure = fig->string();
-        break;
-    }
-    case Op::Sim: {
-        if (!parseTarget())
-            return false;
         if (const Json *cfg = root.get("config")) {
             if (!decodeSimConfig(*cfg, out.config, error))
                 return false;
         }
-        break;
-    }
-    case Op::Batch: {
-        if (!parseTarget())
-            return false;
-        const Json *sweep = root.get("sweep");
-        if (!sweep || sweep->type() != Json::Type::Array) {
-            error = "batch request needs a 'sweep' array";
-            return false;
-        }
-        const auto &points = sweep->elements();
-        if (points.empty()) {
-            error = "sweep must have at least one point";
-            return false;
-        }
-        if (points.size() > kMaxBatchPoints) {
-            error = "sweep has " + std::to_string(points.size()) +
-                    " points; max is " +
-                    std::to_string(kMaxBatchPoints);
-            return false;
-        }
-        out.sweep.reserve(points.size());
-        for (size_t i = 0; i < points.size(); ++i) {
-            gpusim::SimConfig cfg;
-            std::string perr;
-            // Duplicate points are legal: the sim memo makes the
-            // repeat free, so rejecting them would only push dedup
-            // onto clients.
-            if (!decodeSimConfig(points[i], cfg, perr)) {
-                error = "sweep point " + std::to_string(i) + ": " +
-                        perr;
-                return false;
-            }
-            out.sweep.push_back(cfg);
-        }
-        break;
-    }
-    case Op::Hello: {
-        const Json *w = root.get("weight");
-        long long v = 0;
-        if (!w || !w->isNumber() || w->number() < 1.0 ||
-            w->number() > double(kMaxHelloWeight)) {
-            error = "hello request needs a 'weight' in [1, " +
-                    std::to_string(kMaxHelloWeight) + "]";
-            return false;
-        }
-        clampedInt(*w, 1, kMaxHelloWeight, v);
-        out.weight = uint32_t(v);
         break;
     }
     case Op::Cancel: {
@@ -735,29 +671,6 @@ renderDone(const std::string &id, const std::string &lane,
            ",\"bytes\":" + std::to_string(bytes) +
            ",\"wall_us\":" + std::to_string(wallUs) +
            ",\"coalesced\":" + (coalesced ? "1" : "0") + "}\n";
-}
-
-std::string
-renderPointServed(const std::string &id, uint64_t index,
-                  uint64_t bytes, bool coalesced)
-{
-    return "{\"id\":\"" + jsonEscape(id) +
-           "\",\"type\":\"point\",\"index\":" + std::to_string(index) +
-           ",\"status\":\"served\",\"bytes\":" +
-           std::to_string(bytes) +
-           ",\"coalesced\":" + (coalesced ? "1" : "0") + "}\n";
-}
-
-std::string
-renderPointError(const std::string &id, uint64_t index,
-                 const std::string &errorClass,
-                 const std::string &message)
-{
-    return "{\"id\":\"" + jsonEscape(id) +
-           "\",\"type\":\"point\",\"index\":" + std::to_string(index) +
-           ",\"status\":\"error\",\"class\":\"" +
-           jsonEscape(errorClass) + "\",\"message\":\"" +
-           jsonEscape(message) + "\"}\n";
 }
 
 std::string

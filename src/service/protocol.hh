@@ -17,22 +17,12 @@
  * defaults):
  *
  *   {"op":"ping"}
- *   {"op":"hello","id":REQ,"weight":N}
  *   {"op":"figure","id":REQ,"figure":"fig1"[,"deadline_ms":N]}
  *   {"op":"sim","id":REQ,"workload":"bfs"[,"scale":"tiny|small|full|paper"]
  *       [,"version":N][,"config":{SimConfig fields...}]
  *       [,"deadline_ms":N]}
- *   {"op":"batch","id":REQ,"workload":"bfs"[,"scale":S][,"version":N],
- *       "sweep":[{SimConfig fields...},...][,"deadline_ms":N]}
  *   {"op":"stats","id":REQ}
  *   {"op":"cancel","id":REQ,"target":REQ2}
- *
- * "hello" declares the connection's weighted-fair-queueing weight
- * (clamped to the server's --max-weight); it is acknowledged with a
- * "done" on lane "hello". "batch" carries a whole SimConfig sweep —
- * at most kMaxBatchPoints points, every point a valid config — and
- * is admission-controlled as ONE unit (one queue slot, one in-flight
- * quota unit).
  *
  * Response grammar (the "type" key discriminates):
  *
@@ -40,10 +30,6 @@
  *   {"id":REQ,"type":"rejected","reason":"overload|quota|bad-request",
  *       "detail":"..."}
  *   {"id":REQ,"type":"chunk","seq":N,"data":"..."}      (payload part)
- *   {"id":REQ,"type":"point","index":I,"status":"served","bytes":N,
- *       "coalesced":0|1}
- *   {"id":REQ,"type":"point","index":I,"status":"error",
- *       "class":"...","message":"..."}
  *   {"id":REQ,"type":"done","lane":L,"chunks":N,"bytes":N,
  *       "wall_us":N,"coalesced":0|1}
  *   {"id":REQ,"type":"error","class":"deadline|cancelled|...",
@@ -54,14 +40,13 @@
  * Payloads (figure text, serialized KernelStats) are streamed as
  * numbered "chunk" responses followed by one "done"; concatenating
  * the chunks in seq order reproduces the payload byte-exactly, which
- * is what the golden-corpus smoke test pins. A batch streams one
- * served-"point" header per sweep point followed by that point's
- * chunks (seq numbering continues across points; chunks between two
- * point headers belong to the earlier point), or an error-"point"
- * line with no chunks; "done" still terminates the request.
- * "coalesced" marks a response whose simulation was deduplicated
- * onto another in-flight request's execution (single flight) — the
- * payload bytes are identical to the leader's.
+ * is what the golden-corpus smoke test pins. "coalesced" marks a
+ * response whose simulation was deduplicated onto another in-flight
+ * request's execution (single flight) — the payload bytes are
+ * identical to the leader's. An admitted figure or sim request gets
+ * "accepted" and then one terminal "done" or "error"; one that
+ * arrives while the daemon stops gets only an "error" of class
+ * "shutdown".
  *
  * Robustness contract (the fuzz tests pin it): a malformed,
  * oversized, or semantically invalid request never terminates the
@@ -94,15 +79,6 @@ constexpr size_t kMaxRequestBytes = 64 * 1024;
 
 /** Payload bytes per "chunk" response (before JSON escaping). */
 constexpr size_t kChunkBytes = 16 * 1024;
-
-/** Hard cap on sweep points in one batch request. Bounds both the
- *  decoded request's memory and the work one admission slot can
- *  represent. */
-constexpr size_t kMaxBatchPoints = 128;
-
-/** Hard cap on a hello weight before the server's own policy clamp
- *  (AdmissionPolicy::maxWeight) is applied. */
-constexpr uint32_t kMaxHelloWeight = 4096;
 
 // ---------------------------------------------------------------
 // Minimal JSON tree (parse side of the protocol).
@@ -162,7 +138,7 @@ class Json
 // Requests.
 // ---------------------------------------------------------------
 
-enum class Op { Ping, Figure, Sim, Stats, Cancel, Batch, Hello };
+enum class Op { Ping, Figure, Sim, Stats, Cancel };
 
 /** One decoded request line. */
 struct Request
@@ -170,14 +146,12 @@ struct Request
     Op op = Op::Ping;
     std::string id;       //!< client request id ("" only for ping)
     std::string figure;   //!< Op::Figure: figure id, e.g. "fig1"
-    std::string workload; //!< Op::Sim/Batch: registry name
+    std::string workload; //!< Op::Sim: registry name
     core::Scale scale = core::Scale::Full;
-    int version = 0;      //!< Op::Sim/Batch: kernel version (0 = shipped)
+    int version = 0;      //!< Op::Sim: kernel version (0 = shipped)
     gpusim::SimConfig config; //!< Op::Sim: decoded + clamped config
-    std::vector<gpusim::SimConfig> sweep; //!< Op::Batch: sweep points
     double deadlineMs = 0.0;  //!< 0 = server default
     std::string target;   //!< Op::Cancel: request id to cancel
-    uint32_t weight = 1;  //!< Op::Hello: requested WFQ weight
 };
 
 /**
@@ -201,7 +175,7 @@ bool parseRequest(const std::string &line, Request &out,
 bool decodeSimConfig(const Json &obj, gpusim::SimConfig &out,
                      std::string &error);
 
-/** "tiny"/"small"/"full" -> Scale; false on anything else. */
+/** "tiny"/"small"/"full"/"paper" -> Scale; false on anything else. */
 bool parseScale(const std::string &s, core::Scale &out);
 
 // ---------------------------------------------------------------
@@ -223,11 +197,6 @@ std::string renderChunk(const std::string &id, uint64_t seq,
 std::string renderDone(const std::string &id, const std::string &lane,
                        uint64_t chunks, uint64_t bytes,
                        uint64_t wallUs, bool coalesced = false);
-std::string renderPointServed(const std::string &id, uint64_t index,
-                              uint64_t bytes, bool coalesced = false);
-std::string renderPointError(const std::string &id, uint64_t index,
-                             const std::string &errorClass,
-                             const std::string &message);
 std::string renderErrorResponse(const std::string &id,
                                 const std::string &errorClass,
                                 const std::string &message);

@@ -68,8 +68,6 @@ struct ExperimentService::Impl
           admission(cfg.admission)
     {
         core::registerAllWorkloads();
-        queues[0] = WfqQueue<Task>(cfg.admission.wfqQuantum);
-        queues[1] = WfqQueue<Task>(cfg.admission.wfqQuantum);
     }
 
     // ---- connection state -------------------------------------
@@ -100,6 +98,13 @@ struct ExperimentService::Impl
         write(const std::string &line)
         {
             std::lock_guard<std::mutex> lock(writeMu);
+            return writeLocked(line);
+        }
+
+        /** write() for a caller that already holds writeMu. */
+        bool
+        writeLocked(const std::string &line)
+        {
             if (!open.load(std::memory_order_acquire))
                 return false;
             const char *p = line.data();
@@ -131,7 +136,6 @@ struct ExperimentService::Impl
         core::Scale scale = core::Scale::Full;
         int version = 0;
         gpusim::SimConfig simConfig;
-        std::vector<gpusim::SimConfig> sweep; //!< Op::Batch points
         Lane lane = Lane::Cold;
         std::shared_ptr<support::CancelToken> token;
         Clock::time_point accepted;
@@ -164,7 +168,7 @@ struct ExperimentService::Impl
 
     std::mutex queueMu;
     std::condition_variable queueCv;
-    WfqQueue<Task> queues[2]; //!< [0]=warm, [1]=cold; DRR per client
+    std::deque<Task> queues[2]; //!< [0]=warm, [1]=cold; FIFO
 
     std::mutex inflightMu;
     std::map<std::pair<std::string, std::string>, InFlight> inflight;
@@ -190,17 +194,9 @@ struct ExperimentService::Impl
                      const Request &req);
     void handleCancel(const std::shared_ptr<Conn> &conn,
                       const Request &req);
-    void handleHello(const std::shared_ptr<Conn> &conn,
-                     const Request &req);
     void handleWork(const std::shared_ptr<Conn> &conn,
                     const Request &req);
     void execute(Task &task);
-    void executeBatch(Task &task, Clock::time_point t0);
-    bool simPayload(const std::string &workload, core::Scale scale,
-                    int version, const gpusim::SimConfig &config,
-                    support::CancelToken *token, std::string &payload,
-                    std::string &errCls, std::string &errMsg,
-                    bool &coalesced);
     void streamPayload(Task &task, const std::string &payload,
                        bool coalesced);
     void finishError(Task &task, const std::string &cls,
@@ -265,8 +261,8 @@ ExperimentService::Impl::acceptLoop()
             continue;
         auto conn = std::make_shared<Conn>();
         conn->fd = fd;
-        conn->client =
-            "c" + std::to_string(connCounter.fetch_add(1) + 1);
+        conn->client = std::string("c").append(
+            std::to_string(connCounter.fetch_add(1) + 1));
         metrics::count("service.connections");
         if (config.verbose)
             warn("service: accepted ", conn->client);
@@ -366,34 +362,11 @@ ExperimentService::Impl::handleLine(const std::shared_ptr<Conn> &conn,
     case Op::Cancel:
         handleCancel(conn, req);
         return;
-    case Op::Hello:
-        handleHello(conn, req);
-        return;
     case Op::Figure:
     case Op::Sim:
-    case Op::Batch:
         handleWork(conn, req);
         return;
     }
-}
-
-void
-ExperimentService::Impl::handleHello(const std::shared_ptr<Conn> &conn,
-                                     const Request &req)
-{
-    // The parser already bounded the weight to [1, kMaxHelloWeight];
-    // the server's own policy ceiling is the second clamp, so an
-    // operator can cap how lopsided clients may make the rounds.
-    uint32_t w =
-        std::min<uint32_t>(req.weight, admission.policy().maxWeight);
-    w = std::max<uint32_t>(1, w);
-    {
-        std::lock_guard<std::mutex> lock(queueMu);
-        queues[0].setWeight(conn->client, w);
-        queues[1].setWeight(conn->client, w);
-    }
-    metrics::countLabeled("service.hello", conn->client, 1);
-    conn->write(renderDone(req.id, "hello", 0, 0, 0));
 }
 
 void
@@ -507,27 +480,11 @@ ExperimentService::Impl::handleWork(const std::shared_ptr<Conn> &conn,
         task.workload = req.workload;
         task.scale = req.scale;
         task.version = req.version;
-        if (req.op == Op::Batch) {
-            // A batch rides the warm lane only when EVERY point is
-            // already served from cache: one cold point would put a
-            // simulation on the warm workers and break the isolation
-            // property the smoke test pins.
-            task.sweep = req.sweep;
-            bool allWarm = true;
-            for (const auto &cfg : task.sweep)
-                if (!ctx.gpuStatsWarm(req.workload, req.scale,
-                                      req.version, cfg)) {
-                    allWarm = false;
-                    break;
-                }
-            task.lane = allWarm ? Lane::Warm : Lane::Cold;
-        } else {
-            task.simConfig = req.config;
-            task.lane = ctx.gpuStatsWarm(req.workload, req.scale,
-                                         req.version, req.config)
-                            ? Lane::Warm
-                            : Lane::Cold;
-        }
+        task.simConfig = req.config;
+        task.lane = ctx.gpuStatsWarm(req.workload, req.scale,
+                                     req.version, req.config)
+                        ? Lane::Warm
+                        : Lane::Cold;
     }
 
     // One live request per (client, id): a reused id would make
@@ -577,13 +534,27 @@ ExperimentService::Impl::handleWork(const std::shared_ptr<Conn> &conn,
         inflight.emplace(std::make_pair(conn->client, req.id),
                          std::move(inf));
     }
-    conn->write(renderAccepted(req.id, laneName(task.lane)));
-    {
-        std::lock_guard<std::mutex> lock(queueMu);
-        queues[task.lane == Lane::Warm ? 0 : 1].push(
-            conn->client, std::move(task));
+    // Queue only while the workers still run: they read `running`
+    // under queueMu before they exit, so a queued task is always
+    // popped. The connection's write lock, held until "accepted" is
+    // sent, keeps a worker from answering the task before that.
+    std::unique_lock<std::mutex> writeLock(conn->writeMu, std::defer_lock);
+    std::unique_lock<std::mutex> queueLock(queueMu, std::defer_lock);
+    std::lock(writeLock, queueLock);
+    if (running.load(std::memory_order_acquire)) {
+        Lane lane = task.lane;
+        queues[lane == Lane::Warm ? 0 : 1].push_back(std::move(task));
+        queueLock.unlock();
+        queueCv.notify_all();
+        conn->writeLocked(renderAccepted(req.id, laneName(lane)));
+        return;
     }
-    queueCv.notify_all();
+    queueLock.unlock();
+    writeLock.unlock();
+    eraseInflight(*conn, req.id);
+    admission.started(task.lane);
+    admission.finish(conn->client, task.lane, false);
+    finishError(task, "shutdown", "shutdown: service stopping");
 }
 
 // ---------------------------------------------------------------
@@ -607,7 +578,8 @@ ExperimentService::Impl::workerLoop(Lane lane)
                     return;
                 continue;
             }
-            queues[qi].pop(task);
+            task = std::move(queues[qi].front());
+            queues[qi].pop_front();
         }
         admission.started(lane);
         execute(task);
@@ -663,47 +635,6 @@ ExperimentService::Impl::finishError(Task &task,
                           task.conn->client + "/" + cls, 1);
 }
 
-/**
- * The serialized KernelStats for one sim point, computed through the
- * Context's gpuStats memo under the request's own cancel token. The
- * memo runs each (workload, scale, version, fingerprint) key once:
- * a request that finds the key's simulation running joins it and
- * gets the same bytes, or that simulation's error class if it fails,
- * and its own cancel or deadline unwinds only itself. Returns true
- * and fills @p payload on success; false and fills @p errCls /
- * @p errMsg otherwise. @p coalesced is set iff the call joined
- * another request's simulation.
- */
-bool
-ExperimentService::Impl::simPayload(const std::string &workload,
-                                    core::Scale scale, int version,
-                                    const gpusim::SimConfig &config_,
-                                    support::CancelToken *token,
-                                    std::string &payload,
-                                    std::string &errCls,
-                                    std::string &errMsg,
-                                    bool &coalesced)
-{
-    coalesced = false;
-    bool ok = false;
-    try {
-        support::CancelScope scope(token);
-        payload = gpusim::serializeKernelStats(
-            ctx.gpuStats(workload, scale, version, config_, &coalesced));
-        ok = true;
-    } catch (const support::CancelledError &e) {
-        errCls = cancelClass(e.what());
-        errMsg = e.what();
-    } catch (...) {
-        auto c = driver::classifyCurrentException();
-        errCls = driver::errorClassName(c.cls);
-        errMsg = c.message;
-    }
-    metrics::count(coalesced ? "service.coalesce.followers"
-                             : "service.coalesce.leaders");
-    return ok;
-}
-
 void
 ExperimentService::Impl::execute(Task &task)
 {
@@ -711,10 +642,6 @@ ExperimentService::Impl::execute(Task &task)
     metrics::observeLabeled("service.queue_wait_us",
                             laneName(task.lane),
                             elapsedUs(task.accepted, t0));
-    if (task.op == Op::Batch) {
-        executeBatch(task, t0);
-        return;
-    }
     bool served = false;
     bool coalesced = false;
     std::string spanWhat =
@@ -725,10 +652,21 @@ ExperimentService::Impl::execute(Task &task)
     if (task.token->cancelled()) {
         errCls = cancelClass(task.token->reason());
         errMsg = task.token->reason();
-    } else if (task.op == Op::Figure) {
+    } else {
         support::CancelScope scope(task.token.get());
         try {
-            payload = figureText(*task.figure);
+            // A sim goes through the Context's gpuStats memo, which
+            // runs each (workload, scale, version, fingerprint) key
+            // once: a request that finds the key's simulation running
+            // joins it (coalesced) and gets the same bytes, or that
+            // simulation's error class if it fails, and its own
+            // cancel or deadline unwinds only itself.
+            if (task.op == Op::Figure)
+                payload = figureText(*task.figure);
+            else
+                payload = gpusim::serializeKernelStats(
+                    ctx.gpuStats(task.workload, task.scale, task.version,
+                                 task.simConfig, &coalesced));
             served = true;
         } catch (const support::CancelledError &e) {
             errCls = cancelClass(e.what());
@@ -738,10 +676,9 @@ ExperimentService::Impl::execute(Task &task)
             errCls = driver::errorClassName(c.cls);
             errMsg = c.message;
         }
-    } else {
-        served = simPayload(task.workload, task.scale, task.version,
-                            task.simConfig, task.token.get(), payload,
-                            errCls, errMsg, coalesced);
+        if (task.op == Op::Sim)
+            metrics::count(coalesced ? "service.coalesce.followers"
+                                     : "service.coalesce.leaders");
     }
     // Settle the accounting BEFORE the terminal response goes out: a
     // client that has seen "done"/"error" may immediately ask /stats
@@ -766,110 +703,6 @@ ExperimentService::Impl::execute(Task &task)
         warn("service: ", task.conn->client, "/", task.id, " ",
              spanWhat, " [", laneName(task.lane), "] ",
              served ? "served" : "failed");
-}
-
-/**
- * One admitted batch: stream every sweep point's result (served
- * header + chunks, or error header) in request order, then one
- * terminal "done". Chunk seq numbering continues across points, so
- * the client reassembles per-point payloads by splitting at the
- * point headers. A per-point failure (bad config the model refuses,
- * sim error) is reported on its point line and the batch CONTINUES;
- * cancellation/deadline/shutdown of the batch's own token aborts the
- * remainder with a terminal "error". Each point goes through the
- * same gpuStats memo as a standalone sim request, so a batch
- * overlapping other clients' requests still costs one execution per
- * distinct config.
- */
-void
-ExperimentService::Impl::executeBatch(Task &task, Clock::time_point t0)
-{
-    uint64_t seq = 0, totalBytes = 0;
-    size_t pointsServed = 0, pointsFailed = 0;
-    bool aborted = false;
-    std::string abortCls, abortMsg;
-    for (size_t i = 0; i < task.sweep.size(); ++i) {
-        if (task.token->cancelled()) {
-            aborted = true;
-            abortCls = cancelClass(task.token->reason());
-            abortMsg = task.token->reason();
-            break;
-        }
-        std::string payload, errCls, errMsg;
-        bool coalesced = false;
-        bool ok = simPayload(task.workload, task.scale, task.version,
-                             task.sweep[i], task.token.get(), payload,
-                             errCls, errMsg, coalesced);
-        if (!ok && task.token->cancelled()) {
-            // The batch itself was cancelled mid-point — terminal,
-            // not a per-point error.
-            aborted = true;
-            abortCls = errCls;
-            abortMsg = errMsg;
-            break;
-        }
-        if (!ok) {
-            ++pointsFailed;
-            if (!task.conn->write(
-                    renderPointError(task.id, i, errCls, errMsg)))
-                break; // client gone; settle below
-            continue;
-        }
-        if (coalesced)
-            metrics::count("service.batch.coalesced_points");
-        if (!task.conn->write(renderPointServed(
-                task.id, i, payload.size(), coalesced)))
-            break;
-        bool connLost = false;
-        for (size_t off = 0; off < payload.size();
-             off += kChunkBytes) {
-            if (!task.conn->write(renderChunk(
-                    task.id, seq,
-                    std::string_view(payload).substr(off,
-                                                     kChunkBytes)))) {
-                connLost = true;
-                break;
-            }
-            ++seq;
-        }
-        if (connLost)
-            break;
-        totalBytes += payload.size();
-        ++pointsServed;
-    }
-    // Served = the whole sweep was walked (individual point errors
-    // included — the client saw a verdict for every point). Settle
-    // before the terminal line, same as single requests.
-    bool served =
-        !aborted && pointsServed + pointsFailed == task.sweep.size();
-    eraseInflight(*task.conn, task.id);
-    admission.finish(task.conn->client, task.lane, served);
-    if (aborted) {
-        finishError(task, abortCls, abortMsg);
-    } else {
-        uint64_t wallUs = elapsedUs(task.accepted, Clock::now());
-        task.conn->write(renderDone(task.id, laneName(task.lane), seq,
-                                    totalBytes, wallUs));
-        metrics::observeLabeled("service.latency_us",
-                                task.conn->client + "/" +
-                                    laneName(task.lane),
-                                wallUs);
-    }
-    metrics::observe("service.batch.points", double(task.sweep.size()));
-    if (auto *tc = driver::TraceCollector::active())
-        tc->record("service", "batch",
-                   driver::TraceArgs()
-                       .str("client", task.conn->client)
-                       .str("what", task.workload)
-                       .str("lane", laneName(task.lane))
-                       .str("outcome", served ? "served" : "failed")
-                       .json(),
-                   t0, Clock::now());
-    if (config.verbose)
-        warn("service: ", task.conn->client, "/", task.id, " batch ",
-             task.workload, " [", laneName(task.lane), "] ",
-             served ? "served" : "failed", " (", pointsServed, "/",
-             task.sweep.size(), " points)");
 }
 
 // ---------------------------------------------------------------
@@ -958,9 +791,10 @@ ExperimentService::stop()
     if (!impl->running.exchange(false))
         return;
     // Order matters: stop intake first (accept loop sees running ==
-    // false), then cancel outstanding work so queued tasks drain as
-    // immediate "shutdown" errors, then wake and join the workers,
-    // then unblock every connection reader.
+    // false, and readers answer new work with "shutdown" instead of
+    // queueing it), then cancel outstanding work so queued tasks
+    // drain as immediate "shutdown" errors, then wake and join the
+    // workers, then unblock every connection reader.
     if (impl->acceptThread.joinable())
         impl->acceptThread.join();
     if (impl->listenFd >= 0) {

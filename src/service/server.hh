@@ -4,13 +4,12 @@
  *
  * ExperimentService turns the batch experiment driver into a daemon:
  * it listens on a Unix-domain stream socket and serves figure,
- * simulation, batch-sweep, and stats requests from many concurrent
- * clients over the line-delimited JSON protocol
- * (service/protocol.hh), all sharing ONE warm driver::Context, ONE
- * ResultStore, and ONE work-stealing Executor — so the memoized
- * characterizations, recordings, and timing simulations that a
- * batch run pays for once are paid for once per daemon lifetime,
- * not once per client.
+ * simulation, and stats requests from many concurrent clients over
+ * the line-delimited JSON protocol (service/protocol.hh), all
+ * sharing ONE warm driver::Context, ONE ResultStore, and ONE
+ * work-stealing Executor — so the memoized characterizations,
+ * recordings, and timing simulations that a batch run pays for once
+ * are paid for once per daemon lifetime, not once per client.
  *
  * Request path:
  *
@@ -23,9 +22,8 @@
  *        store entry)
  *     -> admission control (per-client quota, per-lane queue cap;
  *        see service/admission.hh) -> "accepted" or "rejected"
- *     -> lane queue: per-client deficit-round-robin (WfqQueue), so
- *        under saturation each backlogged client's served share
- *        tracks its "hello" weight instead of its enqueue rate
+ *     -> lane queue: FIFO, served in arrival order; once stop() has
+ *        begun, a request is answered "shutdown" instead of queued
  *   lane workers (dedicated warm + cold pools)
  *     -> single flight: identical in-flight cold sims (same
  *        workload/scale/version/config fingerprint — within one
@@ -40,9 +38,7 @@
  *        + client cancel + connection teardown all cancel the same
  *        token, reusing the cooperative checkpoints threaded through
  *        the sim/sweep loops in PR 4)
- *     -> stream the payload back as "chunk" responses + "done";
- *        a batch streams per-point "point" headers with the chunk
- *        seq continuing across points, one admission unit total
+ *     -> stream the payload back as "chunk" responses + "done"
  *
  * Isolation property (pinned by tests): warm requests are never
  * behind a cold simulation — they have their own queue, their own
@@ -103,7 +99,9 @@ class ExperimentService
     /**
      * Stop accepting, cancel every queued and in-flight request
      * ("service shutting down"), close connections, join all
-     * threads. Idempotent.
+     * threads. A request that arrives meanwhile is answered with a
+     * "shutdown" error, never left accepted but unanswered.
+     * Idempotent.
      */
     void stop();
 

@@ -1,16 +1,14 @@
 /**
  * @file
  * Tests for the experiment service (src/service/): protocol parsing
- * and fuzz robustness (including the batch/hello grammar),
- * admission-control accounting, end-to-end request handling over a
- * real Unix socket, cancellation and deadlines, batch sweep
- * streaming, the warm/cold isolation property, and the experimentd +
- * expload child-process smoke path against the golden corpus (plus
- * the weighted/batch replay modes).
+ * and fuzz robustness, admission-control accounting, end-to-end
+ * request handling over a real Unix socket, cancellation, deadlines
+ * and shutdown, FIFO lane order, the warm/cold isolation property,
+ * and the experimentd + expload child-process smoke path against the
+ * golden corpus.
  *
- * The WFQ fairness properties, single-flight edge cases, and the
- * seeded multi-client stress flood live in test_service_stress.cc
- * (the service-stress CI lane).
+ * The single-flight edge cases and the seeded multi-client stress
+ * flood live in test_service_stress.cc (the service-stress CI lane).
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +20,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstring>
@@ -32,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "driver/tracing.hh"
 #include "gpusim/timing.hh"
 #include "service/admission.hh"
 #include "service/client.hh"
@@ -98,6 +98,29 @@ simsRun()
 {
     return support::metrics::Registry::global().snapshot().value(
         "gpusim.sims_run");
+}
+
+/** Total admitted-but-unfinished work across every client. */
+uint64_t
+totalInFlight(ExperimentService &svc)
+{
+    uint64_t n = 0;
+    for (const auto &[name, cs] : svc.admission().snapshot())
+        n += cs.inFlight;
+    return n;
+}
+
+/** Poll @p pred (max ~10 s); returns its final value. */
+template <typename Pred>
+bool
+eventually(Pred pred)
+{
+    for (int i = 0; i < 200; ++i) {
+        if (pred())
+            return true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    return pred();
 }
 
 } // namespace
@@ -174,6 +197,10 @@ TEST(Protocol, RejectsKeysMisplacedAcrossOps)
         {R"({"op":"cancel","id":"m5","target":"t","config":{}})",
          "config"},
         {R"({"op":"ping","figure":"fig1"})", "figure"},
+        {R"({"op":"sim","id":"m6","workload":"bfs","sweep":[{}]})",
+         "sweep"},
+        {R"({"op":"sim","id":"m7","workload":"bfs","weight":3})",
+         "weight"},
     };
     for (const Case &c : cases) {
         Request req;
@@ -278,131 +305,12 @@ TEST(Protocol, DepthCapStopsHostileNesting)
     EXPECT_NE(err.find("deep"), std::string::npos) << err;
 }
 
-TEST(Protocol, ParsesBatchRequestWithDuplicatePoints)
-{
-    Request req;
-    std::string err;
-    ASSERT_TRUE(service::parseRequest(
-        R"({"op":"batch","id":"b1","workload":"bfs","scale":"tiny",)"
-        R"("sweep":[{"gmemLatencyCycles":410},{},)"
-        R"({"gmemLatencyCycles":410}]})",
-        req, err))
-        << err;
-    EXPECT_EQ(req.op, service::Op::Batch);
-    EXPECT_EQ(req.workload, "bfs");
-    EXPECT_EQ(req.scale, core::Scale::Tiny);
-    ASSERT_EQ(req.sweep.size(), 3u);
-    // Duplicate points are legal at the grammar level; dedup is the
-    // memo's and the single-flight registry's job, not the parser's.
-    EXPECT_EQ(req.sweep[0].fingerprint(), req.sweep[2].fingerprint());
-    EXPECT_NE(req.sweep[0].fingerprint(), req.sweep[1].fingerprint());
-}
-
-TEST(Protocol, ParsesHelloRequestAndBounds)
-{
-    Request req;
-    std::string err;
-    ASSERT_TRUE(service::parseRequest(
-        R"({"op":"hello","id":"h1","weight":8})", req, err))
-        << err;
-    EXPECT_EQ(req.op, service::Op::Hello);
-    EXPECT_EQ(req.weight, 8u);
-    // The wire-level ceiling is a parse error, not a clamp — the
-    // server's own policy clamp (maxWeight) happens after admission.
-    ASSERT_TRUE(service::parseRequest(
-        R"({"op":"hello","id":"h2","weight":4096})", req, err))
-        << err;
-    EXPECT_EQ(req.weight, service::kMaxHelloWeight);
-    EXPECT_FALSE(service::parseRequest(
-        R"({"op":"hello","id":"h3","weight":4097})", req, err));
-}
-
-TEST(Protocol, BatchAndHelloGrammarRejections)
-{
-    struct Case
-    {
-        const char *line;
-        const char *needle;
-    } cases[] = {
-        // batch without a sweep / with a non-array sweep / empty
-        {R"({"op":"batch","id":"g1","workload":"bfs"})", "sweep"},
-        {R"({"op":"batch","id":"g2","workload":"bfs","sweep":{}})",
-         "sweep"},
-        {R"({"op":"batch","id":"g3","workload":"bfs","sweep":[]})",
-         "at least one"},
-        // a broken point is named by its index
-        {R"({"op":"batch","id":"g4","workload":"bfs",)"
-         R"("sweep":[{},{"numSMs":4}]})",
-         "sweep point 1"},
-        // keys misplaced across the new ops, never silently dropped
-        {R"({"op":"batch","id":"g5","workload":"bfs","sweep":[{}],)"
-         R"("config":{}})",
-         "config"},
-        {R"({"op":"sim","id":"g6","workload":"bfs","sweep":[{}]})",
-         "sweep"},
-        {R"({"op":"sim","id":"g7","workload":"bfs","weight":3})",
-         "weight"},
-        {R"({"op":"hello","id":"g8","weight":1,"workload":"bfs"})",
-         "workload"},
-        // hello weight must be a number in [1, kMaxHelloWeight]
-        {R"({"op":"hello","id":"g9","weight":0})", "weight"},
-        {R"({"op":"hello","id":"g10","weight":"big"})", "weight"},
-        {R"({"op":"hello","id":"g11"})", "weight"},
-    };
-    for (const Case &c : cases) {
-        Request req;
-        std::string err;
-        EXPECT_FALSE(service::parseRequest(c.line, req, err))
-            << "accepted: " << c.line;
-        EXPECT_NE(err.find(c.needle), std::string::npos)
-            << c.line << " -> " << err;
-    }
-}
-
-TEST(Protocol, OversizedSweepIsRejected)
-{
-    std::string line =
-        R"({"op":"batch","id":"big","workload":"bfs","sweep":[)";
-    for (size_t i = 0; i <= service::kMaxBatchPoints; ++i) {
-        if (i)
-            line += ",";
-        line += "{}";
-    }
-    line += "]}";
-    Request req;
-    std::string err;
-    EXPECT_FALSE(service::parseRequest(line, req, err));
-    EXPECT_NE(err.find("max is"), std::string::npos) << err;
-    // The id survives so the rejection can still be routed.
-    EXPECT_EQ(req.id, "big");
-}
-
-TEST(Protocol, PointAndCoalescedDoneRenderRoundTrip)
+TEST(Protocol, CoalescedDoneRenderRoundTrip)
 {
     Json root;
     std::string err;
-    std::string p = service::renderPointServed("b", 2, 77, true);
-    ASSERT_EQ(p.back(), '\n');
-    ASSERT_TRUE(Json::parse(p.substr(0, p.size() - 1), root, err))
-        << err;
-    EXPECT_EQ(root.get("id")->string(), "b");
-    EXPECT_EQ(root.get("type")->string(), "point");
-    EXPECT_EQ(root.get("status")->string(), "served");
-    EXPECT_DOUBLE_EQ(root.get("index")->number(), 2.0);
-    EXPECT_DOUBLE_EQ(root.get("bytes")->number(), 77.0);
-    EXPECT_DOUBLE_EQ(root.get("coalesced")->number(), 1.0);
-
-    std::string e =
-        service::renderPointError("b", 3, "sim", "boom \"x\"");
-    ASSERT_TRUE(Json::parse(e.substr(0, e.size() - 1), root, err))
-        << err;
-    EXPECT_EQ(root.get("type")->string(), "point");
-    EXPECT_EQ(root.get("status")->string(), "error");
-    EXPECT_DOUBLE_EQ(root.get("index")->number(), 3.0);
-    EXPECT_EQ(root.get("class")->string(), "sim");
-    EXPECT_EQ(root.get("message")->string(), "boom \"x\"");
-
     std::string d = service::renderDone("b", "cold", 4, 1000, 5, true);
+    ASSERT_EQ(d.back(), '\n');
     ASSERT_TRUE(Json::parse(d.substr(0, d.size() - 1), root, err))
         << err;
     EXPECT_EQ(root.get("type")->string(), "done");
@@ -609,6 +517,22 @@ TEST(Service, BadRequestsDoNotPoisonTheConnection)
     ASSERT_TRUE(c.sendSim("bad3", "nosuchworkload", "tiny", "{}"));
     ev = c.readEvent();
     EXPECT_EQ(ev.type, service::Event::Type::Rejected);
+
+    // Ops the daemon does not serve are rejected as unknown ops.
+    ASSERT_TRUE(c.sendRaw(R"({"op":"batch","id":"bad4",)"
+                          R"("workload":"backprop","sweep":[{}]})"
+                          "\n"));
+    ASSERT_TRUE(
+        c.sendRaw(R"({"op":"hello","id":"bad5","weight":4})"
+                  "\n"));
+    for (const char *id : {"bad4", "bad5"}) {
+        ev = c.readEvent();
+        EXPECT_EQ(ev.type, service::Event::Type::Rejected) << id;
+        EXPECT_EQ(ev.id, id);
+        EXPECT_EQ(ev.reason, "bad-request") << id;
+        EXPECT_NE(ev.detail.find("unknown op"), std::string::npos)
+            << ev.detail;
+    }
 
     // Oversized line: rejected and the excess discarded.
     std::string big(service::kMaxRequestBytes + 100, 'x');
@@ -872,6 +796,49 @@ TEST(Service, ColdQueueCapSheds)
     svc.stop();
 }
 
+TEST(Service, StopSettlesRequestsThatArriveDuringShutdown)
+{
+    ScratchDir scratch("stoprace");
+    ExperimentService svc(testConfig(scratch));
+    ASSERT_TRUE(svc.start());
+
+    ServiceClient c;
+    ASSERT_TRUE(c.connect(scratch.socket()));
+    ASSERT_TRUE(c.sendSim("prime", "backprop", "tiny", "{}"));
+    ASSERT_TRUE(c.await("prime").ok());
+
+    // One client loops warm sims until the connection goes, so
+    // stop() lands on requests in every stage: being read, queued,
+    // executing, and admitted after the lane workers have exited.
+    std::atomic<uint64_t> served{0};
+    uint64_t answered = 0, unanswered = 0;
+    std::thread loop([&] {
+        for (int i = 0;; ++i) {
+            std::string id = std::string("w").append(std::to_string(i));
+            if (!c.sendSim(id, "backprop", "tiny", "{}"))
+                return;
+            Outcome out = c.await(id);
+            if (out.status == Outcome::Status::Lost) {
+                // Lost after "accepted" = admitted, never answered.
+                unanswered += out.lane.empty() ? 0 : 1;
+                return;
+            }
+            answered += 1;
+            if (out.ok())
+                served += 1;
+            else
+                EXPECT_EQ(out.errorClass, "shutdown") << out.detail;
+        }
+    });
+    EXPECT_TRUE(eventually([&] { return served.load() >= 100; }));
+    svc.stop();
+    loop.join();
+
+    EXPECT_EQ(unanswered, 0u) << answered << " answered";
+    EXPECT_EQ(totalInFlight(svc), 0u);
+    EXPECT_EQ(svc.admission().queueDepth(Lane::Warm), 0u);
+}
+
 // ---------------------------------------------------------------
 // The isolation property: a cold flood from one client must not
 // move another client's warm-hit latency.
@@ -944,138 +911,81 @@ TEST(Service, WarmHitsAreIsolatedFromColdFlood)
     svc.stop();
 }
 
-// ---------------------------------------------------------------
-// The batch op: one admission unit, per-point streaming.
-// ---------------------------------------------------------------
-
-TEST(Service, BatchStreamsPerPointResultsAndDedupes)
+TEST(Service, LaneServesRequestsInArrivalOrder)
 {
-    ScratchDir scratch("batch");
-    ExperimentService svc(testConfig(scratch));
-    ASSERT_TRUE(svc.start());
-
-    ServiceClient c;
-    ASSERT_TRUE(c.connect(scratch.socket()));
-    uint64_t before = simsRun();
-    std::vector<std::string> sweep = {
-        R"({"gmemLatencyCycles":401})", "{}",
-        R"({"gmemLatencyCycles":401})"}; // duplicate of point 0
-    ASSERT_TRUE(c.sendBatch("b1", "backprop", "tiny", sweep));
-    Outcome out = c.await("b1");
-    ASSERT_TRUE(out.ok()) << out.detail;
-    ASSERT_EQ(out.points.size(), 3u);
-    for (const auto &pt : out.points)
-        EXPECT_TRUE(pt.ok) << pt.detail;
-    gpusim::KernelStats stats;
-    EXPECT_TRUE(gpusim::parseKernelStats(out.points[0].payload, stats))
-        << out.points[0].payload.substr(0, 200);
-    // The duplicate point is served byte-identically without paying
-    // for a second simulation: 3 points, 2 distinct fingerprints,
-    // exactly 2 sims.
-    EXPECT_EQ(out.points[0].payload, out.points[2].payload);
-    EXPECT_NE(out.points[0].payload, out.points[1].payload);
-    EXPECT_EQ(simsRun(), before + 2);
-
-    // Replaying the whole sweep is a warm hit end to end.
-    ASSERT_TRUE(c.sendBatch("b2", "backprop", "tiny", sweep));
-    Outcome again = c.await("b2");
-    ASSERT_TRUE(again.ok()) << again.detail;
-    EXPECT_EQ(again.lane, "warm");
-    EXPECT_EQ(simsRun(), before + 2);
-    ASSERT_EQ(again.points.size(), 3u);
-    EXPECT_EQ(again.points[0].payload, out.points[0].payload);
-    svc.stop();
-}
-
-TEST(Service, BatchDeadlineAbortsRemainder)
-{
-    ScratchDir scratch("batchdl");
+    ScratchDir scratch("fifo");
     ServiceConfig cfg = testConfig(scratch);
-    cfg.coldWorkers = 1;
-    ExperimentService svc(cfg);
-    ASSERT_TRUE(svc.start());
-
-    ServiceClient c;
-    ASSERT_TRUE(c.connect(scratch.socket()));
-    // Four full-scale points against a 1 ms deadline: the watchdog
-    // fires while the batch is queued or inside an early point, and
-    // the remainder must be abandoned with one terminal error (not
-    // ground through point by point).
-    std::vector<std::string> sweep;
-    for (int i = 0; i < 4; ++i)
-        sweep.push_back("{\"gmemLatencyCycles\":" +
-                        std::to_string(700 + i) + "}");
-    ASSERT_TRUE(c.sendBatch("late", "bfs", "full", sweep, 1.0));
-    Outcome out = c.await("late");
-    ASSERT_EQ(out.status, Outcome::Status::Error) << out.lane;
-    EXPECT_EQ(out.errorClass, "deadline");
-    EXPECT_LT(out.points.size(), 4u);
-    // The connection is still usable after the abort.
-    ASSERT_TRUE(c.sendSim("ok", "backprop", "tiny", "{}"));
-    EXPECT_TRUE(c.await("ok").ok());
-    svc.stop();
-}
-
-TEST(Service, BatchMidStreamDisconnectSettlesAccounting)
-{
-    ScratchDir scratch("batchhang");
-    ServiceConfig cfg = testConfig(scratch);
-    cfg.coldWorkers = 1;
-    ExperimentService svc(cfg);
-    ASSERT_TRUE(svc.start());
-
+    cfg.coldWorkers = 1; // span start order = service order
+    driver::TraceCollector trace;
+    driver::TraceCollector::install(&trace);
+    struct Uninstall
     {
-        ServiceClient doomed;
-        ASSERT_TRUE(doomed.connect(scratch.socket()));
-        std::vector<std::string> sweep;
-        for (int i = 0; i < 3; ++i)
-            sweep.push_back("{\"gmemLatencyCycles\":" +
-                            std::to_string(800 + i) + "}");
-        ASSERT_TRUE(doomed.sendBatch("d1", "bfs", "full", sweep));
-        EXPECT_EQ(doomed.readEvent().type,
-                  service::Event::Type::Accepted);
-        doomed.close();
-    }
-    // A batch is ONE admission unit: the hangup must release exactly
-    // one in-flight unit and the daemon keeps serving.
-    ServiceClient c;
-    ASSERT_TRUE(c.connect(scratch.socket()));
-    ASSERT_TRUE(c.sendSim("ok", "backprop", "tiny", "{}"));
-    EXPECT_TRUE(c.await("ok").ok());
-    for (int i = 0; i < 200; ++i) {
-        uint64_t inFlight = 0;
-        for (const auto &[name, cs] : svc.admission().snapshot())
-            inFlight += cs.inFlight;
-        if (inFlight == 0)
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    }
-    uint64_t inFlight = 0;
-    for (const auto &[name, cs] : svc.admission().snapshot())
-        inFlight += cs.inFlight;
-    EXPECT_EQ(inFlight, 0u);
-    svc.stop();
-}
-
-TEST(Service, HelloSetsWeightAndAcks)
-{
-    ScratchDir scratch("hello");
-    ExperimentService svc(testConfig(scratch));
+        ~Uninstall() { driver::TraceCollector::install(nullptr); }
+    } uninstall; // outlives svc, so no worker records past it
+    ExperimentService svc(cfg);
     ASSERT_TRUE(svc.start());
 
-    ServiceClient c;
-    ASSERT_TRUE(c.connect(scratch.socket()));
-    ASSERT_TRUE(c.sendHello("h1", 8));
-    Outcome out = c.await("h1");
-    ASSERT_TRUE(out.ok()) << out.detail;
-    EXPECT_EQ(out.lane, "hello");
-    // Over-asking is clamped server-side (policy maxWeight), not an
-    // error; re-declaring is fine; work still flows afterwards.
-    ASSERT_TRUE(c.sendHello("h2", service::kMaxHelloWeight));
-    EXPECT_TRUE(c.await("h2").ok());
-    ASSERT_TRUE(c.sendSim("s", "backprop", "tiny", "{}"));
-    EXPECT_TRUE(c.await("s").ok());
+    // A slow full-scale gate holds the only cold worker while both
+    // clients queue their requests behind it.
+    ServiceClient gate;
+    ASSERT_TRUE(gate.connect(scratch.socket()));
+    ASSERT_TRUE(gate.sendSim("gate", "srad", "full", "{}"));
+    ASSERT_TRUE(eventually([&] {
+        return totalInFlight(svc) == 1 &&
+               svc.admission().queueDepth(Lane::Cold) == 0;
+    })) << "gate never started";
+
+    // Client A queues 4 distinct tiny sims, then client B queues 2.
+    // Distinct workloads so each span's "what" names its client.
+    ServiceClient a, b;
+    ASSERT_TRUE(a.connect(scratch.socket()));
+    ASSERT_TRUE(b.connect(scratch.socket()));
+    auto id = [](char who, int i) {
+        return std::string(1, who).append(std::to_string(i));
+    };
+    auto config = [](int latency) {
+        return "{\"gmemLatencyCycles\":" + std::to_string(latency) + "}";
+    };
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(
+            a.sendSim(id('a', i), "backprop", "tiny", config(430 + i)));
+    ASSERT_TRUE(eventually([&] {
+        return svc.admission().queueDepth(Lane::Cold) == 4;
+    }));
+    for (int i = 0; i < 2; ++i)
+        ASSERT_TRUE(b.sendSim(id('b', i), "bfs", "tiny", config(450 + i)));
+    ASSERT_TRUE(eventually([&] {
+        return svc.admission().queueDepth(Lane::Cold) == 6;
+    }));
+
+    EXPECT_TRUE(gate.await("gate").ok());
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(a.await(id('a', i)).ok());
+    for (int i = 0; i < 2; ++i)
+        ASSERT_TRUE(b.await(id('b', i)).ok());
     svc.stop();
+
+    // Service order, gate excluded, from the start times of the
+    // service "sim" spans (one per request, one line each).
+    std::vector<std::pair<uint64_t, char>> started;
+    std::istringstream lines(trace.render());
+    for (std::string line; std::getline(lines, line);) {
+        if (line.find(R"("cat":"service","name":"sim")") ==
+            std::string::npos)
+            continue;
+        size_t ts = line.find(R"("ts":)");
+        ASSERT_NE(ts, std::string::npos) << line;
+        uint64_t start = std::stoull(line.substr(ts + 5));
+        if (line.find(R"("what":"backprop")") != std::string::npos)
+            started.emplace_back(start, 'a');
+        else if (line.find(R"("what":"bfs")") != std::string::npos)
+            started.emplace_back(start, 'b');
+    }
+    std::sort(started.begin(), started.end());
+    std::string order;
+    for (const auto &[start, who] : started)
+        order += who;
+    EXPECT_EQ(order, "aaaabb");
 }
 
 // ---------------------------------------------------------------
@@ -1146,78 +1056,6 @@ TEST(ServiceSmoke, ExploadReplaysGoldenTraffic)
     EXPECT_NE(out.find("golden_mismatch=0"), std::string::npos)
         << out;
     EXPECT_NE(out.find("EXPLOAD ok=1"), std::string::npos) << out;
-
-    kill(daemon, SIGTERM);
-    ASSERT_EQ(waitpid(daemon, &st, 0), daemon);
-    ASSERT_TRUE(WIFEXITED(st));
-    EXPECT_EQ(WEXITSTATUS(st), 0);
-}
-
-TEST(ServiceSmoke, ExploadWeightedBatchReplayReportsCoalescing)
-{
-    // The weighted/batch replay modes: two clients with 3:1 weights
-    // sweep the SAME batch points concurrently, so the run exercises
-    // hello, batch streaming, and single-flight coalescing end to
-    // end, and the extended EXPLOAD summary must carry the coalesce
-    // rate and per-client served shares.
-    ScratchDir scratch("smokewfq");
-    std::string sock = scratch.socket();
-    std::string cacheDir = scratch.cache();
-
-    pid_t daemon = fork();
-    ASSERT_GE(daemon, 0);
-    if (daemon == 0) {
-        const char *argv[] = {RODINIA_EXPERIMENTD_BIN, "--socket",
-                              sock.c_str(),  "--cache-dir",
-                              cacheDir.c_str(), "--max-weight", "16",
-                              nullptr};
-        execv(argv[0], const_cast<char **>(argv));
-        _exit(127);
-    }
-
-    int fds[2];
-    ASSERT_EQ(pipe(fds), 0);
-    pid_t load = fork();
-    ASSERT_GE(load, 0);
-    if (load == 0) {
-        dup2(fds[1], STDOUT_FILENO);
-        close(fds[0]);
-        close(fds[1]);
-        const char *argv[] = {RODINIA_EXPLOAD_BIN,
-                              "--socket", sock.c_str(),
-                              "--clients", "2",
-                              "--requests", "3",
-                              "--warm-ratio", "0",
-                              "--seed", "7",
-                              "--workload", "backprop",
-                              "--scale", "tiny",
-                              "--batch", "2",
-                              "--weights", "3,1",
-                              nullptr};
-        execv(argv[0], const_cast<char **>(argv));
-        _exit(127);
-    }
-    close(fds[1]);
-    std::string out;
-    char buf[4096];
-    for (;;) {
-        ssize_t n = read(fds[0], buf, sizeof(buf));
-        if (n > 0) {
-            out.append(buf, size_t(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-    close(fds[0]);
-    int st = 0;
-    ASSERT_EQ(waitpid(load, &st, 0), load);
-    ASSERT_TRUE(WIFEXITED(st)) << out;
-    EXPECT_EQ(WEXITSTATUS(st), 0) << out;
-    EXPECT_NE(out.find("EXPLOAD ok=1"), std::string::npos) << out;
-    EXPECT_NE(out.find("coalesce_rate="), std::string::npos) << out;
-    EXPECT_NE(out.find("shares="), std::string::npos) << out;
 
     kill(daemon, SIGTERM);
     ASSERT_EQ(waitpid(daemon, &st, 0), daemon);

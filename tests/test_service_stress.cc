@@ -1,17 +1,9 @@
 /**
  * @file
- * Service stress and fairness layer (the service-stress CI lane).
+ * Service stress layer (the service-stress CI lane).
  *
- * Three suites, named so the service-smoke lane's filter does not
- * pick them up:
- *
- *  - Wfq: deficit-round-robin properties of WfqQueue — served-share
- *    proportionality, the starvation regression (a weight-1 client
- *    progresses every round no matter how heavy the competing
- *    flood), idle-credit forfeiture, no mid-round barging, quantum
- *    scaling, composition with the per-client quota, and a
- *    deterministic end-to-end served-order check read from the
- *    daemon's service spans.
+ * Two suites, named so the service-smoke lane's filter does not pick
+ * them up:
  *
  *  - SingleFlight: coalescing edge cases over a live daemon —
  *    followers receive the leader's bytes while exactly one sim
@@ -20,7 +12,7 @@
  *    follower (and the next identical request re-executes), and
  *    serial identical requests never count as coalesced.
  *
- *  - Stress: a seeded multi-client flood (mixed warm/cold/batch/
+ *  - Stress: a seeded multi-client flood (mixed warm/cold/pipelined/
  *    cancel plus a mid-stream disconnect) asserting the acceptance
  *    criterion directly: sims computed == distinct fingerprints
  *    requested, responses byte-identical across every client, and
@@ -31,19 +23,15 @@
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
-#include <map>
 #include <mutex>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "driver/context.hh"
-#include "driver/tracing.hh"
 #include "gpusim/timing.hh"
 #include "service/admission.hh"
 #include "service/client.hh"
@@ -52,15 +40,11 @@
 #include "support/metrics.hh"
 
 using namespace rodinia;
-using service::AdmissionController;
-using service::AdmissionPolicy;
 using service::ExperimentService;
 using service::Lane;
 using service::Outcome;
 using service::ServiceClient;
 using service::ServiceConfig;
-using service::Verdict;
-using service::WfqQueue;
 
 namespace {
 
@@ -139,288 +123,6 @@ eventually(Pred pred)
 }
 
 } // namespace
-
-// ---------------------------------------------------------------
-// Wfq: deficit-round-robin properties (single-threaded, exact).
-// ---------------------------------------------------------------
-
-TEST(Wfq, ServedShareMatchesWeightsUnderSaturation)
-{
-    WfqQueue<int> q;
-    q.setWeight("heavy", 3);
-    q.setWeight("light", 1);
-    // Both clients stay backlogged for the whole window, so each
-    // full round serves exactly quantum x weight items per client:
-    // the 3:1 served-share ratio is exact, not approximate.
-    for (int i = 0; i < 30; ++i)
-        q.push("heavy", 100 + i);
-    for (int i = 0; i < 10; ++i)
-        q.push("light", 200 + i);
-
-    std::map<std::string, int> served;
-    std::map<std::string, int> nextVal = {{"heavy", 100},
-                                          {"light", 200}};
-    int item = 0;
-    std::string who;
-    for (int i = 0; i < 24; ++i) { // 6 full rounds of 4
-        ASSERT_TRUE(q.pop(item, &who));
-        served[who] += 1;
-        // FIFO within one client's sub-queue.
-        EXPECT_EQ(item, nextVal[who]++);
-    }
-    EXPECT_EQ(served["heavy"], 18); // 3/4 of 24
-    EXPECT_EQ(served["light"], 6);  // 1/4 of 24
-    EXPECT_EQ(q.size(), 16u);
-}
-
-TEST(Wfq, WeightOneClientIsNeverStarvedByAFlood)
-{
-    // The starvation regression: under the old FIFO lane queue a
-    // client with a deep backlog monopolized the workers until it
-    // drained. Under DRR the weight-1 client is served at least
-    // once per round — within every window of (8 + 1) pops.
-    WfqQueue<std::string> q;
-    q.setWeight("flood", 8);
-    q.setWeight("meek", 1);
-    for (int i = 0; i < 800; ++i)
-        q.push("flood", std::string("f").append(std::to_string(i)));
-    for (int i = 0; i < 10; ++i)
-        q.push("meek", std::string("m").append(std::to_string(i)));
-
-    std::string item, who;
-    int sinceMeek = 0, meekServed = 0;
-    for (int i = 0; i < 9 * 10; ++i) {
-        ASSERT_TRUE(q.pop(item, &who));
-        if (who == "meek") {
-            meekServed += 1;
-            sinceMeek = 0;
-        } else {
-            sinceMeek += 1;
-            // Never more than one full flood allotment between two
-            // meek servings.
-            EXPECT_LE(sinceMeek, 8) << "starved at pop " << i;
-        }
-    }
-    EXPECT_EQ(meekServed, 10); // meek drained inside 10 rounds
-}
-
-TEST(Wfq, IdleCreditIsForfeitedNotBanked)
-{
-    // A client whose sub-queue drains mid-allotment forfeits the
-    // leftover credit: going idle must never buy a burst later.
-    WfqQueue<int> q;
-    q.setWeight("a", 4);
-    q.setWeight("b", 1);
-    q.push("a", 1);
-    q.push("a", 2);
-    int item = 0;
-    std::string who;
-    ASSERT_TRUE(q.pop(item, &who)); // a drains with 2 credits left
-    ASSERT_TRUE(q.pop(item, &who));
-    EXPECT_TRUE(q.empty());
-
-    // Re-backlogged against b: a's round allotment is still exactly
-    // 4 — the forfeited credits are gone.
-    for (int i = 0; i < 8; ++i)
-        q.push("a", 10 + i);
-    for (int i = 0; i < 4; ++i)
-        q.push("b", 20 + i);
-    std::vector<std::string> order;
-    while (q.pop(item, &who))
-        order.push_back(who);
-    std::vector<std::string> want = {"a", "a", "a", "a", "b", //
-                                     "a", "a", "a", "a", "b", //
-                                     "b", "b"};
-    EXPECT_EQ(order, want);
-}
-
-TEST(Wfq, NewcomerJoinsTheRoundTailNotMidRound)
-{
-    WfqQueue<int> q;
-    q.setWeight("a", 2);
-    q.setWeight("b", 2);
-    for (int i = 0; i < 4; ++i)
-        q.push("a", i);
-    int item = 0;
-    std::string who;
-    ASSERT_TRUE(q.pop(item, &who));
-    EXPECT_EQ(who, "a");
-    // b arrives while a's allotment is half used: it must wait for
-    // the allotment to finish, never barge in mid-round.
-    for (int i = 0; i < 2; ++i)
-        q.push("b", 10 + i);
-    std::vector<std::string> order;
-    while (q.pop(item, &who))
-        order.push_back(who);
-    std::vector<std::string> want = {"a", "b", "b", "a", "a"};
-    EXPECT_EQ(order, want);
-}
-
-TEST(Wfq, QuantumScalesEveryAllotment)
-{
-    WfqQueue<int> q(3); // quantum 3: weight-1 clients get 3/round
-    q.setWeight("a", 2);
-    // b keeps the default weight 1.
-    for (int i = 0; i < 12; ++i)
-        q.push("a", i);
-    for (int i = 0; i < 6; ++i)
-        q.push("b", 100 + i);
-    std::map<std::string, int> first9;
-    int item = 0;
-    std::string who;
-    for (int i = 0; i < 9; ++i) { // one full round: 6 a + 3 b
-        ASSERT_TRUE(q.pop(item, &who));
-        first9[who] += 1;
-    }
-    EXPECT_EQ(first9["a"], 6);
-    EXPECT_EQ(first9["b"], 3);
-}
-
-TEST(Wfq, PopOnEmptyIsFalseAndWeightsPersistAcrossIdle)
-{
-    WfqQueue<int> q;
-    int item = 0;
-    EXPECT_FALSE(q.pop(item));
-    q.setWeight("a", 5);
-    q.push("a", 1);
-    ASSERT_TRUE(q.pop(item));
-    EXPECT_FALSE(q.pop(item));
-    // The weight declared before the idle period still holds.
-    EXPECT_EQ(q.weight("a"), 5u);
-    EXPECT_EQ(q.weight("never-seen"), 1u);
-}
-
-TEST(Wfq, ComposesWithPerClientQuota)
-{
-    // The quota bounds how deep a backlog ANY weight can amplify: a
-    // weight-8 client with a quota of 2 gets at most 2 items into
-    // the queue, so its round allotment is moot beyond that.
-    AdmissionPolicy policy;
-    policy.perClientInFlight = 2;
-    AdmissionController ac(policy);
-    WfqQueue<std::string> q;
-    q.setWeight("hog", 8);
-    q.setWeight("small", 1);
-
-    int hogQueued = 0;
-    for (int i = 0; i < 5; ++i) {
-        if (ac.admit("hog", Lane::Cold) == Verdict::Admit) {
-            q.push("hog", std::string("h").append(std::to_string(i)));
-            ++hogQueued;
-        }
-    }
-    EXPECT_EQ(hogQueued, 2); // quota, not weight, set the depth
-    ASSERT_EQ(ac.admit("small", Lane::Cold), Verdict::Admit);
-    q.push("small", "s0");
-
-    std::vector<std::string> order;
-    std::string item, who;
-    while (q.pop(item, &who)) {
-        order.push_back(who);
-        ac.started(Lane::Cold);
-        ac.finish(who, Lane::Cold, true);
-    }
-    std::vector<std::string> want = {"hog", "hog", "small"};
-    EXPECT_EQ(order, want);
-    // Everything settled: the quota is fully released again.
-    EXPECT_EQ(ac.admit("hog", Lane::Cold), Verdict::Admit);
-}
-
-// ---------------------------------------------------------------
-// Wfq end to end: served ORDER over a live daemon. Every request
-// records one service span from the moment a worker takes it, and
-// with one cold worker span start order == DRR service order.
-// ---------------------------------------------------------------
-
-TEST(Wfq, ServedShareTracksWeightsEndToEnd)
-{
-    ScratchDir scratch("wfq_e2e");
-    ServiceConfig cfg = testConfig(scratch);
-    cfg.coldWorkers = 1; // serialize: span start order = DRR order
-    driver::TraceCollector trace;
-    driver::TraceCollector::install(&trace);
-    struct Uninstall
-    {
-        ~Uninstall() { driver::TraceCollector::install(nullptr); }
-    } uninstall; // outlives svc, so no worker records past it
-    ExperimentService svc(cfg);
-    ASSERT_TRUE(svc.start());
-
-    // A slow full-scale gate occupies the only cold worker while
-    // both competitors enqueue their whole backlog.
-    ServiceClient gate;
-    ASSERT_TRUE(gate.connect(scratch.socket()));
-    ASSERT_TRUE(gate.sendSim("gate", "srad", "full", "{}"));
-    ASSERT_TRUE(eventually([&] {
-        return totalInFlight(svc) == 1 &&
-               svc.admission().queueDepth(Lane::Cold) == 0;
-    })) << "gate never started";
-
-    // Heavy (weight 4) backlogs 8 distinct tiny sims; light (weight
-    // 1) backlogs 2. Distinct workloads so the spans' "what" names
-    // the client that issued them.
-    ServiceClient heavy, light;
-    ASSERT_TRUE(heavy.connect(scratch.socket()));
-    ASSERT_TRUE(light.connect(scratch.socket()));
-    ASSERT_TRUE(heavy.sendHello("hh", 4));
-    ASSERT_TRUE(heavy.await("hh").ok());
-    ASSERT_TRUE(light.sendHello("lh", 1));
-    ASSERT_TRUE(light.await("lh").ok());
-    for (int i = 0; i < 8; ++i)
-        ASSERT_TRUE(heavy.sendSim(
-            "h" + std::to_string(i), "backprop", "tiny",
-            "{\"gmemLatencyCycles\":" + std::to_string(430 + i) +
-                "}"));
-    for (int i = 0; i < 2; ++i)
-        ASSERT_TRUE(light.sendSim(
-            "l" + std::to_string(i), "bfs", "tiny",
-            "{\"gmemLatencyCycles\":" + std::to_string(450 + i) +
-                "}"));
-    ASSERT_TRUE(eventually([&] {
-        return svc.admission().queueDepth(Lane::Cold) == 10;
-    })) << "backlog never fully enqueued; depth "
-        << svc.admission().queueDepth(Lane::Cold);
-
-    EXPECT_TRUE(gate.await("gate").ok());
-    for (int i = 0; i < 8; ++i)
-        ASSERT_TRUE(heavy.await("h" + std::to_string(i)).ok());
-    for (int i = 0; i < 2; ++i)
-        ASSERT_TRUE(light.await("l" + std::to_string(i)).ok());
-
-    svc.stop();
-
-    // Service order, gate excluded, from the start times of the
-    // service "sim" spans (one per request, one line each): with
-    // weights 4:1 and both clients backlogged, every DRR round serves
-    // 4 heavy + 1 light, so each window of 5 holds exactly one light
-    // sim.
-    std::vector<std::pair<uint64_t, std::string>> started;
-    std::istringstream lines(trace.render());
-    for (std::string line; std::getline(lines, line);) {
-        if (line.find(R"("cat":"service","name":"sim")") ==
-            std::string::npos)
-            continue;
-        size_t ts = line.find(R"("ts":)");
-        ASSERT_NE(ts, std::string::npos) << line;
-        uint64_t start = std::stoull(line.substr(ts + 5));
-        if (line.find(R"("what":"backprop")") != std::string::npos)
-            started.emplace_back(start, "heavy");
-        else if (line.find(R"("what":"bfs")") != std::string::npos)
-            started.emplace_back(start, "light");
-    }
-    std::sort(started.begin(), started.end());
-    std::vector<std::string> order;
-    for (const auto &[start, who] : started)
-        order.push_back(who);
-    ASSERT_EQ(order.size(), 10u);
-    int lightFirst5 = 0, lightSecond5 = 0;
-    for (int i = 0; i < 5; ++i)
-        lightFirst5 += order[size_t(i)] == "light";
-    for (int i = 5; i < 10; ++i)
-        lightSecond5 += order[size_t(i)] == "light";
-    EXPECT_EQ(lightFirst5, 1) << "round 1 violated the 4:1 share";
-    EXPECT_EQ(lightSecond5, 1) << "round 2 violated the 4:1 share";
-}
 
 // ---------------------------------------------------------------
 // SingleFlight: coalescing edge cases over a live daemon.
@@ -703,26 +405,28 @@ TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
             }
             int v = r % kPool;
             std::string sid = id + "p";
-            bool batch = rng() % 3 == 0;
-            if (batch) {
-                // A 2-point sweep over pool variants: same dedup
-                // rules, one admission unit.
-                std::vector<std::string> sweep = {
-                    poolConfig(v), poolConfig((v + 1) % kPool)};
-                if (!c.sendBatch(sid, "backprop", "tiny", sweep)) {
+            bool pipelined = rng() % 3 == 0;
+            if (pipelined) {
+                // Two pool sims in flight on one connection, awaited
+                // in reverse order: the client buffers the first
+                // one's responses while it waits for the second.
+                int w = (v + 1) % kPool;
+                std::string sid2 = id + "q";
+                if (!c.sendSim(sid, "backprop", "tiny", poolConfig(v)) ||
+                    !c.sendSim(sid2, "backprop", "tiny",
+                               poolConfig(w))) {
                     failures[size_t(idx)] += 1;
                     continue;
                 }
-                Outcome out = c.await(sid);
-                if (!out.ok() || out.points.size() != 2 ||
-                    !out.points[0].ok || !out.points[1].ok) {
+                Outcome second = c.await(sid2);
+                Outcome first = c.await(sid);
+                if (!first.ok() || !second.ok()) {
                     failures[size_t(idx)] += 1;
                     continue;
                 }
                 std::lock_guard<std::mutex> lock(seenMu);
-                seen[size_t(v)].push_back(out.points[0].payload);
-                seen[size_t((v + 1) % kPool)].push_back(
-                    out.points[1].payload);
+                seen[size_t(v)].push_back(first.payload);
+                seen[size_t(w)].push_back(second.payload);
             } else {
                 if (!c.sendSim(sid, "backprop", "tiny",
                                poolConfig(v))) {
@@ -751,8 +455,7 @@ TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
     // Zero duplicate cold executions: sims computed == distinct
     // fingerprints in the pool.
     EXPECT_EQ(simsRun(), sims0 + uint64_t(kPool));
-    // Byte-identical responses for every variant, across clients and
-    // the single/batch paths.
+    // Byte-identical responses for every variant, across clients.
     for (int v = 0; v < kPool; ++v) {
         ASSERT_FALSE(seen[size_t(v)].empty()) << "variant " << v;
         for (const auto &payload : seen[size_t(v)])

@@ -7,14 +7,16 @@
  * warm driver::Context, one ResultStore, and one Executor across all
  * of them. Where `experiments` pays process startup and a context
  * rebuild per batch run, a warm daemon serves every memoized result
- * at socket round-trip cost.
+ * at socket round-trip cost. Each request is classified warm or
+ * cold, and each lane has its own workers serving its queue in
+ * arrival order.
  *
  * Usage:
  *   experimentd --socket PATH [--cache-dir DIR] [--no-cache]
  *               [--jobs N] [--cold-workers N] [--warm-workers N]
  *               [--max-cold-queue N] [--max-warm-queue N]
- *               [--per-client N] [--max-weight N]
- *               [--deadline MS] [--trace FILE] [--verbose]
+ *               [--per-client N] [--deadline MS] [--trace FILE]
+ *               [--verbose]
  *
  * Runs until SIGINT/SIGTERM, then drains (queued requests fail as
  * "shutdown"), prints the per-client accounting table, and exits 0.
@@ -62,8 +64,6 @@ usage(const char *argv0)
         "  --max-warm-queue N warm queue depth cap (default 256)\n"
         "  --per-client N     per-client in-flight quota (default "
         "16)\n"
-        "  --max-weight N     WFQ weight ceiling for 'hello'\n"
-        "                     (default 64)\n"
         "  --deadline MS      default soft deadline for requests\n"
         "                     that send none (default: none)\n"
         "  --trace FILE       write a Chrome trace_event JSON dump\n"
@@ -155,12 +155,6 @@ main(int argc, char **argv)
                 !parsePositive("--per-client", v, 1, 1 << 20, n))
                 return 2;
             cfg.admission.perClientInFlight = size_t(n);
-        } else if (!std::strcmp(arg, "--max-weight")) {
-            const char *v = value();
-            if (!v ||
-                !parsePositive("--max-weight", v, 1, 4096, n))
-                return 2;
-            cfg.admission.maxWeight = uint32_t(n);
         } else if (!std::strcmp(arg, "--deadline")) {
             const char *v = value();
             if (!v ||

@@ -5,8 +5,9 @@
  * Spawns N client threads, each holding one connection to the
  * daemon, and replays a deterministic mix of warm figure requests
  * and cold simulation requests (cold requests carry globally-unique
- * SimConfig variants so every one forces a fresh simulation). The
- * mix, arrival pacing, and per-client request streams are all
+ * SimConfig variants so every one forces a fresh simulation). Each
+ * client runs closed loop, sending its next request once the last
+ * one finished; the mix and the per-client request streams are
  * derived from --seed, so a run is exactly reproducible.
  *
  * Latencies are recorded client-side into the process metrics
@@ -25,7 +26,6 @@
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -55,15 +55,9 @@ struct Options
     std::string figure = "fig1";
     std::string workload = "backprop";
     std::string scale = "tiny";
-    double rate = 0.0; //!< requests/sec per client; 0 = closed loop
     double deadlineMs = 0.0;
     std::string goldenDir;
     bool printStats = false;
-    std::vector<uint32_t> weights; //!< per-client WFQ weights
-                                   //!< (cycled); empty = no hello
-    int batch = 0;  //!< points per cold batch; 0 = single sims.
-                    //!< Batch variants are SHARED across clients, so
-                    //!< concurrent clients coalesce naturally.
 };
 
 /** Per-thread tallies, summed after join. */
@@ -75,8 +69,6 @@ struct Tally
     uint64_t errors = 0;
     uint64_t lost = 0;
     uint64_t goldenMismatch = 0;
-    uint64_t simsServed = 0; //!< single sims + batch points
-    uint64_t coalesced = 0;  //!< of simsServed, rode another request
 
     void
     merge(const Tally &o)
@@ -87,8 +79,6 @@ struct Tally
         errors += o.errors;
         lost += o.lost;
         goldenMismatch += o.goldenMismatch;
-        simsServed += o.simsServed;
-        coalesced += o.coalesced;
     }
 };
 
@@ -111,17 +101,7 @@ usage(const char *argv0)
         "backprop)\n"
         "  --scale S        tiny|small|full|paper for cold sims (default "
         "tiny)\n"
-        "  --rate R         requests/sec per client (default: "
-        "closed\n"
-        "                   loop, send next on completion)\n"
         "  --deadline MS    per-request soft deadline\n"
-        "  --weights W,...  per-client WFQ weights, comma list\n"
-        "                   cycled over clients; each client sends\n"
-        "                   'hello' before its stream\n"
-        "  --batch N        cold requests become batch sweeps of N\n"
-        "                   points each; variant indices are shared\n"
-        "                   across clients so concurrent batches\n"
-        "                   coalesce (single flight)\n"
         "  --golden DIR     byte-compare figure payloads against\n"
         "                   DIR/<figure>.txt; mismatch fails the "
         "run\n"
@@ -175,28 +155,10 @@ runClient(const Options &opt, int clientIdx, Tally &tally,
         tally.lost += uint64_t(opt.requests);
         return;
     }
-    if (!opt.weights.empty()) {
-        uint32_t w =
-            opt.weights[size_t(clientIdx) % opt.weights.size()];
-        if (!conn.sendHello("hello", w) || !conn.await("hello").ok()) {
-            tally.lost += uint64_t(opt.requests);
-            return;
-        }
-    }
     Rng rng(opt.seed * 1000003ULL + uint64_t(clientIdx));
     using clock = std::chrono::steady_clock;
-    auto interval =
-        opt.rate > 0.0
-            ? std::chrono::duration_cast<clock::duration>(
-                  std::chrono::duration<double>(1.0 / opt.rate))
-            : clock::duration::zero();
-    auto nextSend = clock::now();
 
     for (int r = 0; r < opt.requests; ++r) {
-        if (opt.rate > 0.0) {
-            std::this_thread::sleep_until(nextSend);
-            nextSend += interval;
-        }
         bool warm = rng.uniform() < opt.warmRatio;
         std::string id = std::string("c")
                              .append(std::to_string(clientIdx))
@@ -206,19 +168,6 @@ runClient(const Options &opt, int clientIdx, Tally &tally,
         bool wrote;
         if (warm) {
             wrote = conn.sendFigure(id, opt.figure, opt.deadlineMs);
-        } else if (opt.batch > 0) {
-            // Batch variants depend only on (r, p), NOT the client
-            // index: concurrent clients sweep the same points, which
-            // is exactly the traffic single-flight coalesces.
-            std::vector<std::string> sweep;
-            sweep.reserve(size_t(opt.batch));
-            for (int p = 0; p < opt.batch; ++p)
-                sweep.push_back("{\"gmemLatencyCycles\":" +
-                                std::to_string(400 + r * opt.batch +
-                                               p) +
-                                "}");
-            wrote = conn.sendBatch(id, opt.workload, opt.scale,
-                                   sweep, opt.deadlineMs);
         } else {
             int variant = clientIdx * opt.requests + r;
             std::string cfg =
@@ -240,21 +189,6 @@ runClient(const Options &opt, int clientIdx, Tally &tally,
         switch (out.status) {
         case service::Outcome::Status::Served:
             tally.served += 1;
-            if (!warm && opt.batch > 0) {
-                for (const auto &pt : out.points) {
-                    if (!pt.ok) {
-                        tally.errors += 1;
-                        continue;
-                    }
-                    tally.simsServed += 1;
-                    if (pt.coalesced)
-                        tally.coalesced += 1;
-                }
-            } else if (!warm) {
-                tally.simsServed += 1;
-                if (out.coalesced)
-                    tally.coalesced += 1;
-            }
             metrics::observeLabeled("expload.latency_us",
                                     out.lane.empty()
                                         ? (warm ? "warm" : "cold")
@@ -352,43 +286,10 @@ main(int argc, char **argv)
             if (!v)
                 return 2;
             opt.scale = v;
-        } else if (!std::strcmp(arg, "--rate")) {
-            if (!number(0.001, 1e6, d))
-                return 2;
-            opt.rate = d;
         } else if (!std::strcmp(arg, "--deadline")) {
             if (!number(1, 86400000, d))
                 return 2;
             opt.deadlineMs = d;
-        } else if (!std::strcmp(arg, "--weights")) {
-            const char *v = value();
-            if (!v)
-                return 2;
-            std::string s(v);
-            size_t pos = 0;
-            while (pos <= s.size()) {
-                size_t comma = s.find(',', pos);
-                std::string tok = s.substr(
-                    pos, comma == std::string::npos ? std::string::npos
-                                                    : comma - pos);
-                char *end = nullptr;
-                long w = std::strtol(tok.c_str(), &end, 10);
-                if (end == tok.c_str() || *end != '\0' || w < 1 ||
-                    w > 4096) {
-                    std::fprintf(stderr,
-                                 "--weights: bad weight '%s'\n",
-                                 tok.c_str());
-                    return 2;
-                }
-                opt.weights.push_back(uint32_t(w));
-                if (comma == std::string::npos)
-                    break;
-                pos = comma + 1;
-            }
-        } else if (!std::strcmp(arg, "--batch")) {
-            if (!number(1, 128, d))
-                return 2;
-            opt.batch = int(d);
         } else if (!std::strcmp(arg, "--golden")) {
             const char *v = value();
             if (!v)
@@ -488,27 +389,9 @@ main(int argc, char **argv)
 
     bool ok = total.goldenMismatch == 0 && total.errors == 0 &&
               total.lost == 0 && total.served > 0;
-    // Coalesce hit rate over the sims this run actually had served
-    // (batch points included), and each client's share of all served
-    // requests — the observable side of WFQ weighting.
-    double coalesceRate =
-        total.simsServed > 0
-            ? double(total.coalesced) / double(total.simsServed)
-            : 0.0;
-    std::string shares;
-    for (size_t c = 0; c < tallies.size(); ++c) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%s%.2f", c ? "," : "",
-                      total.served > 0
-                          ? double(tallies[c].served) /
-                                double(total.served)
-                          : 0.0);
-        shares += buf;
-    }
     std::printf("EXPLOAD ok=%d sent=%llu served=%llu rejected=%llu "
                 "errors=%llu lost=%llu golden_mismatch=%llu "
-                "warm_p99_us=%llu cold_p99_us=%llu "
-                "coalesce_rate=%.2f shares=%s\n",
+                "warm_p99_us=%llu cold_p99_us=%llu\n",
                 ok ? 1 : 0, (unsigned long long)total.sent,
                 (unsigned long long)total.served,
                 (unsigned long long)total.rejected,
@@ -516,7 +399,6 @@ main(int argc, char **argv)
                 (unsigned long long)total.lost,
                 (unsigned long long)total.goldenMismatch,
                 (unsigned long long)p99[0],
-                (unsigned long long)p99[1], coalesceRate,
-                shares.c_str());
+                (unsigned long long)p99[1]);
     return ok ? 0 : 1;
 }
