@@ -1,14 +1,19 @@
 #include "driver/context.hh"
 
+#include <elf.h>
+#include <link.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 
 #include "driver/executor.hh"
 #include "driver/tracing.hh"
 #include "support/cancel.hh"
 #include "support/faultinject.hh"
+#include "support/hash.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
 
@@ -66,6 +71,54 @@ recordGpuLaunch(const std::string &name, core::Scale scale, int version)
 
 namespace {
 
+/** What dl_iterate_phdr has digested of the loaded objects so far. */
+struct BuildIdWalk
+{
+    support::Fnv1a digest;
+    size_t objects = 0;
+    bool executableHasNote = false;
+};
+
+/** Digest one loaded object's NT_GNU_BUILD_ID notes into the walk. */
+int
+digestBuildIds(struct dl_phdr_info *info, size_t, void *data)
+{
+    auto *walk = static_cast<BuildIdWalk *>(data);
+    // dl_iterate_phdr visits the executable first.
+    bool executable = walk->objects++ == 0;
+    for (ElfW(Half) i = 0; i < info->dlpi_phnum; ++i) {
+        const ElfW(Phdr) &ph = info->dlpi_phdr[i];
+        if (ph.p_type != PT_NOTE)
+            continue;
+        // Each note's name and descriptor are padded to the
+        // segment's alignment: 4, or 8 for 8-aligned note segments.
+        size_t align = ph.p_align == 8 ? 8 : 4;
+        auto padded = [align](size_t n) {
+            return (n + align - 1) & ~(align - 1);
+        };
+        const char *base =
+            reinterpret_cast<const char *>(info->dlpi_addr + ph.p_vaddr);
+        size_t size = ph.p_memsz;
+        size_t at = 0;
+        while (at + sizeof(ElfW(Nhdr)) <= size) {
+            ElfW(Nhdr) note;
+            std::memcpy(&note, base + at, sizeof(note));
+            size_t nameAt = at + sizeof(note);
+            size_t descAt = nameAt + padded(note.n_namesz);
+            if (descAt > size || size - descAt < note.n_descsz)
+                break;
+            if (note.n_type == NT_GNU_BUILD_ID && note.n_namesz == 4 &&
+                std::memcmp(base + nameAt, "GNU", 4) == 0) {
+                walk->digest.field(
+                    std::string_view(base + descAt, note.n_descsz));
+                walk->executableHasNote |= executable;
+            }
+            at = descAt + padded(note.n_descsz);
+        }
+    }
+    return 0;
+}
+
 /** Memo key of one recording: "name/s<scale>/v<version>", with
  *  the version already resolved by gpuVersion. */
 std::string
@@ -73,6 +126,34 @@ recordingKey(const std::string &name, core::Scale scale, int version)
 {
     return name + "/s" + std::to_string(int(scale)) + "/v" +
            std::to_string(version);
+}
+
+/**
+ * Load and parse a stored payload into @p out. An unparseable entry
+ * is discarded, so its hit counts as a miss and the caller's
+ * recompute republishes a good one instead of every future run
+ * re-hitting the corrupt bytes.
+ */
+template <typename T>
+bool
+loadParsed(const ResultStore &store, const ResultStore::Key &key,
+           bool (*parse)(const std::string &, T &), T &out)
+{
+    auto payload = store.load(key);
+    if (!payload)
+        return false;
+    if (parse(*payload, out))
+        return true;
+    store.discard(key);
+    return false;
+}
+
+std::string
+hex(uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx", (unsigned long long)v);
+    return buf;
 }
 
 /**
@@ -110,10 +191,7 @@ class StoreChunkSink : public trace::ChunkSink
     {
         ResultStore::Key k;
         k.kind = "tracechunk";
-        char hex[17];
-        std::snprintf(hex, sizeof(hex), "%016llx",
-                      (unsigned long long)hash);
-        k.config = hex;
+        k.config = hex(hash);
         return k;
     }
 
@@ -121,6 +199,17 @@ class StoreChunkSink : public trace::ChunkSink
 };
 
 } // namespace
+
+uint64_t
+buildIdentity()
+{
+    static const uint64_t identity = [] {
+        BuildIdWalk walk;
+        dl_iterate_phdr(digestBuildIds, &walk);
+        return walk.executableHasNote ? walk.digest.digest() : 0;
+    }();
+    return identity;
+}
 
 Context::Context(ResultStore *store, Executor *executor)
     : store(store), exec(executor)
@@ -159,18 +248,8 @@ Context::cpu(const std::string &name, core::Scale scale, int threads)
         core::registerAllWorkloads();
         auto key = cpuCharKey(name, scale, threads);
         core::CpuCharacterization value;
-        bool fromStore = false;
-        if (store) {
-            if (auto payload = store->load(key)) {
-                if (parseCpuChar(*payload, value))
-                    fromStore = true;
-                else
-                    // Unusable entry: drop it so the recompute below
-                    // republishes a good one instead of every future
-                    // run re-hitting the corrupt bytes.
-                    store->discard(key);
-            }
-        }
+        bool fromStore =
+            store && loadParsed(*store, key, parseCpuChar, value);
         if (!fromStore) {
             // Stall site + checkpoint sit after the store hit path:
             // a warm entry is always served, only real compute is
@@ -297,6 +376,19 @@ Context::recording(const std::string &name, core::Scale scale,
         m::gaugeLabeled("gpusim.hash.wall_us", key, microsSince(t1, t2));
         if (tc)
             tc->record("gpusim", "hash", size.args(key).json(), t1, t2);
+
+        // The recording wins over an index entry that named another
+        // hash: repair the entry, and resolvedHash() returns this
+        // one from now on.
+        const uint64_t *indexed = hashMemo.done(key);
+        if (indexed && *indexed != rec.hash) {
+            m::count("gpusim.hash.index_mismatches");
+            warn("recording index: ", key, " records as ",
+                 hex(rec.hash), ", not the indexed ", hex(*indexed),
+                 "; republishing the entry");
+            if (auto index = indexKey(name, scale, version))
+                store->store(*index, serializeRecordingHash(rec.hash));
+        }
         return rec;
     });
 }
@@ -307,6 +399,72 @@ Context::gpu(const std::string &name, core::Scale scale, int version)
     return recording(name, scale, gpuVersion(name, version)).seq;
 }
 
+std::optional<ResultStore::Key>
+Context::indexKey(const std::string &name, core::Scale scale,
+                  int version) const
+{
+    if (!store || !store->enabled())
+        return std::nullopt;
+    uint64_t build = buildIdentity();
+    if (!build)
+        return std::nullopt;
+    return recordingIndexKey(name, scale, version, build);
+}
+
+const uint64_t *
+Context::settledHash(const std::string &key) const
+{
+    if (const Recording *rec = gpuMemo.done(key))
+        return &rec->hash;
+    return hashMemo.done(key);
+}
+
+uint64_t
+Context::recordingHash(const std::string &name, core::Scale scale,
+                       int version)
+{
+    return resolvedHash(name, scale, gpuVersion(name, version));
+}
+
+uint64_t
+Context::resolvedHash(const std::string &name, core::Scale scale,
+                      int version)
+{
+    std::string key = recordingKey(name, scale, version);
+    if (const uint64_t *settled = settledHash(key))
+        return *settled;
+    return hashMemo.get(key, [&] {
+        auto index = indexKey(name, scale, version);
+        uint64_t h = 0;
+        if (index && loadParsed(*store, *index, parseRecordingHash, h)) {
+            support::metrics::count("gpusim.hash.index_served");
+            return h;
+        }
+        h = recording(name, scale, version).hash;
+        if (index)
+            store->store(*index, serializeRecordingHash(h));
+        return h;
+    });
+}
+
+const Context::Recording *
+Context::storedOrRecording(const std::string &name, core::Scale scale,
+                           int version,
+                           const std::function<bool(uint64_t)> &load,
+                           uint64_t &hash)
+{
+    hash = resolvedHash(name, scale, version);
+    if (load(hash))
+        return nullptr;
+    const Recording &rec = recording(name, scale, version);
+    if (rec.hash != hash) {
+        hash = rec.hash;
+        if (load(hash))
+            return nullptr;
+    }
+    return &rec;
+}
+
 const gpusim::TraceStats &
 Context::traceStats(const std::string &name, core::Scale scale,
                     int version)
@@ -315,10 +473,26 @@ Context::traceStats(const std::string &name, core::Scale scale,
     std::string key = recordingKey(name, scale, version);
     return traceMemo.get(key, [&] {
         namespace m = support::metrics;
-        const Recording &rec = recording(name, scale, version);
+        gpusim::TraceStats stats;
+        uint64_t hash = 0;
+        const Recording *rec = storedOrRecording(
+            name, scale, version,
+            [&](uint64_t h) {
+                return store &&
+                       loadParsed(*store, traceStatsKey(name, scale, h),
+                                  gpusim::parseTraceStats, stats);
+            },
+            hash);
+        if (!rec) {
+            m::count("gpusim.replay.store_served");
+            return stats;
+        }
         auto t0 = std::chrono::steady_clock::now();
-        gpusim::TraceStats stats = gpusim::analyzeTrace(rec.seq);
+        stats = gpusim::analyzeTrace(rec->seq);
         auto t1 = std::chrono::steady_clock::now();
+        if (store)
+            store->store(traceStatsKey(name, scale, hash),
+                         gpusim::serializeTraceStats(stats));
         m::count("gpusim.replay.calls");
         m::countLabeled("gpusim.replay.warp_insts", key,
                         stats.warpInstructions);
@@ -343,12 +517,19 @@ Context::gpuStatsWarm(const std::string &name, core::Scale scale,
     std::string recKey = recordingKey(name, scale, version);
     if (statsMemo.done(recKey + "/" + fp))
         return true;
-    const Recording *rec = gpuMemo.done(recKey);
-    if (!rec || !store || !store->enabled())
+    if (!store || !store->enabled())
         return false;
-    auto key = gpuStatsKey(name, scale, fp, rec->hash);
+    uint64_t hash = 0;
+    if (const uint64_t *settled = settledHash(recKey)) {
+        hash = *settled;
+    } else {
+        auto index = indexKey(name, scale, version);
+        if (!index || !loadParsed(*store, *index, parseRecordingHash, hash))
+            return false;
+    }
     std::error_code ec;
-    return std::filesystem::exists(store->pathFor(key), ec);
+    return std::filesystem::exists(
+        store->pathFor(gpuStatsKey(name, scale, fp, hash)), ec);
 }
 
 const gpusim::KernelStats &
@@ -361,32 +542,32 @@ Context::gpuStats(const std::string &name, core::Scale scale,
     std::string keyName = recordingKey(name, scale, version) + "/" + fp;
     auto compute = [&] {
         auto span0 = std::chrono::steady_clock::now();
-        // The recording is needed even on a store hit: its content
-        // hash is part of the key (a changed recording must not be
-        // served stale stats).
-        const Recording &rec = recording(name, scale, version);
-        auto key = gpuStatsKey(name, scale, fp, rec.hash);
+        // The content hash is part of the key (a changed recording
+        // must not be served stale stats); the kernel is recorded
+        // only when the stats must be simulated.
         gpusim::KernelStats s;
-        bool fromStore = false;
-        if (store) {
-            if (auto payload = store->load(key)) {
-                if (gpusim::parseKernelStats(*payload, s))
-                    fromStore = true;
-                else
-                    store->discard(key);
-            }
-        }
+        uint64_t hash = 0;
+        const Recording *rec = storedOrRecording(
+            name, scale, version,
+            [&](uint64_t h) {
+                return store &&
+                       loadParsed(*store, gpuStatsKey(name, scale, fp, h),
+                                  gpusim::parseKernelStats, s);
+            },
+            hash);
+        bool fromStore = !rec;
         if (!fromStore) {
             support::FaultInjector::instance().maybeStall("sim:" +
                                                           keyName);
             support::checkpointCancellation();
             auto t0 = std::chrono::steady_clock::now();
             gpusim::TimingSim sim(config);
-            s = sim.simulate(rec.seq);
+            s = sim.simulate(rec->seq);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
             if (store)
-                store->store(key, gpusim::serializeKernelStats(s));
+                store->store(gpuStatsKey(name, scale, fp, hash),
+                             gpusim::serializeKernelStats(s));
             uint64_t simUs = uint64_t(dt.count() * 1e6);
             support::metrics::count("gpusim.sims_run");
             support::metrics::count("gpusim.cycles", s.cycles);

@@ -16,6 +16,12 @@
  * SRAD and Table III asking for SRAD v2 share one recording, one
  * content hash, one trace analysis and one simulation per config.
  *
+ * Every GPU result is keyed by its recording's content hash, and the
+ * store's recording index maps each kernel to that hash under the
+ * running build (buildIdentity). Against a filled store the hash,
+ * the trace analyses and the stats are all store reads: a kernel is
+ * recorded only when a result is missing and must be computed.
+ *
  * All public methods are thread-safe and return references that
  * stay valid for the Context's lifetime (entries are never evicted).
  */
@@ -25,6 +31,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -64,6 +71,14 @@ gpusim::LaunchSequence recordGpuLaunch(const std::string &name,
  */
 int gpuVersion(const std::string &name, int version);
 
+/**
+ * A digest of the NT_GNU_BUILD_ID notes of every object loaded in
+ * this process, executable first, read once on first use. 0 when
+ * the executable carries no build-id note: such a build cannot name
+ * itself, so it never uses the recording index.
+ */
+uint64_t buildIdentity();
+
 class Context
 {
   public:
@@ -91,12 +106,26 @@ class Context
     allCpu(core::Scale scale, int threads = 8);
 
     /** One workload's recorded launch sequence (memoized, and
-     *  content-hashed in the same compute). */
+     *  content-hashed in the same compute; never read from the
+     *  store, so the first call records). */
     const gpusim::LaunchSequence &
     gpu(const std::string &name, core::Scale scale, int version = 0);
 
-    /** One recording's trace analysis (memoized): the memory-space
-     *  mix and warp occupancy Figs. 2-3 and Table III report. */
+    /**
+     * One recording's content hash (memoized): read from the store's
+     * recording index when this build has recorded the kernel
+     * before, else recorded, hashed and published to the index.
+     * Without an enabled store or a build identity it always
+     * records. Once this Context holds the recording, its own hash
+     * is returned.
+     */
+    uint64_t recordingHash(const std::string &name, core::Scale scale,
+                           int version = 0);
+
+    /** One recording's trace analysis (memoized + store-cached,
+     *  keyed by the content hash): the memory-space mix and warp
+     *  occupancy Figs. 2-3 and Table III report. Records only on a
+     *  store miss. */
     const gpusim::TraceStats &
     traceStats(const std::string &name, core::Scale scale,
                int version = 0);
@@ -122,14 +151,15 @@ class Context
     /**
      * Would gpuStats() for this key be served without running a
      * simulation? True when the stats are already memoized in this
-     * Context, or when the recording's content hash is memoized and
-     * the result store holds a published entry for the key. A cheap,
-     * non-blocking probe (two memo lookups, at most one stat(2)) —
-     * never records, hashes, or simulates — used by the experiment
-     * service to route requests onto the warm lane. A false negative
-     * (e.g. store entry present but the recording not yet memoized)
-     * is safe: the request just takes the cold lane and still hits
-     * the store.
+     * Context, or when the recording's content hash — settled in
+     * this Context, else read from the recording index — names a
+     * published store entry for the key. A cheap, non-blocking probe
+     * (memo lookups, at most one index read and one stat(2)) — never
+     * records, hashes, or simulates — used by the experiment service
+     * to route requests onto the warm lane, so a fresh daemon on a
+     * filled store serves stored points warm. A false negative is
+     * safe: the request just takes the cold lane and still hits the
+     * store.
      */
     bool gpuStatsWarm(const std::string &name, core::Scale scale,
                       int version, const gpusim::SimConfig &config);
@@ -170,8 +200,38 @@ class Context
     const Recording &recording(const std::string &name,
                                core::Scale scale, int version);
 
+    /** recordingHash() of an already resolved version. */
+    uint64_t resolvedHash(const std::string &name, core::Scale scale,
+                          int version);
+
+    /** The hash this Context has settled for a recording key, or
+     *  nullptr; the recording's own hash wins over the index's. */
+    const uint64_t *settledHash(const std::string &key) const;
+
+    /** The recording-index key of a resolved kernel, or nullopt when
+     *  the store is off or the build has no identity. */
+    std::optional<ResultStore::Key>
+    indexKey(const std::string &name, core::Scale scale,
+             int version) const;
+
+    /**
+     * Serve a hash-keyed result from the store, or return the
+     * recording to compute it from. @p load tries the store under
+     * one content hash, taken from resolvedHash(). When a miss
+     * forces a recording whose own hash differs (a wrong index
+     * entry), the recording wins and the store is tried once more
+     * under its hash. Returns nullptr when the store served the
+     * result; @p hash is set to the hash the result is keyed by.
+     */
+    const Recording *
+    storedOrRecording(const std::string &name, core::Scale scale,
+                      int version,
+                      const std::function<bool(uint64_t)> &load,
+                      uint64_t &hash);
+
     FlightMemo<core::CpuCharacterization> cpuMemo{"cpu"};
     FlightMemo<Recording> gpuMemo{"gpu"};
+    FlightMemo<uint64_t> hashMemo{"hash"};
     FlightMemo<gpusim::TraceStats> traceMemo{"trace"};
     FlightMemo<gpusim::KernelStats> statsMemo{"stats"};
 };

@@ -311,6 +311,55 @@ gpuStatsKey(const std::string &workload, core::Scale scale,
     return key;
 }
 
+ResultStore::Key
+recordingIndexKey(const std::string &workload, core::Scale scale,
+                  int version, uint64_t build_identity)
+{
+    ResultStore::Key key;
+    key.kind = "recindex";
+    key.workload = workload;
+    key.scale = int(scale);
+    std::ostringstream cfg;
+    cfg << "v" << version << "|build=" << std::hex << build_identity;
+    key.config = cfg.str();
+    return key;
+}
+
+ResultStore::Key
+traceStatsKey(const std::string &workload, core::Scale scale,
+              uint64_t recording_hash)
+{
+    ResultStore::Key key;
+    key.kind = "tracestats";
+    key.workload = workload;
+    key.scale = int(scale);
+    std::ostringstream cfg;
+    cfg << "rec=" << std::hex << recording_hash;
+    key.config = cfg.str();
+    return key;
+}
+
+std::string
+serializeRecordingHash(uint64_t hash)
+{
+    std::ostringstream outf;
+    outf << "recindex 1\n" << std::hex << hash << "\n";
+    return outf.str();
+}
+
+bool
+parseRecordingHash(const std::string &payload, uint64_t &hash)
+{
+    std::istringstream in(payload);
+    std::string tag;
+    int version = 0;
+    in >> tag >> version;
+    if (tag != "recindex" || version != 1)
+        return false;
+    in >> std::hex >> hash;
+    return bool(in);
+}
+
 std::string
 serializeCpuChar(const core::CpuCharacterization &c)
 {

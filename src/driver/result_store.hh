@@ -140,6 +140,32 @@ ResultStore::Key gpuStatsKey(const std::string &workload,
                              const std::string &config_fingerprint,
                              uint64_t recording_hash);
 
+/**
+ * Key for a recording-index entry: the content hash of the kernel
+ * @p version (already resolved) records as under the build whose
+ * identity is @p build_identity. A recording is a pure function of
+ * the workload code and its input, so within one build the hash
+ * never changes; a new build moves every key and re-proves each
+ * hash by recording once.
+ */
+ResultStore::Key recordingIndexKey(const std::string &workload,
+                                   core::Scale scale, int version,
+                                   uint64_t build_identity);
+
+/** Key for a recording's trace analysis, named by its content hash. */
+ResultStore::Key traceStatsKey(const std::string &workload,
+                               core::Scale scale,
+                               uint64_t recording_hash);
+
+/** Serialize a recording-index entry (one content hash). */
+std::string serializeRecordingHash(uint64_t hash);
+
+/**
+ * Parse a recording-index payload.
+ * @return false if the payload is malformed (treated as a miss)
+ */
+bool parseRecordingHash(const std::string &payload, uint64_t &hash);
+
 /** Serialize a CPU characterization to the store payload format. */
 std::string serializeCpuChar(const core::CpuCharacterization &c);
 

@@ -121,6 +121,38 @@ parseKernelStats(const std::string &payload, KernelStats &out)
 }
 
 std::string
+serializeTraceStats(const TraceStats &s)
+{
+    std::ostringstream os;
+    os << "tracestats 1\n"
+       << s.warpInstructions << " " << s.threadInstructions << "\n";
+    for (size_t i = 0; i < s.occupancyBuckets.size(); ++i)
+        os << (i ? " " : "") << s.occupancyBuckets[i];
+    os << "\n";
+    for (size_t i = 0; i < s.memOps.size(); ++i)
+        os << (i ? " " : "") << s.memOps[i];
+    os << "\n";
+    return os.str();
+}
+
+bool
+parseTraceStats(const std::string &payload, TraceStats &out)
+{
+    std::istringstream in(payload);
+    std::string tag;
+    int version = 0;
+    in >> tag >> version;
+    if (tag != "tracestats" || version != 1)
+        return false;
+    in >> out.warpInstructions >> out.threadInstructions;
+    for (auto &b : out.occupancyBuckets)
+        in >> b;
+    for (auto &m : out.memOps)
+        in >> m;
+    return bool(in);
+}
+
+std::string
 formatDeadlockDiagnostics(uint64_t cycle, size_t next_block,
                           size_t total_blocks, size_t blocks_remaining,
                           const std::vector<SmSnapshot> &sms)

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "gpusim/recorder.hh"
+#include "gpusim/replay.hh"
 #include "gpusim/simconfig.hh"
 #include "gpusim/types.hh"
 
@@ -98,6 +99,17 @@ std::string serializeKernelStats(const KernelStats &s);
  * @return false if the payload is malformed (treated as a miss)
  */
 bool parseKernelStats(const std::string &payload, KernelStats &out);
+
+/** Serialize a recording's trace analysis to the result-store
+ *  payload format (integers only, so the bytes are a pure function
+ *  of the analysis). */
+std::string serializeTraceStats(const TraceStats &s);
+
+/**
+ * Parse a store payload back into a trace analysis.
+ * @return false if the payload is malformed (treated as a miss)
+ */
+bool parseTraceStats(const std::string &payload, TraceStats &out);
 
 /**
  * Point-in-time view of one SM's scheduler state, captured for the

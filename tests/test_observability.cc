@@ -380,7 +380,8 @@ TEST(Observability, ColdRunCoversComputePaths)
     std::string metrics = slurp(m);
     EXPECT_NE(metrics.find("\"sims_run\": 9"), std::string::npos)
         << metrics;
-    EXPECT_NE(metrics.find("\"publishes\": 9"), std::string::npos)
+    // 9 sims plus one recording-index entry per recorded kernel.
+    EXPECT_NE(metrics.find("\"publishes\": 12"), std::string::npos)
         << metrics;
     // Volatile latency histograms recorded real samples.
     EXPECT_NE(metrics.find("\"publish_us\""), std::string::npos);
@@ -401,8 +402,10 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
     // job runs some kmeans sims (publishing them to the store —
     // durable side effects are not transactional), then fails on
     // the deadline. Its metric transaction must be dropped whole:
-    // --stats reports zero sims and zero store traffic, not the
-    // partial counts the job accumulated before dying.
+    // --stats reports zero sims and none of its store traffic, not
+    // the partial counts the job accumulated before dying. The three
+    // gpu: jobs commit: they miss the recording index, record, and
+    // publish it.
     std::vector<std::string> args = {
         "--figure", "ablation_coalesce", "--jobs", "1",
         "--deadline", "2500", "--keep-going", "--stats",
@@ -415,12 +418,21 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
     EXPECT_NE(r1.out.find("0 sims run / 0 store-served"),
               std::string::npos)
         << r1.out;
-    EXPECT_NE(r1.out.find("result store: 0 hits / 0 misses / 0 "
+    EXPECT_NE(r1.out.find("result store: 0 hits / 3 misses / 0 "
                           "publish failures / 0 orphaned tmp "
                           "collected"),
               std::string::npos)
         << r1.out;
+    EXPECT_NE(r1.out.find("3 recordings: "), std::string::npos)
+        << r1.out;
+    EXPECT_NE(r1.out.find("; 3 hashes (0 from the index); "),
+              std::string::npos)
+        << r1.out;
     EXPECT_NE(r1.out.find("no sweeps replayed this run"),
+              std::string::npos)
+        << r1.out;
+    // Jobs completed, so the all-zero hint must not print.
+    EXPECT_EQ(r1.out.find("hint: nothing was recorded"),
               std::string::npos)
         << r1.out;
 
@@ -435,13 +447,34 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
             published = true;
     EXPECT_TRUE(published);
 
-    // Deterministic failure accounting: run 2 serves those sims
-    // from the store inside the same doomed job, drops them with
-    // the same transaction, and prints byte-identical stats.
+    // Run 2: the gpu: jobs read the index run 1 published, and the
+    // doomed job serves those kmeans sims from the store, records
+    // cfd for its missing sim, then dies the same way. It drops the
+    // store hits, the recording and the sims with its transaction.
     RunResult r2 =
         runExperiments(args, "stall=sim:cfd@60000", cache);
-    EXPECT_EQ(r1.out, r2.out);
     EXPECT_EQ(r1.exit, r2.exit);
+    EXPECT_NE(r2.out.find("0 sims run / 0 store-served"),
+              std::string::npos)
+        << r2.out;
+    EXPECT_NE(r2.out.find("result store: 3 hits / 0 misses / 0 "
+                          "publish failures / 0 orphaned tmp "
+                          "collected"),
+              std::string::npos)
+        << r2.out;
+    EXPECT_NE(r2.out.find("0 recordings: "), std::string::npos)
+        << r2.out;
+    EXPECT_NE(r2.out.find("; 0 hashes (3 from the index); "),
+              std::string::npos)
+        << r2.out;
+    EXPECT_EQ(r2.out.find("hint: nothing was recorded"),
+              std::string::npos)
+        << r2.out;
+    // Figure output (the MISSING marker included) is deterministic.
+    auto figures = [](const std::string &out) {
+        return out.substr(0, out.find("Cache-sweep replay throughput"));
+    };
+    EXPECT_EQ(figures(r1.out), figures(r2.out));
 
     // With the fault cleared the same store completes the figure
     // and the committed metrics appear.

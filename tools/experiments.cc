@@ -4,7 +4,7 @@
  *
  * Where each bench binary reproduces a single figure serially, this
  * CLI builds a driver::JobGraph over every requested figure: one job
- * per distinct GPU kernel's launch recording (shared by Figs. 1-5 /
+ * per distinct GPU kernel's content hash (shared by Figs. 1-5 /
  * Table III / PB), one per CPU characterization (shared by Figs.
  * 6-12), and one per figure assembly, wired with explicit
  * dependencies and executed on the work-stealing pool. Figure text
@@ -321,10 +321,13 @@ main(int argc, char **argv)
 
     driver::JobGraph graph;
 
-    // Shared input jobs: one per GPU launch recording (recording and
-    // content hash), deduplicated across figures by distinct kernel,
-    // then one per CPU characterization. The executor starts roots
-    // in graph order, so the recordings that gate Figs. 1-5 go first.
+    // Shared input jobs: one per distinct GPU kernel, deduplicated
+    // across figures, then one per CPU characterization. A gpu: job
+    // resolves the kernel's content hash: from the store's recording
+    // index when this build recorded it before, else by recording
+    // and hashing it (the recording stays memoized for the sims and
+    // trace analyses that miss the store). The executor starts roots
+    // in graph order, so the kernels that gate Figs. 1-5 go first.
     std::vector<std::pair<std::string, size_t>> gpuJobs;
     std::vector<std::vector<size_t>> gpuDeps(figures.size());
     for (size_t i = 0; i < figures.size(); ++i) {
@@ -335,7 +338,8 @@ main(int argc, char **argv)
                 [&](const auto &job) { return job.first == jobName; });
             if (it == gpuJobs.end()) {
                 size_t id = graph.add(jobName, [&ctx, dep] {
-                    ctx.gpu(dep.workload, dep.scale, dep.version);
+                    ctx.recordingHash(dep.workload, dep.scale,
+                                      dep.version);
                 });
                 it = gpuJobs.emplace(gpuJobs.end(), jobName, id);
             }
@@ -570,7 +574,8 @@ main(int argc, char **argv)
         std::fputs(r.render().c_str(), stdout);
         std::printf("%llu recordings: %llu launches / %llu blocks / "
                     "%llu events in %llu encoded bytes / %llu fiber "
-                    "switches; %llu hashes; %llu trace analyses\n",
+                    "switches; %llu hashes (%llu from the index); "
+                    "%llu trace analyses (%llu from the store)\n",
                     (unsigned long long)snap.value("gpusim.record.calls"),
                     (unsigned long long)recTotals[0],
                     (unsigned long long)recTotals[1],
@@ -578,7 +583,11 @@ main(int argc, char **argv)
                     (unsigned long long)recTotals[3],
                     (unsigned long long)recTotals[4],
                     (unsigned long long)snap.value("gpusim.hash.calls"),
-                    (unsigned long long)snap.value("gpusim.replay.calls"));
+                    (unsigned long long)snap.value(
+                        "gpusim.hash.index_served"),
+                    (unsigned long long)snap.value("gpusim.replay.calls"),
+                    (unsigned long long)snap.value(
+                        "gpusim.replay.store_served"));
         std::printf("result store: %llu hits / %llu misses / "
                     "%llu publish failures / %llu orphaned tmp "
                     "collected\n",
@@ -590,14 +599,12 @@ main(int argc, char **argv)
                         "store.tmp_collected"));
         // All-zero tables are ambiguous: they read the same whether
         // the run was free (everything store-served) or never got
-        // anywhere. When no work was recorded *and* the store served
-        // nothing, say so — the likely causes are an early exit or
-        // every job failing (a failed job's metric transaction is
-        // dropped whole, see --keep-going).
-        if (sweeps == 0 && simsRun == 0 &&
-            snap.value("store.hits") == 0 &&
-            snap.value("gpusim.store_served") == 0 &&
-            snap.value("figures.built") == 0)
+        // anywhere. When no job completed, say so — the likely causes
+        // are an early exit or every job failing (a failed job's
+        // metric transaction is dropped whole, see --keep-going).
+        // Job lifecycle counters are counted outside the
+        // transactions, so they see every completed job.
+        if (snap.value("executor.jobs_done") == 0)
             std::printf(
                 "hint: nothing was recorded this run — it exited "
                 "before any job completed, or every job failed "
