@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <mutex>
 
 #include "driver/executor.hh"
 #include "driver/tracing.hh"
@@ -60,6 +61,13 @@ gpuVersion(const std::string &name, int version)
     if (shipped < 1)
         fatal("workload '", name, "' has no GPU implementation");
     return version > 0 ? version : shipped;
+}
+
+std::string
+recordingKey(const std::string &name, core::Scale scale, int version)
+{
+    return name + "/s" + std::to_string(int(scale)) + "/v" +
+           std::to_string(version);
 }
 
 gpusim::LaunchSequence
@@ -119,13 +127,12 @@ digestBuildIds(struct dl_phdr_info *info, size_t, void *data)
     return 0;
 }
 
-/** Memo key of one recording: "name/s<scale>/v<version>", with
- *  the version already resolved by gpuVersion. */
+/** Memo key of one CPU characterization. */
 std::string
-recordingKey(const std::string &name, core::Scale scale, int version)
+cpuKey(const std::string &name, core::Scale scale, int threads)
 {
-    return name + "/s" + std::to_string(int(scale)) + "/v" +
-           std::to_string(version);
+    return name + "/s" + std::to_string(int(scale)) + "/t" +
+           std::to_string(threads);
 }
 
 /**
@@ -241,8 +248,7 @@ Context::~Context()
 const core::CpuCharacterization &
 Context::cpu(const std::string &name, core::Scale scale, int threads)
 {
-    std::string keyName = name + "/s" + std::to_string(int(scale)) +
-                          "/t" + std::to_string(threads);
+    std::string keyName = cpuKey(name, scale, threads);
     return cpuMemo.get(keyName, [&] {
         auto t0 = std::chrono::steady_clock::now();
         core::registerAllWorkloads();
@@ -297,23 +303,30 @@ Context::allCpu(core::Scale scale, int threads)
     return out;
 }
 
+bool
+Context::cpuMemoized(const std::string &name, core::Scale scale,
+                     int threads) const
+{
+    return cpuMemo.done(cpuKey(name, scale, threads)) != nullptr;
+}
+
 namespace {
 
 /** What a recording holds, for the record and hash spans. */
 struct RecordingSize
 {
-    uint64_t launches = 0, blocks = 0, events = 0, encodedBytes = 0;
+    uint64_t launches = 0, blocks = 0, events = 0, encodedBytes = 0,
+             allocatedBytes = 0;
 
     explicit RecordingSize(const gpusim::LaunchSequence &seq)
-        : launches(seq.launches.size())
+        : launches(seq.launches.size()), encodedBytes(seq.encodedBytes()),
+          allocatedBytes(seq.allocatedBytes())
     {
         for (const auto &launch : seq.launches) {
             blocks += launch.blocks.size();
             for (const auto &block : launch.blocks)
-                for (const auto &lane : block.lanes) {
-                    events += lane.size();
-                    encodedBytes += lane.encodedBytes();
-                }
+                for (int l = 0; l < block.blockDim; ++l)
+                    events += block.laneEvents(l);
         }
     }
 
@@ -338,65 +351,150 @@ microsSince(std::chrono::steady_clock::time_point t0,
         std::chrono::duration<double, std::micro>(t1 - t0).count());
 }
 
+/** Recordings alive in this process, and their allocated bytes. */
+std::atomic<uint64_t> liveRecordings{0};
+std::atomic<uint64_t> liveRecordingBytes{0};
+
 } // namespace
 
-const Context::Recording &
-Context::recording(const std::string &name, core::Scale scale,
-                   int version)
+class Context::Pass
 {
-    std::string key = recordingKey(name, scale, version);
-    return gpuMemo.get(key, [&] {
-        namespace m = support::metrics;
-        auto *tc = TraceCollector::active();
-        auto t0 = std::chrono::steady_clock::now();
-        uint64_t switches0 = gpusim::fiberSwitches();
-        Recording rec;
-        rec.seq = recordGpuLaunch(name, scale, version);
-        uint64_t switches = gpusim::fiberSwitches() - switches0;
-        auto t1 = std::chrono::steady_clock::now();
-        RecordingSize size(rec.seq);
-        m::count("gpusim.record.calls");
-        m::countLabeled("gpusim.record.launches", key, size.launches);
-        m::countLabeled("gpusim.record.blocks", key, size.blocks);
-        m::countLabeled("gpusim.record.events", key, size.events);
-        m::countLabeled("gpusim.record.encoded_bytes", key,
-                        size.encodedBytes);
-        m::countLabeled("gpusim.record.fiber_switches", key, switches);
-        m::gaugeLabeled("gpusim.record.wall_us", key, microsSince(t0, t1));
-        if (tc)
-            tc->record("gpusim", "record",
-                       size.args(key).num("fiber_switches", switches).json(),
-                       t0, t1);
+  public:
+    /** @p version must already be resolved (gpuVersion). */
+    Pass(Context &ctx, const std::string &name, core::Scale scale,
+         int version)
+        : name(name), scale(scale), version(version),
+          key(recordingKey(name, scale, version)), ctx(ctx)
+    {
+    }
 
-        // The digest walks every event, so it is taken once here,
-        // in the recording's own job, not per config by its readers.
-        rec.hash = gpusim::contentHash(rec.seq);
-        auto t2 = std::chrono::steady_clock::now();
-        m::count("gpusim.hash.calls");
-        m::gaugeLabeled("gpusim.hash.wall_us", key, microsSince(t1, t2));
-        if (tc)
-            tc->record("gpusim", "hash", size.args(key).json(), t1, t2);
-
-        // The recording wins over an index entry that named another
-        // hash: repair the entry, and resolvedHash() returns this
-        // one from now on.
-        const uint64_t *indexed = hashMemo.done(key);
-        if (indexed && *indexed != rec.hash) {
-            m::count("gpusim.hash.index_mismatches");
-            warn("recording index: ", key, " records as ",
-                 hex(rec.hash), ", not the indexed ", hex(*indexed),
-                 "; republishing the entry");
-            if (auto index = indexKey(name, scale, version))
-                store->store(*index, serializeRecordingHash(rec.hash));
+    ~Pass()
+    {
+        if (const Recorded *r = made.done("")) {
+            liveRecordings.fetch_sub(1);
+            liveRecordingBytes.fetch_sub(r->allocated);
         }
-        return rec;
-    });
-}
+        // Drop this pass's slot unless a newer pass already took it.
+        std::lock_guard<std::mutex> lock(ctx.passMu);
+        auto it = ctx.passes.find(key);
+        if (it != ctx.passes.end() && it->second.expired())
+            ctx.passes.erase(it);
+    }
+
+    Pass(const Pass &) = delete;
+    Pass &operator=(const Pass &) = delete;
+
+    const std::string name;
+    const core::Scale scale;
+    const int version;
+    const std::string key; //!< recordingKey() of the kernel
+
+    /**
+     * The kernel's recording, made on the first call and hashed in
+     * the same call; @p hash is set to its content hash. Callers
+     * that arrive while it records wait for it under their own
+     * cancel token.
+     */
+    const gpusim::LaunchSequence &recording(uint64_t &hash);
+
+  private:
+    struct Recorded
+    {
+        gpusim::LaunchSequence seq;
+        uint64_t hash = 0;
+        uint64_t allocated = 0;
+    };
+
+    Recorded record();
+
+    Context &ctx;
+    /** One entry, under the empty key: the recording. */
+    FlightMemo<Recorded> made{"recording"};
+};
 
 const gpusim::LaunchSequence &
-Context::gpu(const std::string &name, core::Scale scale, int version)
+Context::Pass::recording(uint64_t &hash)
 {
-    return recording(name, scale, gpuVersion(name, version)).seq;
+    const Recorded &r = made.get("", [this] { return record(); });
+    hash = r.hash;
+    return r.seq;
+}
+
+Context::Pass::Recorded
+Context::Pass::record()
+{
+    namespace m = support::metrics;
+    auto *tc = TraceCollector::active();
+    auto t0 = std::chrono::steady_clock::now();
+    uint64_t switches0 = gpusim::fiberSwitches();
+    Recorded r;
+    r.seq = recordGpuLaunch(name, scale, version);
+    uint64_t switches = gpusim::fiberSwitches() - switches0;
+    auto t1 = std::chrono::steady_clock::now();
+    RecordingSize size(r.seq);
+    m::count("gpusim.record.calls");
+    m::countLabeled("gpusim.record.launches", key, size.launches);
+    m::countLabeled("gpusim.record.blocks", key, size.blocks);
+    m::countLabeled("gpusim.record.events", key, size.events);
+    m::countLabeled("gpusim.record.encoded_bytes", key, size.encodedBytes);
+    // Sealed blocks are sized exactly, so this is a pure function of
+    // the recording, as stable as the encoded bytes.
+    m::countLabeled("gpusim.record.allocated_bytes", key,
+                    size.allocatedBytes);
+    m::countLabeled("gpusim.record.fiber_switches", key, switches);
+    m::gaugeLabeled("gpusim.record.wall_us", key, microsSince(t0, t1));
+    if (tc)
+        tc->record("gpusim", "record",
+                   size.args(key)
+                       .num("allocated_bytes", size.allocatedBytes)
+                       .num("fiber_switches", switches)
+                       .json(),
+                   t0, t1);
+
+    // The digest walks every event, so it is taken once here, in the
+    // recording's own call, not per config by its readers.
+    r.hash = gpusim::contentHash(r.seq);
+    auto t2 = std::chrono::steady_clock::now();
+    m::count("gpusim.hash.calls");
+    m::gaugeLabeled("gpusim.hash.wall_us", key, microsSince(t1, t2));
+    if (tc)
+        tc->record("gpusim", "hash", size.args(key).json(), t1, t2);
+
+    // The recording wins over a memoized hash (read from the index)
+    // that names another one: repair the slot and the index entry.
+    if (const HashSlot *slot = ctx.hashMemo.done(key)) {
+        uint64_t indexed = (*slot)->load();
+        if (indexed != r.hash) {
+            m::count("gpusim.hash.index_mismatches");
+            warn("recording index: ", key, " records as ", hex(r.hash),
+                 ", not the indexed ", hex(indexed),
+                 "; republishing the entry");
+            (*slot)->store(r.hash);
+            if (auto index = ctx.indexKey(name, scale, version))
+                ctx.store->store(*index, serializeRecordingHash(r.hash));
+        }
+    }
+
+    r.allocated = size.allocatedBytes;
+    m::gauge("gpusim.record.resident_max", liveRecordings.fetch_add(1) + 1);
+    m::gauge("gpusim.record.resident_bytes_max",
+             liveRecordingBytes.fetch_add(r.allocated) + r.allocated);
+    return r;
+}
+
+std::shared_ptr<Context::Pass>
+Context::pass(const std::string &name, core::Scale scale, int version)
+{
+    version = gpuVersion(name, version);
+    std::string key = recordingKey(name, scale, version);
+    std::lock_guard<std::mutex> lock(passMu);
+    std::weak_ptr<Pass> &slot = passes[key];
+    std::shared_ptr<Pass> live = slot.lock();
+    if (!live) {
+        live = std::make_shared<Pass>(*this, name, scale, version);
+        slot = live;
+    }
+    return live;
 }
 
 std::optional<ResultStore::Key>
@@ -411,75 +509,133 @@ Context::indexKey(const std::string &name, core::Scale scale,
     return recordingIndexKey(name, scale, version, build);
 }
 
-const uint64_t *
+std::optional<uint64_t>
 Context::settledHash(const std::string &key) const
 {
-    if (const Recording *rec = gpuMemo.done(key))
-        return &rec->hash;
-    return hashMemo.done(key);
+    if (const HashSlot *slot = hashMemo.done(key))
+        return (*slot)->load();
+    return std::nullopt;
 }
 
 uint64_t
 Context::recordingHash(const std::string &name, core::Scale scale,
                        int version)
 {
-    return resolvedHash(name, scale, gpuVersion(name, version));
+    return resolvedHash(*pass(name, scale, version));
 }
 
 uint64_t
-Context::resolvedHash(const std::string &name, core::Scale scale,
-                      int version)
+Context::resolvedHash(Pass &pass)
 {
-    std::string key = recordingKey(name, scale, version);
-    if (const uint64_t *settled = settledHash(key))
-        return *settled;
-    return hashMemo.get(key, [&] {
-        auto index = indexKey(name, scale, version);
+    const HashSlot &slot = hashMemo.get(pass.key, [&] {
+        auto index = indexKey(pass.name, pass.scale, pass.version);
         uint64_t h = 0;
         if (index && loadParsed(*store, *index, parseRecordingHash, h)) {
             support::metrics::count("gpusim.hash.index_served");
-            return h;
+        } else {
+            pass.recording(h);
+            if (index)
+                store->store(*index, serializeRecordingHash(h));
         }
-        h = recording(name, scale, version).hash;
-        if (index)
-            store->store(*index, serializeRecordingHash(h));
-        return h;
+        return std::make_unique<std::atomic<uint64_t>>(h);
     });
+    return slot->load();
 }
 
-const Context::Recording *
-Context::storedOrRecording(const std::string &name, core::Scale scale,
-                           int version,
+const gpusim::LaunchSequence *
+Context::storedOrRecording(Pass &pass,
                            const std::function<bool(uint64_t)> &load,
                            uint64_t &hash)
 {
-    hash = resolvedHash(name, scale, version);
+    hash = resolvedHash(pass);
     if (load(hash))
         return nullptr;
-    const Recording &rec = recording(name, scale, version);
-    if (rec.hash != hash) {
-        hash = rec.hash;
+    uint64_t recorded = 0;
+    const gpusim::LaunchSequence &seq = pass.recording(recorded);
+    if (recorded != hash) {
+        hash = recorded;
         if (load(hash))
             return nullptr;
     }
-    return &rec;
+    return &seq;
+}
+
+void
+Context::settle(const KernelWork &work)
+{
+    std::shared_ptr<Pass> p = pass(work.workload, work.scale, work.version);
+    std::vector<const gpusim::SimConfig *> sims;
+    for (const auto &config : work.sims)
+        if (!statsMemo.done(p->key + "/" + config.fingerprint()))
+            sims.push_back(&config);
+    const bool analyse = work.trace && !traceMemo.done(p->key);
+    if (sims.empty() && !analyse)
+        return;
+    // The hash first, on this thread: on an index miss it records,
+    // so the fan-out below never waits on the recorder.
+    resolvedHash(*p);
+    parallelFor(sims.size() + (analyse ? 1 : 0), [&](size_t i) {
+        if (i < sims.size())
+            stats(*p, *sims[i], nullptr);
+        else
+            trace(*p);
+    });
+}
+
+bool
+Context::settleWarm(const KernelWork &work)
+{
+    int version = gpuVersion(work.workload, work.version);
+    std::string recKey = recordingKey(work.workload, work.scale, version);
+    if (work.trace && !traceMemo.done(recKey))
+        return false;
+    std::optional<uint64_t> hash;
+    for (const auto &config : work.sims) {
+        std::string fp = config.fingerprint();
+        if (statsMemo.done(recKey + "/" + fp))
+            continue;
+        if (!store || !store->enabled())
+            return false;
+        if (!hash)
+            hash = settledHash(recKey);
+        if (!hash) {
+            auto index = indexKey(work.workload, work.scale, version);
+            uint64_t indexed = 0;
+            if (!index ||
+                !loadParsed(*store, *index, parseRecordingHash, indexed))
+                return false;
+            hash = indexed;
+        }
+        std::error_code ec;
+        if (!std::filesystem::exists(
+                store->pathFor(
+                    gpuStatsKey(work.workload, work.scale, fp, *hash)),
+                ec))
+            return false;
+    }
+    return true;
 }
 
 const gpusim::TraceStats &
 Context::traceStats(const std::string &name, core::Scale scale,
                     int version)
 {
-    version = gpuVersion(name, version);
-    std::string key = recordingKey(name, scale, version);
-    return traceMemo.get(key, [&] {
+    return trace(*pass(name, scale, version));
+}
+
+const gpusim::TraceStats &
+Context::trace(Pass &pass)
+{
+    return traceMemo.get(pass.key, [&] {
         namespace m = support::metrics;
         gpusim::TraceStats stats;
         uint64_t hash = 0;
-        const Recording *rec = storedOrRecording(
-            name, scale, version,
+        const gpusim::LaunchSequence *rec = storedOrRecording(
+            pass,
             [&](uint64_t h) {
                 return store &&
-                       loadParsed(*store, traceStatsKey(name, scale, h),
+                       loadParsed(*store,
+                                  traceStatsKey(pass.name, pass.scale, h),
                                   gpusim::parseTraceStats, stats);
             },
             hash);
@@ -488,19 +644,20 @@ Context::traceStats(const std::string &name, core::Scale scale,
             return stats;
         }
         auto t0 = std::chrono::steady_clock::now();
-        stats = gpusim::analyzeTrace(rec->seq);
+        stats = gpusim::analyzeTrace(*rec);
         auto t1 = std::chrono::steady_clock::now();
         if (store)
-            store->store(traceStatsKey(name, scale, hash),
+            store->store(traceStatsKey(pass.name, pass.scale, hash),
                          gpusim::serializeTraceStats(stats));
         m::count("gpusim.replay.calls");
-        m::countLabeled("gpusim.replay.warp_insts", key,
+        m::countLabeled("gpusim.replay.warp_insts", pass.key,
                         stats.warpInstructions);
-        m::gaugeLabeled("gpusim.replay.wall_us", key, microsSince(t0, t1));
+        m::gaugeLabeled("gpusim.replay.wall_us", pass.key,
+                        microsSince(t0, t1));
         if (auto *tc = TraceCollector::active())
             tc->record("gpusim", "replay",
                        TraceArgs()
-                           .str("key", key)
+                           .str("key", pass.key)
                            .num("warp_insts", stats.warpInstructions)
                            .json(),
                        t0, t1);
@@ -512,24 +669,7 @@ bool
 Context::gpuStatsWarm(const std::string &name, core::Scale scale,
                       int version, const gpusim::SimConfig &config)
 {
-    version = gpuVersion(name, version);
-    std::string fp = config.fingerprint();
-    std::string recKey = recordingKey(name, scale, version);
-    if (statsMemo.done(recKey + "/" + fp))
-        return true;
-    if (!store || !store->enabled())
-        return false;
-    uint64_t hash = 0;
-    if (const uint64_t *settled = settledHash(recKey)) {
-        hash = *settled;
-    } else {
-        auto index = indexKey(name, scale, version);
-        if (!index || !loadParsed(*store, *index, parseRecordingHash, hash))
-            return false;
-    }
-    std::error_code ec;
-    return std::filesystem::exists(
-        store->pathFor(gpuStatsKey(name, scale, fp, hash)), ec);
+    return settleWarm({name, scale, version, {config}, false});
 }
 
 const gpusim::KernelStats &
@@ -537,9 +677,14 @@ Context::gpuStats(const std::string &name, core::Scale scale,
                   int version, const gpusim::SimConfig &config,
                   bool *joined)
 {
-    version = gpuVersion(name, version);
+    return stats(*pass(name, scale, version), config, joined);
+}
+
+const gpusim::KernelStats &
+Context::stats(Pass &pass, const gpusim::SimConfig &config, bool *joined)
+{
     std::string fp = config.fingerprint();
-    std::string keyName = recordingKey(name, scale, version) + "/" + fp;
+    std::string keyName = pass.key + "/" + fp;
     auto compute = [&] {
         auto span0 = std::chrono::steady_clock::now();
         // The content hash is part of the key (a changed recording
@@ -547,11 +692,12 @@ Context::gpuStats(const std::string &name, core::Scale scale,
         // only when the stats must be simulated.
         gpusim::KernelStats s;
         uint64_t hash = 0;
-        const Recording *rec = storedOrRecording(
-            name, scale, version,
+        const gpusim::LaunchSequence *rec = storedOrRecording(
+            pass,
             [&](uint64_t h) {
                 return store &&
-                       loadParsed(*store, gpuStatsKey(name, scale, fp, h),
+                       loadParsed(*store,
+                                  gpuStatsKey(pass.name, pass.scale, fp, h),
                                   gpusim::parseKernelStats, s);
             },
             hash);
@@ -562,11 +708,11 @@ Context::gpuStats(const std::string &name, core::Scale scale,
             support::checkpointCancellation();
             auto t0 = std::chrono::steady_clock::now();
             gpusim::TimingSim sim(config);
-            s = sim.simulate(rec->seq);
+            s = sim.simulate(*rec);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
             if (store)
-                store->store(gpuStatsKey(name, scale, fp, hash),
+                store->store(gpuStatsKey(pass.name, pass.scale, fp, hash),
                              gpusim::serializeKernelStats(s));
             uint64_t simUs = uint64_t(dt.count() * 1e6);
             support::metrics::count("gpusim.sims_run");

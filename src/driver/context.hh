@@ -3,34 +3,47 @@
  * Shared experiment context.
  *
  * Figures 6-12 all consume the same 25 CPU characterizations, and
- * Figures 1-5 replay the same recorded GPU launch sequences under
- * different timing configurations. The Context memoizes both in
- * FlightMemo tables (driver/flight_memo.hh), so any number of figure
- * jobs and daemon requests running concurrently share one
- * computation (and one ResultStore entry) per key, while each
- * waiter still honours its own cancel token. A compute that fails is
- * rethrown to the callers waiting on it and retried by the next one.
+ * Figures 1-5 read timing simulations and trace analyses of the same
+ * GPU kernels under different configurations. The Context memoizes
+ * those results in four FlightMemo tables (driver/flight_memo.hh):
+ * `cpu` (characterizations), `hash` (each kernel's content hash),
+ * `trace` (trace analyses) and `stats` (timing simulations). Any
+ * number of figure jobs and daemon requests running concurrently
+ * share one computation (and one ResultStore entry) per key, while
+ * each waiter still honours its own cancel token. A compute that
+ * fails is rethrown to the callers waiting on it and retried by the
+ * next one.
  *
  * GPU keys name a distinct kernel: version 0 resolves to the
  * shipped version (gpuVersion), so a figure asking for the shipped
- * SRAD and Table III asking for SRAD v2 share one recording, one
- * content hash, one trace analysis and one simulation per config.
+ * SRAD and Table III asking for SRAD v2 share one content hash, one
+ * trace analysis and one simulation per config.
  *
  * Every GPU result is keyed by its recording's content hash, and the
  * store's recording index maps each kernel to that hash under the
  * running build (buildIdentity). Against a filled store the hash,
  * the trace analyses and the stats are all store reads: a kernel is
  * recorded only when a result is missing and must be computed.
+ * Recordings are never memoized: a recording lives only while some
+ * call that needs it runs (settle() for a kernel's whole set of
+ * results, or a single gpuStats/traceStats/recordingHash miss).
+ * Calls for one kernel that overlap share one recording, and a call
+ * that finds it being made waits for it under its own cancel token;
+ * the last call to leave frees it. So at most one recording is alive
+ * per thread running such a call.
  *
  * All public methods are thread-safe and return references that
- * stay valid for the Context's lifetime (entries are never evicted).
+ * stay valid for the Context's lifetime (results are never evicted).
  */
 
 #ifndef RODINIA_DRIVER_CONTEXT_HH
 #define RODINIA_DRIVER_CONTEXT_HH
 
+#include <atomic>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
@@ -49,12 +62,34 @@ namespace driver {
 class Executor;
 
 /**
+ * One distinct GPU kernel and the results a set of figures reads
+ * from it: timing simulations under each config, and optionally its
+ * trace analysis.
+ */
+struct KernelWork
+{
+    std::string workload;
+    core::Scale scale = core::Scale::Full;
+    int version = 0;                     //!< 0 = shipped
+    std::vector<gpusim::SimConfig> sims; //!< distinct configs
+    bool trace = false;                  //!< needs traceStats()
+};
+
+/**
  * Rodinia workloads in the paper's figure order (Figs. 1-5).
  * Thread-safe: the table is a function-local static, which C++11
  * guarantees is initialized exactly once even under concurrent
  * first calls from pool threads.
  */
 const std::vector<std::pair<std::string, std::string>> &figureOrder();
+
+/**
+ * The memo key of one GPU kernel: "name/s<scale>/v<version>", with
+ * @p version already resolved (gpuVersion). The experiments CLI
+ * names each kernel's `gpu:` job after it.
+ */
+std::string recordingKey(const std::string &name, core::Scale scale,
+                         int version);
 
 /** All 25 CPU workloads: 12 Rodinia + 13 Parsec (SC shared). */
 std::vector<std::string> allCpuWorkloads();
@@ -105,19 +140,38 @@ class Context
     std::vector<core::CpuCharacterization>
     allCpu(core::Scale scale, int threads = 8);
 
-    /** One workload's recorded launch sequence (memoized, and
-     *  content-hashed in the same compute; never read from the
-     *  store, so the first call records). */
-    const gpusim::LaunchSequence &
-    gpu(const std::string &name, core::Scale scale, int version = 0);
+    /** Is this characterization memoized in this Context? */
+    bool cpuMemoized(const std::string &name, core::Scale scale,
+                     int threads = 8) const;
+
+    /**
+     * Settle every result @p work names in this Context's memos.
+     * Results the store holds are served from it. Only on a miss is
+     * the kernel recorded, once; the missing simulations then fan out
+     * across the executor (parallelFor) next to the trace analysis,
+     * each result is published, and the recording is freed once
+     * settle and every call sharing it have returned. The experiments
+     * CLI runs one settle per distinct kernel as its `gpu:` job;
+     * buildFigure runs the same pass for the figure's own kernels.
+     */
+    void settle(const KernelWork &work);
+
+    /**
+     * Would settle(@p work) be served without recording or
+     * simulating? True when every sim passes the gpuStatsWarm test,
+     * with the kernel's hash looked up once for all of them, and
+     * the trace analysis, if @p work needs one, is memoized (the
+     * probe reads no trace-stats entry). Never blocks on a compute.
+     */
+    bool settleWarm(const KernelWork &work);
 
     /**
      * One recording's content hash (memoized): read from the store's
      * recording index when this build has recorded the kernel
      * before, else recorded, hashed and published to the index.
      * Without an enabled store or a build identity it always
-     * records. Once this Context holds the recording, its own hash
-     * is returned.
+     * records. A later recording whose hash differs from an indexed
+     * one wins: the memoized hash and the index entry are repaired.
      */
     uint64_t recordingHash(const std::string &name, core::Scale scale,
                            int version = 0);
@@ -188,25 +242,25 @@ class Context
     trace::ChunkSink *prevSpillSink = nullptr;
     uint32_t prevSpillResident = 0;
 
-    /** A recording and its content hash, hashed right after
-     *  recording so the digest runs in the recording's own job. */
-    struct Recording
-    {
-        gpusim::LaunchSequence seq;
-        uint64_t hash = 0;
-    };
+    /** One kernel's results being settled, and the recording made
+     *  on the first miss; shared by every call for the kernel while
+     *  one of them runs (context.cc). */
+    class Pass;
 
-    /** The memoized recording of an already resolved version. */
-    const Recording &recording(const std::string &name,
+    /** The live pass of a kernel, made if no call holds one. */
+    std::shared_ptr<Pass> pass(const std::string &name,
                                core::Scale scale, int version);
 
-    /** recordingHash() of an already resolved version. */
-    uint64_t resolvedHash(const std::string &name, core::Scale scale,
-                          int version);
+    /** The hash memo's value: a slot a disagreeing recording may
+     *  overwrite (see recordingHash()). */
+    using HashSlot = std::unique_ptr<std::atomic<uint64_t>>;
+
+    /** recordingHash() of the pass's kernel. */
+    uint64_t resolvedHash(Pass &pass);
 
     /** The hash this Context has settled for a recording key, or
-     *  nullptr; the recording's own hash wins over the index's. */
-    const uint64_t *settledHash(const std::string &key) const;
+     *  nullopt. */
+    std::optional<uint64_t> settledHash(const std::string &key) const;
 
     /** The recording-index key of a resolved kernel, or nullopt when
      *  the store is off or the build has no identity. */
@@ -223,15 +277,22 @@ class Context
      * under its hash. Returns nullptr when the store served the
      * result; @p hash is set to the hash the result is keyed by.
      */
-    const Recording *
-    storedOrRecording(const std::string &name, core::Scale scale,
-                      int version,
-                      const std::function<bool(uint64_t)> &load,
+    const gpusim::LaunchSequence *
+    storedOrRecording(Pass &pass, const std::function<bool(uint64_t)> &load,
                       uint64_t &hash);
 
+    /** gpuStats() and traceStats() of the pass's kernel. */
+    const gpusim::KernelStats &stats(Pass &pass,
+                                     const gpusim::SimConfig &config,
+                                     bool *joined);
+    const gpusim::TraceStats &trace(Pass &pass);
+
+    /** Recording key -> the live pass of that kernel. */
+    std::mutex passMu;
+    std::map<std::string, std::weak_ptr<Pass>> passes;
+
     FlightMemo<core::CpuCharacterization> cpuMemo{"cpu"};
-    FlightMemo<Recording> gpuMemo{"gpu"};
-    FlightMemo<uint64_t> hashMemo{"hash"};
+    FlightMemo<HashSlot> hashMemo{"hash"};
     FlightMemo<gpusim::TraceStats> traceMemo{"trace"};
     FlightMemo<gpusim::KernelStats> statsMemo{"stats"};
 };

@@ -187,6 +187,11 @@ Executor::Impl::tryRunOne(int self)
         size_t n = queues.size();
         size_t start = self >= 0 ? size_t(self) + 1 : cursor.load();
         for (size_t k = 0; k < n && !task; ++k) {
+            // A worker takes its own queue only from the back, above:
+            // work that landed there since that check is picked up on
+            // the next call, still in order.
+            if (self >= 0 && (start + k) % n == size_t(self))
+                continue;
             auto &victim = *queues[(start + k) % n];
             std::lock_guard<std::mutex> lock(victim.mu);
             if (!victim.q.empty()) {

@@ -4,7 +4,9 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <mutex>
+#include <set>
 #include <sstream>
 #include <tuple>
 
@@ -97,9 +99,8 @@ namespace {
 // ---------------------------------------------------------------
 
 std::string
-buildTable1(Context &ctx)
+renderTable1(Context &, const FigureDef &)
 {
-    (void)ctx;
     core::registerAllWorkloads();
     auto &reg = core::Registry::instance();
     std::ostringstream os;
@@ -140,39 +141,68 @@ buildTable1(Context &ctx)
     return os.str();
 }
 
+/** The stats of the figure's sims, kernel-major (memo reads: the
+ *  points are settled before a render runs). */
+std::vector<const gpusim::KernelStats *>
+simResults(Context &ctx, const FigureDef &def)
+{
+    std::vector<const gpusim::KernelStats *> out;
+    out.reserve(def.simKernels.size() * def.simConfigs.size());
+    for (const auto &k : def.simKernels)
+        for (const auto &cfg : def.simConfigs)
+            out.push_back(
+                &ctx.gpuStats(k.workload, k.scale, k.version, cfg));
+    return out;
+}
+
+/** The trace analyses of def.traces, in declaration order. */
+std::vector<const gpusim::TraceStats *>
+traceResults(Context &ctx, const FigureDef &def)
+{
+    std::vector<const gpusim::TraceStats *> out;
+    out.reserve(def.traces.size());
+    for (const auto &d : def.traces)
+        out.push_back(&ctx.traceStats(d.workload, d.scale, d.version));
+    return out;
+}
+
+/** The 12 shipped kernels in figure order. */
+std::vector<GpuDep>
+figureOrderDeps(core::Scale scale)
+{
+    std::vector<GpuDep> deps;
+    for (const auto &[name, label] : figureOrder())
+        deps.push_back({name, scale, 0});
+    return deps;
+}
+
 // ---------------------------------------------------------------
-// Figure 1: IPC on the 8- and 28-shader configurations. The 12
-// benchmarks x 2 shader counts fan out across the pool through
-// Context::gpuStats (memoized + store-cached); the table is
-// assembled serially in figure order from per-iteration slots.
+// Figure 1: IPC on the 8- and 28-shader configurations.
 // ---------------------------------------------------------------
+
+std::vector<gpusim::SimConfig>
+fig1Configs()
+{
+    return {gpusim::SimConfig::shaders(8), gpusim::SimConfig::shaders(28)};
+}
 
 std::string
-buildFig1(Context &ctx)
+renderFig1(Context &ctx, const FigureDef &def)
 {
-    static constexpr int kShaders[2] = {8, 28};
     const auto &order = figureOrder();
-
-    std::vector<std::array<double, 2>> ipc(order.size());
-    ctx.parallelFor(order.size() * 2, [&](size_t idx) {
-        size_t b = idx / 2;
-        size_t si = idx % 2;
-        const auto &st =
-            ctx.gpuStats(order[b].first, primaryScale(), 0,
-                         gpusim::SimConfig::shaders(kShaders[si]));
-        ipc[b][si] = st.ipc();
-    });
+    auto st = simResults(ctx, def);
+    auto ipc = [&](size_t b, size_t si) { return st[b * 2 + si]->ipc(); };
 
     Table t("Figure 1: IPC, 8-shader vs 28-shader configurations");
     t.setHeader({"Benchmark", "IPC(8)", "IPC(28)", "Scaling"});
     std::ostringstream bars;
     double maxIpc = 0.0;
     for (size_t b = 0; b < order.size(); ++b)
-        maxIpc = std::max(maxIpc, ipc[b][1]);
+        maxIpc = std::max(maxIpc, ipc(b, 1));
 
     for (size_t b = 0; b < order.size(); ++b) {
         const auto &label = order[b].second;
-        double i8 = ipc[b][0], i28 = ipc[b][1];
+        double i8 = ipc(b, 0), i28 = ipc(b, 1);
         t.addRow({label, Table::fmt(i8, 1), Table::fmt(i28, 1),
                   Table::fmt(i28 / std::max(i8, 1e-9), 2) + "x"});
         bars << barRow(label + " (28)", i28, maxIpc) << "\n";
@@ -181,30 +211,16 @@ buildFig1(Context &ctx)
     return t.render() + "\n" + bars.str();
 }
 
-/** The trace analyses of the 12 shipped recordings in figure
- *  order, fanned out across the pool (Context::traceStats memoizes
- *  them, so Figs. 2 and 3 share one analysis per recording). */
-std::vector<const gpusim::TraceStats *>
-figureOrderTraceStats(Context &ctx)
-{
-    const auto &order = figureOrder();
-    std::vector<const gpusim::TraceStats *> stats(order.size());
-    ctx.parallelFor(order.size(), [&](size_t b) {
-        stats[b] = &ctx.traceStats(order[b].first, primaryScale());
-    });
-    return stats;
-}
-
 // ---------------------------------------------------------------
 // Figure 2: memory-operation breakdown by space.
 // ---------------------------------------------------------------
 
 std::string
-buildFig2(Context &ctx)
+renderFig2(Context &ctx, const FigureDef &def)
 {
     using gpusim::Space;
     const auto &order = figureOrder();
-    auto stats = figureOrderTraceStats(ctx);
+    auto stats = traceResults(ctx, def);
     Table t("Figure 2: memory operation breakdown (percent)");
     t.setHeader({"Benchmark", "Shared", "Tex", "Const", "Param",
                  "Global/Local"});
@@ -226,10 +242,10 @@ buildFig2(Context &ctx)
 // ---------------------------------------------------------------
 
 std::string
-buildFig3(Context &ctx)
+renderFig3(Context &ctx, const FigureDef &def)
 {
     const auto &order = figureOrder();
-    auto stats = figureOrderTraceStats(ctx);
+    auto stats = traceResults(ctx, def);
     Table t("Figure 3: warp occupancy (percent of warp instructions)");
     t.setHeader({"Benchmark", "1-8", "9-16", "17-24", "25-32",
                  "avg active"});
@@ -243,78 +259,65 @@ buildFig3(Context &ctx)
 }
 
 // ---------------------------------------------------------------
-// Figure 4: speedup vs memory channels. The 12 benchmarks x 3
-// channel configurations fan out across the pool; every iteration
-// writes its own slot, and the table is assembled in figure order.
+// Figure 4: speedup vs memory channels (4, 6 and 8 channels).
 // ---------------------------------------------------------------
 
-std::string
-buildFig4(Context &ctx)
+std::vector<gpusim::SimConfig>
+fig4Configs()
 {
-    static constexpr int kChannels[3] = {4, 6, 8};
-    const auto &order = figureOrder();
-
-    struct Slot
-    {
-        double cycles[3] = {0.0, 0.0, 0.0};
-        double util4 = 0.0;
-    };
-    std::vector<Slot> slots(order.size());
-
-    ctx.parallelFor(order.size() * 3, [&](size_t idx) {
-        size_t b = idx / 3;
-        size_t ci = idx % 3;
+    std::vector<gpusim::SimConfig> configs;
+    for (int channels : {4, 6, 8}) {
         gpusim::SimConfig cfg = gpusim::SimConfig::gpgpusimDefault();
-        cfg.numChannels = kChannels[ci];
-        const auto &st =
-            ctx.gpuStats(order[b].first, primaryScale(), 0, cfg);
-        slots[b].cycles[ci] = double(st.cycles);
-        if (kChannels[ci] == 4)
-            slots[b].util4 = st.bwUtilization();
-    });
+        cfg.numChannels = channels;
+        configs.push_back(cfg);
+    }
+    return configs;
+}
+
+std::string
+renderFig4(Context &ctx, const FigureDef &def)
+{
+    const auto &order = figureOrder();
+    auto st = simResults(ctx, def);
+    auto cycles = [&](size_t b, size_t ci) {
+        return double(st[b * 3 + ci]->cycles);
+    };
 
     Table t("Figure 4: speedup vs channels (normalized to 4 channels)");
     t.setHeader({"Benchmark", "4ch", "6ch", "8ch", "BW util @4ch"});
     for (size_t b = 0; b < order.size(); ++b) {
-        const auto &s = slots[b];
         t.addRow({order[b].second, "1.00",
-                  Table::fmt(s.cycles[0] / s.cycles[1], 2),
-                  Table::fmt(s.cycles[0] / s.cycles[2], 2),
-                  Table::pct(s.util4)});
+                  Table::fmt(cycles(b, 0) / cycles(b, 1), 2),
+                  Table::fmt(cycles(b, 0) / cycles(b, 2), 2),
+                  Table::pct(st[b * 3]->bwUtilization())});
     }
     return t.render();
 }
 
 // ---------------------------------------------------------------
-// Figure 5: Fermi (GTX 480) vs GTX 280. 12 benchmarks x 3 GPU
-// configurations fan out across the pool into per-benchmark slots.
+// Figure 5: Fermi (GTX 480, shared- and L1-biased) vs GTX 280.
 // ---------------------------------------------------------------
 
+std::vector<gpusim::SimConfig>
+fig5Configs()
+{
+    return {gpusim::SimConfig::gtx280(), gpusim::SimConfig::gtx480(false),
+            gpusim::SimConfig::gtx480(true)};
+}
+
 std::string
-buildFig5(Context &ctx)
+renderFig5(Context &ctx, const FigureDef &def)
 {
     const auto &order = figureOrder();
-    auto configFor = [](size_t ci) {
-        return ci == 0   ? gpusim::SimConfig::gtx280()
-               : ci == 1 ? gpusim::SimConfig::gtx480(false)
-                         : gpusim::SimConfig::gtx480(true);
-    };
-
-    std::vector<std::array<double, 3>> us(order.size());
-    ctx.parallelFor(order.size() * 3, [&](size_t idx) {
-        size_t b = idx / 3;
-        size_t ci = idx % 3;
-        const auto &st = ctx.gpuStats(order[b].first,
-                                      primaryScale(), 0,
-                                      configFor(ci));
-        us[b][ci] = st.timeUs();
-    });
+    auto st = simResults(ctx, def);
 
     Table t("Figure 5: kernel time normalized to GTX 280");
     t.setHeader({"Benchmark", "GTX280", "GTX480 shared-bias",
                  "GTX480 L1-bias", "L1-bias gain"});
     for (size_t b = 0; b < order.size(); ++b) {
-        double t280 = us[b][0], tShared = us[b][1], tL1 = us[b][2];
+        double t280 = st[b * 3]->timeUs();
+        double tShared = st[b * 3 + 1]->timeUs();
+        double tL1 = st[b * 3 + 2]->timeUs();
         double gain = (tShared - tL1) / tShared;
         t.addRow({order[b].second, "1.00",
                   Table::fmt(tShared / t280, 2),
@@ -324,48 +327,38 @@ buildFig5(Context &ctx)
 }
 
 // ---------------------------------------------------------------
-// Table III: incrementally optimized versions.
+// Table III: incrementally optimized versions. srad/leukocyte
+// first, then the nw/lud incremental versions the release also
+// ships; each (benchmark, version) reads one sim and its analysis.
 // ---------------------------------------------------------------
 
+std::vector<GpuDep>
+table3Kernels(core::Scale scale)
+{
+    std::vector<GpuDep> kernels;
+    for (const char *name : {"srad", "leukocyte", "nw", "lud"})
+        for (int version : {1, 2})
+            kernels.push_back({name, scale, version});
+    return kernels;
+}
+
 std::string
-buildTable3(Context &ctx)
+renderTable3(Context &ctx, const FigureDef &def)
 {
     using gpusim::Space;
-    // srad/leukocyte first, then the nw/lud incremental versions the
-    // release also ships; 8 (benchmark, version) combos fan out.
-    static const std::pair<const char *, int> kCombos[] = {
-        {"srad", 1},      {"srad", 2},
-        {"leukocyte", 1}, {"leukocyte", 2},
-        {"nw", 1},        {"nw", 2},
-        {"lud", 1},       {"lud", 2},
-    };
-    constexpr size_t kNumCombos = sizeof(kCombos) / sizeof(kCombos[0]);
-
-    struct Slot
-    {
-        gpusim::KernelStats st;
-        std::array<double, 7> mix{};
-    };
-    std::vector<Slot> slots(kNumCombos);
-    ctx.parallelFor(kNumCombos, [&](size_t i) {
-        const auto &[name, version] = kCombos[i];
-        slots[i].st =
-            ctx.gpuStats(name, primaryScale(), version,
-                         gpusim::SimConfig::gpgpusimDefault());
-        slots[i].mix =
-            ctx.traceStats(name, primaryScale(), version).memOpFractions();
-    });
+    auto st = simResults(ctx, def);
+    auto traces = traceResults(ctx, def);
 
     Table t("Table III: incrementally optimized SRAD and Leukocyte");
     t.setHeader({"Benchmark", "Version", "IPC", "BW util", "Shared",
                  "Global", "Const", "Tex"});
-    for (size_t i = 0; i < kNumCombos; ++i) {
-        const auto &[name, version] = kCombos[i];
-        const auto &st = slots[i].st;
-        const auto &mix = slots[i].mix;
-        t.addRow({name, std::string("v").append(std::to_string(version)),
-                  Table::fmt(st.ipc(), 0),
-                  Table::pct(st.bwUtilization(), 0),
+    for (size_t i = 0; i < def.traces.size(); ++i) {
+        const GpuDep &k = def.traces[i];
+        auto mix = traces[i]->memOpFractions();
+        t.addRow({k.workload,
+                  std::string("v").append(std::to_string(k.version)),
+                  Table::fmt(st[i]->ipc(), 0),
+                  Table::pct(st[i]->bwUtilization(), 0),
                   Table::pct(mix[size_t(Space::Shared)]),
                   Table::pct(mix[size_t(Space::Global)]),
                   Table::pct(mix[size_t(Space::Const)]),
@@ -375,10 +368,9 @@ buildTable3(Context &ctx)
 }
 
 // ---------------------------------------------------------------
-// Section III-E: Plackett-Burman sensitivity. The 12 benchmarks x
-// 12 design runs fan out across the pool into per-run response
-// slots; effect ranking and the Borda aggregation stay serial and
-// ordered, so pool execution cannot change the output.
+// Section III-E: Plackett-Burman sensitivity. 12 benchmarks x 12
+// design runs at Small scale; effect ranking and the Borda
+// aggregation are serial and ordered.
 // ---------------------------------------------------------------
 
 const std::vector<std::string> &
@@ -408,33 +400,36 @@ pbConfigFor(const std::vector<int> &signs)
     return cfg;
 }
 
+std::vector<gpusim::SimConfig>
+pbConfigs()
+{
+    std::vector<gpusim::SimConfig> configs;
+    for (const auto &signs :
+         stats::pbDesign(int(pbFactorNames().size())).signs)
+        configs.push_back(pbConfigFor(signs));
+    return configs;
+}
+
 std::string
-buildPbSensitivity(Context &ctx)
+renderPbSensitivity(Context &ctx, const FigureDef &def)
 {
     const auto &factors = pbFactorNames();
     auto design = stats::pbDesign(int(factors.size()));
     const auto &order = figureOrder();
     const size_t runs = size_t(design.runs);
-
-    std::vector<std::vector<double>> responses(
-        order.size(), std::vector<double>(runs, 0.0));
-    ctx.parallelFor(order.size() * runs, [&](size_t idx) {
-        size_t b = idx / runs;
-        size_t r = idx % runs;
-        gpusim::SimConfig cfg = pbConfigFor(design.signs[r]);
-        const auto &st = ctx.gpuStats(order[b].first,
-                                      core::Scale::Small, 0, cfg);
-        // The paper's response variable is total execution
-        // cycles (Section III-E).
-        responses[b][r] = double(st.cycles);
-    });
+    auto st = simResults(ctx, def);
 
     Table t("Plackett-Burman sensitivity: top-3 factors per benchmark");
     t.setHeader({"Benchmark", "#1", "#2", "#3"});
     std::vector<double> rankScore(factors.size(), 0.0);
 
     for (size_t b = 0; b < order.size(); ++b) {
-        auto effects = stats::pbEffects(design, responses[b], factors);
+        // The paper's response variable is total execution cycles
+        // (Section III-E).
+        std::vector<double> responses(runs);
+        for (size_t r = 0; r < runs; ++r)
+            responses[r] = double(st[b * runs + r]->cycles);
+        auto effects = stats::pbEffects(design, responses, factors);
         t.addRow({order[b].second, effects[0].name, effects[1].name,
                   effects[2].name});
         // Aggregate: Borda-style rank points.
@@ -462,7 +457,7 @@ buildPbSensitivity(Context &ctx)
 // ---------------------------------------------------------------
 
 std::string
-buildFig6(Context &ctx)
+renderFig6(Context &ctx, const FigureDef &)
 {
     auto chars = ctx.allCpu(primaryScale());
 
@@ -501,7 +496,7 @@ buildFig6(Context &ctx)
 // ---------------------------------------------------------------
 
 std::string
-buildPcaScatter(Context &ctx, const char *caption,
+renderPcaScatter(Context &ctx, const char *caption,
                 std::vector<double> (core::CpuCharacterization::*features)()
                     const)
 {
@@ -528,24 +523,24 @@ buildPcaScatter(Context &ctx, const char *caption,
 }
 
 std::string
-buildFig7(Context &ctx)
+renderFig7(Context &ctx, const FigureDef &)
 {
-    return buildPcaScatter(ctx, "Figure 7: instruction-mix PCA",
+    return renderPcaScatter(ctx, "Figure 7: instruction-mix PCA",
                            &core::CpuCharacterization::instrMixFeatures);
 }
 
 std::string
-buildFig8(Context &ctx)
+renderFig8(Context &ctx, const FigureDef &)
 {
-    return buildPcaScatter(
+    return renderPcaScatter(
         ctx, "Figure 8: working-set PCA",
         &core::CpuCharacterization::workingSetFeatures);
 }
 
 std::string
-buildFig9(Context &ctx)
+renderFig9(Context &ctx, const FigureDef &)
 {
-    return buildPcaScatter(ctx, "Figure 9: sharing-behavior PCA",
+    return renderPcaScatter(ctx, "Figure 9: sharing-behavior PCA",
                            &core::CpuCharacterization::sharingFeatures);
 }
 
@@ -554,7 +549,7 @@ buildFig9(Context &ctx)
 // ---------------------------------------------------------------
 
 std::string
-buildFig10(Context &ctx)
+renderFig10(Context &ctx, const FigureDef &)
 {
     auto chars = ctx.allCpu(primaryScale());
 
@@ -585,7 +580,7 @@ buildFig10(Context &ctx)
 // ---------------------------------------------------------------
 
 std::string
-buildFig11(Context &ctx)
+renderFig11(Context &ctx, const FigureDef &)
 {
     auto chars = ctx.allCpu(primaryScale());
     std::vector<std::tuple<double, std::string, core::Suite>> rows;
@@ -624,7 +619,7 @@ buildFig11(Context &ctx)
 // ---------------------------------------------------------------
 
 std::string
-buildFig12(Context &ctx)
+renderFig12(Context &ctx, const FigureDef &)
 {
     auto chars = ctx.allCpu(primaryScale());
     std::vector<std::tuple<double, std::string, core::Suite>> rows;
@@ -647,9 +642,8 @@ buildFig12(Context &ctx)
 // ---------------------------------------------------------------
 
 std::string
-buildAblationSimt(Context &ctx)
+renderAblationSimt(Context &, const FigureDef &)
 {
-    (void)ctx;
     using namespace rodinia::gpusim;
 
     // Per-thread trip counts drawn from a skewed distribution, like
@@ -719,95 +713,114 @@ buildAblationSimt(Context &ctx)
 // Ablation: coalescing granularity.
 // ---------------------------------------------------------------
 
-std::string
-buildAblationCoalesce(Context &ctx)
+std::vector<GpuDep>
+coalesceKernels()
 {
-    static const char *kNames[3] = {"kmeans", "cfd", "bfs"};
-    static constexpr int kGranules[3] = {32, 64, 128};
+    return {{"kmeans", core::Scale::Small, 0},
+            {"cfd", core::Scale::Small, 0},
+            {"bfs", core::Scale::Small, 0}};
+}
 
-    struct Slot
-    {
-        double cycles[3] = {0, 0, 0};
-        double trans[3] = {0, 0, 0};
-    };
-    std::vector<Slot> slots(3);
-    ctx.parallelFor(9, [&](size_t idx) {
-        size_t b = idx / 3;
-        size_t gi = idx % 3;
+std::vector<gpusim::SimConfig>
+coalesceConfigs()
+{
+    std::vector<gpusim::SimConfig> configs;
+    for (int granule : {32, 64, 128}) {
         gpusim::SimConfig cfg = gpusim::SimConfig::gpgpusimDefault();
-        cfg.coalesceBytes = kGranules[gi];
-        const auto &st =
-            ctx.gpuStats(kNames[b], core::Scale::Small, 0, cfg);
-        slots[b].cycles[gi] = double(st.cycles);
-        slots[b].trans[gi] = double(st.dramTransactions);
-    });
+        cfg.coalesceBytes = granule;
+        configs.push_back(cfg);
+    }
+    return configs;
+}
 
+std::string
+renderAblationCoalesce(Context &ctx, const FigureDef &def)
+{
+    auto st = simResults(ctx, def);
     Table t("Coalescing-granularity ablation (normalized to 64 B)");
     t.setHeader({"Benchmark", "Metric", "32B", "64B", "128B"});
     for (size_t b = 0; b < 3; ++b) {
-        const auto &s = slots[b];
-        t.addRow({kNames[b], "cycles",
-                  Table::fmt(s.cycles[0] / s.cycles[1], 2), "1.00",
-                  Table::fmt(s.cycles[2] / s.cycles[1], 2)});
-        t.addRow({"", "transactions",
-                  Table::fmt(s.trans[0] / s.trans[1], 2), "1.00",
-                  Table::fmt(s.trans[2] / s.trans[1], 2)});
+        auto cycles = [&](size_t gi) {
+            return double(st[b * 3 + gi]->cycles);
+        };
+        auto trans = [&](size_t gi) {
+            return double(st[b * 3 + gi]->dramTransactions);
+        };
+        t.addRow({def.simKernels[b].workload, "cycles",
+                  Table::fmt(cycles(0) / cycles(1), 2), "1.00",
+                  Table::fmt(cycles(2) / cycles(1), 2)});
+        t.addRow({"", "transactions", Table::fmt(trans(0) / trans(1), 2),
+                  "1.00", Table::fmt(trans(2) / trans(1), 2)});
     }
     return t.render();
 }
 
-std::vector<GpuDep>
-figureOrderDeps(core::Scale scale)
+/** A figure with its GPU inputs declared; gpuDeps is derived. */
+FigureDef
+gpuFigure(std::string id, std::string title,
+          std::string (*render)(Context &, const FigureDef &),
+          std::vector<GpuDep> simKernels,
+          std::vector<gpusim::SimConfig> simConfigs,
+          std::vector<GpuDep> traces = {})
 {
-    std::vector<GpuDep> deps;
-    for (const auto &[name, label] : figureOrder()) {
-        (void)label;
-        deps.push_back({name, scale, 0});
-    }
-    return deps;
+    FigureDef f{std::move(id),         std::move(title),
+                render,                false,
+                std::move(simKernels), std::move(simConfigs),
+                std::move(traces),     {}};
+    for (const auto *list : {&f.simKernels, &f.traces})
+        for (const auto &d : *list) {
+            bool have = false;
+            for (const auto &g : f.gpuDeps)
+                have = have || (g.workload == d.workload &&
+                                g.scale == d.scale && g.version == d.version);
+            if (!have)
+                f.gpuDeps.push_back(d);
+        }
+    return f;
 }
 
 /** Every figure in paper order, its primary GPU inputs at @p scale. */
 std::vector<FigureDef>
 figureTable(core::Scale scale)
 {
+    auto cpuFigure = [](std::string id, std::string title,
+                        std::string (*render)(Context &,
+                                              const FigureDef &)) {
+        return FigureDef{std::move(id), std::move(title), render, true,
+                         {}, {}, {}, {}};
+    };
     std::vector<FigureDef> f;
-    auto fullOrder = figureOrderDeps(scale);
-    auto smallOrder = figureOrderDeps(core::Scale::Small);
-
-    f.push_back({"table1", "table1/inventory", buildTable1, false, {}});
-    f.push_back({"fig1", "fig1/ipc", buildFig1, false, fullOrder});
-    f.push_back({"fig2", "fig2/memmix", buildFig2, false, fullOrder});
-    f.push_back(
-        {"fig3", "fig3/occupancy", buildFig3, false, fullOrder});
-    f.push_back(
-        {"fig4", "fig4/channels", buildFig4, false, fullOrder});
-    f.push_back({"fig5", "fig5/fermi", buildFig5, false, fullOrder});
-    f.push_back({"table3", "table3/incremental", buildTable3, false,
-                 {{"srad", scale, 1},
-                  {"srad", scale, 2},
-                  {"leukocyte", scale, 1},
-                  {"leukocyte", scale, 2},
-                  {"nw", scale, 1},
-                  {"nw", scale, 2},
-                  {"lud", scale, 1},
-                  {"lud", scale, 2}}});
-    f.push_back({"pb", "sec3e/plackett_burman", buildPbSensitivity,
-                 false, smallOrder});
-    f.push_back({"fig6", "fig6/dendrogram", buildFig6, true, {}});
-    f.push_back({"fig7", "fig7/instmix_pca", buildFig7, true, {}});
-    f.push_back({"fig8", "fig8/workingset_pca", buildFig8, true, {}});
-    f.push_back({"fig9", "fig9/sharing_pca", buildFig9, true, {}});
-    f.push_back({"fig10", "fig10/missrates", buildFig10, true, {}});
-    f.push_back({"fig11", "fig11/ifootprint", buildFig11, true, {}});
-    f.push_back({"fig12", "fig12/dfootprint", buildFig12, true, {}});
+    f.push_back({"table1", "table1/inventory", renderTable1, false, {}, {},
+                 {}, {}});
+    f.push_back(gpuFigure("fig1", "fig1/ipc", renderFig1,
+                          figureOrderDeps(scale), fig1Configs()));
+    f.push_back(gpuFigure("fig2", "fig2/memmix", renderFig2, {}, {},
+                          figureOrderDeps(scale)));
+    f.push_back(gpuFigure("fig3", "fig3/occupancy", renderFig3, {}, {},
+                          figureOrderDeps(scale)));
+    f.push_back(gpuFigure("fig4", "fig4/channels", renderFig4,
+                          figureOrderDeps(scale), fig4Configs()));
+    f.push_back(gpuFigure("fig5", "fig5/fermi", renderFig5,
+                          figureOrderDeps(scale), fig5Configs()));
+    f.push_back(gpuFigure("table3", "table3/incremental", renderTable3,
+                          table3Kernels(scale),
+                          {gpusim::SimConfig::gpgpusimDefault()},
+                          table3Kernels(scale)));
+    f.push_back(gpuFigure("pb", "sec3e/plackett_burman",
+                          renderPbSensitivity,
+                          figureOrderDeps(core::Scale::Small), pbConfigs()));
+    f.push_back(cpuFigure("fig6", "fig6/dendrogram", renderFig6));
+    f.push_back(cpuFigure("fig7", "fig7/instmix_pca", renderFig7));
+    f.push_back(cpuFigure("fig8", "fig8/workingset_pca", renderFig8));
+    f.push_back(cpuFigure("fig9", "fig9/sharing_pca", renderFig9));
+    f.push_back(cpuFigure("fig10", "fig10/missrates", renderFig10));
+    f.push_back(cpuFigure("fig11", "fig11/ifootprint", renderFig11));
+    f.push_back(cpuFigure("fig12", "fig12/dfootprint", renderFig12));
     f.push_back({"ablation_simt", "ablation/simt_keys",
-                 buildAblationSimt, false, {}});
-    f.push_back({"ablation_coalesce", "ablation/coalesce",
-                 buildAblationCoalesce, false,
-                 {{"kmeans", core::Scale::Small, 0},
-                  {"cfd", core::Scale::Small, 0},
-                  {"bfs", core::Scale::Small, 0}}});
+                 renderAblationSimt, false, {}, {}, {}, {}});
+    f.push_back(gpuFigure("ablation_coalesce", "ablation/coalesce",
+                          renderAblationCoalesce, coalesceKernels(),
+                          coalesceConfigs()));
     return f;
 }
 
@@ -841,11 +854,60 @@ findFigure(const std::string &id)
     return nullptr;
 }
 
+std::vector<KernelWork>
+kernelWork(const std::vector<const FigureDef *> &figures)
+{
+    std::vector<KernelWork> out;
+    std::map<std::string, size_t> kernelAt; // resolved key -> out index
+    std::set<std::pair<size_t, std::string>> sims; // (index, fingerprint)
+    auto kernel = [&](const GpuDep &d) {
+        int version = gpuVersion(d.workload, d.version);
+        auto [it, fresh] = kernelAt.try_emplace(
+            recordingKey(d.workload, d.scale, version), out.size());
+        if (fresh)
+            out.push_back({d.workload, d.scale, version, {}, false});
+        return it->second;
+    };
+    for (const auto *def : figures) {
+        // In gpuDeps order, so a figure's kernels start in the order
+        // it declared them.
+        for (const auto &d : def->gpuDeps)
+            kernel(d);
+        for (const auto &d : def->simKernels) {
+            size_t k = kernel(d);
+            for (const auto &cfg : def->simConfigs)
+                if (sims.emplace(k, cfg.fingerprint()).second)
+                    out[k].sims.push_back(cfg);
+        }
+        for (const auto &d : def->traces)
+            out[kernel(d)].trace = true;
+    }
+    return out;
+}
+
+bool
+figureWarm(const FigureDef &def, Context &ctx)
+{
+    if (!def.needsAllCpu && def.gpuDeps.empty())
+        return false;
+    if (def.needsAllCpu)
+        for (const auto &name : allCpuWorkloads())
+            if (!ctx.cpuMemoized(name, primaryScale()))
+                return false;
+    for (const auto &k : kernelWork({&def}))
+        if (!ctx.settleWarm(k))
+            return false;
+    return true;
+}
+
 std::string
 buildFigure(const FigureDef &def, Context &ctx)
 {
     auto t0 = std::chrono::steady_clock::now();
-    std::string out = def.build(ctx);
+    auto kernels = kernelWork({&def});
+    ctx.parallelFor(kernels.size(),
+                    [&](size_t i) { ctx.settle(kernels[i]); });
+    std::string out = def.render(ctx, def);
     auto t1 = std::chrono::steady_clock::now();
     support::metrics::count("figures.built");
     support::metrics::gaugeLabeled(

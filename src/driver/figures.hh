@@ -3,18 +3,26 @@
  * The paper's figures and tables as driver experiments.
  *
  * Every figure/table reproduced from the paper is one FigureDef: an
- * id for the CLI, the bench harness title, a builder that renders
- * the figure text from a shared Context, and the figure's inputs
- * (whether it consumes the 25 CPU characterizations, and which GPU
- * launch recordings it replays). The experiments CLI turns those
- * declared inputs into job-graph dependencies so characterizations
- * and recordings are shared across figures; the bench binaries call
- * the same builders one figure at a time, which is what keeps the
- * two execution paths byte-identical.
+ * id for the CLI, the bench harness title, the figure's declared
+ * inputs, and a render function. A GPU figure declares each input
+ * once, as points: the (workload, scale, version, SimConfig) timing
+ * simulations — every one of its sim kernels under every one of its
+ * configs — and the trace analyses it reads. A CPU figure declares
+ * that it consumes the 25 characterizations. The render function
+ * turns the memoized results of those inputs into the figure text;
+ * it reads results in declaration order, so no config list is
+ * written twice.
  *
- * Builders write per-iteration results into preallocated slots and
- * assemble output in a fixed order, so running them on the pool
- * (Context::parallelFor) cannot change the produced text.
+ * The points are what the callers schedule. The experiments CLI
+ * merges the points of every selected figure into one `gpu:` job per
+ * distinct kernel (kernelWork, Context::settle) and one job per CPU
+ * characterization, and makes each figure job depend on its inputs;
+ * buildFigure runs the same per-kernel pass for the daemon and the
+ * tests. A render therefore never records and never simulates: the
+ * results it reads are settled before it runs.
+ *
+ * Renders assemble output in a fixed order from per-point results, so
+ * the pool's schedule cannot change the produced text.
  */
 
 #ifndef RODINIA_DRIVER_FIGURES_HH
@@ -38,7 +46,7 @@ namespace driver {
 core::Scale primaryScale();
 void setPrimaryScale(core::Scale scale);
 
-/** One GPU launch recording a figure replays. */
+/** One GPU kernel a figure reads: a workload's recording at a scale. */
 struct GpuDep
 {
     std::string workload;
@@ -51,9 +59,18 @@ struct FigureDef
 {
     std::string id;    //!< CLI id, e.g. "fig4"
     std::string title; //!< harness title, e.g. "fig4/channels"
-    std::string (*build)(Context &ctx);
-    bool needsAllCpu = false;     //!< consumes the 25 characterizations
-    std::vector<GpuDep> gpuDeps;  //!< recordings the builder replays
+    /** The figure text, from the memoized results of the declared
+     *  inputs (see the file comment). */
+    std::string (*render)(Context &ctx, const FigureDef &def) = nullptr;
+    bool needsAllCpu = false; //!< consumes the 25 characterizations
+    /** The timing sims: each of simKernels under each of simConfigs,
+     *  kernel-major — the order the render reads them in. */
+    std::vector<GpuDep> simKernels;
+    std::vector<gpusim::SimConfig> simConfigs;
+    std::vector<GpuDep> traces; //!< trace analyses, in render order
+    /** The distinct kernels of the sims and traces, in first-use
+     *  order (derived from them; versions as declared). */
+    std::vector<GpuDep> gpuDeps;
 };
 
 /**
@@ -67,12 +84,30 @@ const std::vector<FigureDef> &allFigures();
 const FigureDef *findFigure(const std::string &id);
 
 /**
- * Run a figure's builder with observability: a "figure" trace span
- * named after the figure id, a figures.built counter, and a
+ * The distinct kernels @p figures read, each with every sim config
+ * and whether a trace analysis is needed, in first-use order.
+ * Versions are resolved (gpuVersion), so the shipped version and its
+ * explicit number are one kernel.
+ */
+std::vector<KernelWork>
+kernelWork(const std::vector<const FigureDef *> &figures);
+
+/**
+ * Would buildFigure() be served without computing anything? True
+ * when the figure declares inputs and each is warm: every kernel of
+ * kernelWork() passes Context::settleWarm and, for a CPU figure,
+ * every characterization is memoized. A figure with no declared
+ * inputs (table1, ablation_simt) is never warm.
+ */
+bool figureWarm(const FigureDef &def, Context &ctx);
+
+/**
+ * Build one figure: settle its kernels (Context::settle, fanned out
+ * across the pool; a no-op when they are settled already, as in the
+ * experiments CLI), then render. Observability: a "figure" trace
+ * span named after the figure id, a figures.built counter, and a
  * per-figure wall-time gauge (figures.wall_us, labeled by id).
- * Returns exactly def.build(ctx) — instrumentation never alters the
- * figure text, so this wrapper and a direct builder call stay
- * byte-identical.
+ * Instrumentation never alters the figure text.
  */
 std::string buildFigure(const FigureDef &def, Context &ctx);
 

@@ -69,18 +69,25 @@ DeviceSpace::rewrite(LaunchSequence &seq) const
         return (slot->second << 12) | (addr & 0xfff);
     };
 
+    // Each block is decoded lane by lane, remapped and re-encoded
+    // into a fresh sealed block that replaces it, so the rewrite
+    // holds at most one extra block at a time.
+    std::vector<LaneStream> lanes;
+    GEvent e;
     for (auto &launch : seq.launches) {
         for (auto &block : launch.blocks) {
-            for (auto &lane : block.lanes) {
-                lane.transform([&](GEvent &e) {
-                    if (e.op != GOp::Load && e.op != GOp::Store)
-                        return;
-                    if (e.space == Space::Shared ||
-                        e.space == Space::None)
-                        return;
-                    e.addr = remap(e.addr);
-                });
+            lanes.resize(size_t(block.blockDim));
+            for (int l = 0; l < block.blockDim; ++l) {
+                LaneStream &out = lanes[size_t(l)];
+                out.clear();
+                for (LaneStream::Cursor c = block.lane(l); c.next(e);) {
+                    if ((e.op == GOp::Load || e.op == GOp::Store) &&
+                        e.space != Space::Shared && e.space != Space::None)
+                        e.addr = remap(e.addr);
+                    out.append(e);
+                }
             }
+            block = BlockRecord(lanes, block.sharedBytes);
         }
     }
 }

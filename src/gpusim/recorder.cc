@@ -303,7 +303,8 @@ class BlockRunner
 {
   public:
     BlockRunner(const LaunchConfig &launch, const Kernel &kernel)
-        : launch(launch), kernel(kernel), fibers(size_t(launch.blockDim))
+        : launch(launch), kernel(kernel), fibers(size_t(launch.blockDim)),
+          builders(size_t(launch.blockDim))
     {
         adoptCurrentContext(sched);
         for (Fiber &f : fibers) {
@@ -399,6 +400,10 @@ class BlockRunner
 
     FiberContext sched;
     std::vector<Fiber> fibers;
+    /** Thread t's lane builder between blocks: lent to its KernelCtx
+     *  while a block records, returned to be sealed, and cleared for
+     *  the next block with its capacity kept. */
+    std::vector<LaneStream> builders;
     std::vector<std::unique_ptr<KernelCtx>> ctxs;
     int currentThread = 0;
     std::exception_ptr error; //!< first exception a kernel thread threw
@@ -448,6 +453,8 @@ BlockRunner::run(int block_idx)
     for (int t = 0; t < n; ++t) {
         ctxs.push_back(
             std::make_unique<KernelCtx>(this, t, blockIdx, launch));
+        builders[size_t(t)].clear();
+        ctxs.back()->events = std::move(builders[size_t(t)]);
         fibers[t].started = fibers[t].done = fibers[t].atBarrier = false;
     }
 
@@ -481,16 +488,12 @@ BlockRunner::run(int block_idx)
         std::rethrow_exception(error);
     }
 
-    BlockRecord rec;
-    rec.blockDim = n;
-    rec.sharedBytes = sharedTop - sharedBase;
-    rec.lanes.reserve(n);
     for (int t = 0; t < n; ++t) {
         ctxs[t]->flushPending();
         eventBudgetUsed += ctxs[t]->events.size();
-        rec.lanes.push_back(std::move(ctxs[t]->events));
+        builders[size_t(t)] = std::move(ctxs[t]->events);
     }
-    return rec;
+    return BlockRecord(builders, sharedTop - sharedBase);
 }
 
 KernelCtx::KernelCtx(BlockRunner *runner, int tid, int block_idx,
@@ -608,15 +611,56 @@ recordKernel(const LaunchConfig &launch, const Kernel &kernel)
     return rec;
 }
 
+BlockRecord::BlockRecord(const std::vector<LaneStream> &lanes,
+                         uint64_t shared_bytes)
+    : sharedBytes(shared_bytes), blockDim(int(lanes.size()))
+{
+    uint64_t bytes = 0;
+    for (const LaneStream &lane : lanes)
+        bytes += lane.encodedBytes();
+    if (bytes > UINT32_MAX)
+        fatal("a recorded block holds ", bytes,
+              " encoded bytes; a sealed block holds at most 4 GiB");
+    const size_t n = lanes.size();
+    const size_t total = size_t(wordCount(n, bytes));
+    words = std::make_unique_for_overwrite<uint32_t[]>(total);
+    if (total > 2 * n)
+        words[total - 1] = 0; // the payload's padding bytes
+    auto *out = reinterpret_cast<uint8_t *>(words.get() + 2 * n);
+    uint32_t end = 0;
+    for (size_t l = 0; l < n; ++l) {
+        const LaneStream &lane = lanes[l];
+        if (!lane.empty())
+            std::memcpy(out + end, lane.data(), lane.encodedBytes());
+        end += uint32_t(lane.encodedBytes());
+        words[l] = end;
+        words[n + l] = uint32_t(lane.size());
+    }
+}
+
+namespace {
+
+/** Call fn on every event of every lane of @p rec, in lane order. */
+template <typename Fn>
+void
+forEachEvent(const KernelRecording &rec, Fn &&fn)
+{
+    GEvent e;
+    for (const auto &block : rec.blocks)
+        for (int l = 0; l < block.blockDim; ++l)
+            for (LaneStream::Cursor c = block.lane(l); c.next(e);)
+                fn(e);
+}
+
+} // namespace
+
 uint64_t
 KernelRecording::threadInstructions() const
 {
     uint64_t n = 0;
-    for (const auto &block : blocks)
-        for (const auto &lane : block.lanes)
-            lane.forEach([&](const GEvent &e) {
-                n += e.op == GOp::Sync ? 1 : e.count;
-            });
+    forEachEvent(*this, [&](const GEvent &e) {
+        n += e.op == GOp::Sync ? 1 : e.count;
+    });
     return n;
 }
 
@@ -624,15 +668,29 @@ std::vector<uint64_t>
 KernelRecording::memOpsBySpace() const
 {
     std::vector<uint64_t> out(size_t(Space::Local) + 1, 0);
-    for (const auto &block : blocks) {
-        for (const auto &lane : block.lanes) {
-            lane.forEach([&](const GEvent &e) {
-                if (e.op == GOp::Load || e.op == GOp::Store)
-                    out[size_t(e.space)] += 1;
-            });
-        }
-    }
+    forEachEvent(*this, [&](const GEvent &e) {
+        if (e.op == GOp::Load || e.op == GOp::Store)
+            out[size_t(e.space)] += 1;
+    });
     return out;
+}
+
+uint64_t
+KernelRecording::encodedBytes() const
+{
+    uint64_t n = 0;
+    for (const auto &block : blocks)
+        n += block.encodedBytes();
+    return n;
+}
+
+uint64_t
+KernelRecording::allocatedBytes() const
+{
+    uint64_t n = blocks.size() * sizeof(BlockRecord);
+    for (const auto &block : blocks)
+        n += block.allocatedBytes();
+    return n;
 }
 
 uint64_t
@@ -641,6 +699,24 @@ LaunchSequence::threadInstructions() const
     uint64_t n = 0;
     for (const auto &l : launches)
         n += l.threadInstructions();
+    return n;
+}
+
+uint64_t
+LaunchSequence::encodedBytes() const
+{
+    uint64_t n = 0;
+    for (const auto &l : launches)
+        n += l.encodedBytes();
+    return n;
+}
+
+uint64_t
+LaunchSequence::allocatedBytes() const
+{
+    uint64_t n = 0;
+    for (const auto &l : launches)
+        n += l.allocatedBytes();
     return n;
 }
 
@@ -686,19 +762,19 @@ contentHash(const KernelRecording &rec)
     h = mixWord(h, uint64_t(rec.launch.gridDim));
     h = mixWord(h, uint64_t(rec.launch.blockDim));
     h = mixWord(h, uint64_t(rec.blocks.size()));
+    GEvent e;
     for (const auto &block : rec.blocks) {
         h = mixWord(h, uint64_t(block.blockDim));
         h = mixWord(h, block.sharedBytes);
-        h = mixWord(h, uint64_t(block.lanes.size()));
-        for (const auto &lane : block.lanes) {
-            h = mixWord(h, uint64_t(lane.size()));
-            lane.forEach([&](const GEvent &e) {
+        h = mixWord(h, uint64_t(block.blockDim)); // the lane count
+        for (int l = 0; l < block.blockDim; ++l) {
+            h = mixWord(h, block.laneEvents(l));
+            for (LaneStream::Cursor c = block.lane(l); c.next(e);) {
                 // Field-by-field over the decoded event (a GEvent
                 // has padding bytes whose contents are unspecified),
                 // so the digest is a pure function of the logical
-                // trace and identical across the compact and oracle
-                // representations — store keys must not depend on
-                // how the trace is stored. Two mix rounds per event,
+                // trace — store keys must not depend on how the
+                // trace is stored. Two mix rounds per event,
                 // not five: each field is premixed with a distinct
                 // odd multiplier so contributions cannot cancel by
                 // simple XOR alignment, and the full avalanche runs
@@ -716,7 +792,7 @@ contentHash(const KernelRecording &rec)
                      uint64_t(uint8_t(e.space))) *
                         0xff51afd7ed558ccdull;
                 h = mixWord(mixWord(h, w1), w2);
-            });
+            }
         }
     }
     return h;

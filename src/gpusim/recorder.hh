@@ -60,6 +60,10 @@ struct LaunchSequence
 
     uint64_t threadInstructions() const;
     std::vector<uint64_t> memOpsBySpace() const;
+    /** Encoded event bytes, and the heap bytes that hold them, over
+     *  every launch (see KernelRecording). */
+    uint64_t encodedBytes() const;
+    uint64_t allocatedBytes() const;
 };
 
 /**

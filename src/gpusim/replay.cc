@@ -12,10 +12,7 @@ WarpReplayer::WarpReplayer(const BlockRecord &block, int warp_start,
     if (lanes > warp_size)
         lanes = warp_size;
     for (int l = 0; l < lanes; ++l) {
-        const auto &trace = block.lanes[size_t(warp_start + l)];
-        if (trace.empty())
-            continue;
-        cur[size_t(l)] = LaneStream::Cursor(trace);
+        cur[size_t(l)] = block.lane(warp_start + l);
         if (cur[size_t(l)].next(ev[size_t(l)]))
             live |= 1u << l;
     }

@@ -11,12 +11,12 @@
  * order, which lets the warp replayer model SIMT reconvergence by
  * always executing the minimum-key lanes together.
  *
- * Lane traces are stored as LaneStreams: delta-encoded byte buffers
- * (order-key deltas, address deltas, op/space tag bytes, optional
- * repeat counts) decoded sequentially during replay. A 40-byte GEvent
- * compresses to a few bytes because consecutive events share key
- * prefixes and access strides — that is what makes paper-scale
- * recordings fit in memory.
+ * Lane traces are delta-encoded byte streams (order-key deltas,
+ * address deltas, op/space tag bytes, optional repeat counts) decoded
+ * sequentially during replay. A 40-byte GEvent compresses to a few
+ * bytes because consecutive events share key prefixes and access
+ * strides, and a finished block seals all its lanes into one buffer —
+ * that is what makes paper-scale recordings fit in memory.
  */
 
 #ifndef RODINIA_GPUSIM_TYPES_HH
@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <source_location>
 #include <vector>
 
@@ -111,17 +112,18 @@ struct GEvent
 };
 
 /**
- * Compact append-only storage for one lane's event trace.
+ * Append-only builder for one lane's event trace.
  *
  * Events are delta-encoded into a single byte buffer: a tag byte
  * (op, space, presence bits), zigzag-varint deltas of the two order-
  * key words against the previous event, a zigzag-varint address
  * delta against the previous memory access plus a varint size (only
  * for events that carry an address), and a varint repeat count (only
- * when != 1). One buffer per lane — not one per column — because a
- * paper-scale launch has millions of short lanes and per-lane column
- * vectors would cost more in headers than the payload; the CPU-side
- * trace::EventStream, with few long streams, keeps true columns.
+ * when != 1). Each kernel thread appends to its own builder while its
+ * block records; when the block finishes, BlockRecord copies every
+ * lane's bytes into one sealed buffer, so a recording holds no
+ * per-lane objects at all. The CPU-side trace::EventStream, with few
+ * long streams, keeps true columns instead.
  *
  * Decoding is sequential via Cursor, which is exactly how the warp
  * replayer, the content hash, and the aggregate counters consume
@@ -163,18 +165,37 @@ class LaneStream
             support::putVarint(buf, e.count);
     }
 
+    /** Empty the lane, keeping its buffer's capacity for reuse. */
+    void
+    clear()
+    {
+        count = 0;
+        buf.clear();
+        prevKeyHi = prevKeyLo = prevAddr = 0;
+    }
+
     uint64_t size() const { return count; }
     bool empty() const { return count == 0; }
     /** Encoded payload bytes. */
     uint64_t encodedBytes() const { return buf.size(); }
+    /** The encoded payload (encodedBytes() bytes). */
+    const uint8_t *data() const { return buf.data(); }
 
-    /** Sequential decoder; do not append while cursors exist. */
+    /**
+     * Sequential decoder over one lane's encoded bytes, wherever
+     * they live: a builder or a sealed block. The bytes must outlive
+     * the cursor and must not change while it reads them.
+     */
     class Cursor
     {
       public:
         Cursor() = default;
+        Cursor(const uint8_t *begin, const uint8_t *end)
+            : p(begin), end(end)
+        {
+        }
         explicit Cursor(const LaneStream &stream)
-            : s(&stream), remaining(stream.count)
+            : Cursor(stream.data(), stream.data() + stream.encodedBytes())
         {
         }
 
@@ -182,10 +203,8 @@ class LaneStream
         bool
         next(GEvent &out)
         {
-            if (remaining == 0)
+            if (p == end)
                 return false;
-            --remaining;
-            const uint8_t *p = s->buf.data() + off;
             uint8_t tag = *p++;
             out.op = GOp(tag & 7);
             out.space = Space((tag >> 3) & 7);
@@ -203,29 +222,16 @@ class LaneStream
                 out.size = 0;
             }
             out.count = (tag & 0x80) ? uint32_t(support::getVarint(p)) : 1;
-            off = std::size_t(p - s->buf.data());
             return true;
         }
 
       private:
-        const LaneStream *s = nullptr;
-        uint64_t remaining = 0;
-        std::size_t off = 0; //!< byte offset of the next event
+        const uint8_t *p = nullptr;   //!< the next event's first byte
+        const uint8_t *end = nullptr; //!< one past the lane's last byte
         uint64_t prevKeyHi = 0;
         uint64_t prevKeyLo = 0;
         uint64_t prevAddr = 0;
     };
-
-    /** Visit every event in order (inlined per-event dispatch). */
-    template <typename Fn>
-    void
-    forEach(Fn &&fn) const
-    {
-        Cursor c(*this);
-        GEvent e;
-        while (c.next(e))
-            fn(e);
-    }
 
     /** Materialize the lane (tests / small traces only). */
     std::vector<GEvent>
@@ -233,27 +239,11 @@ class LaneStream
     {
         std::vector<GEvent> out;
         out.reserve(std::size_t(count));
-        forEach([&](const GEvent &e) { out.push_back(e); });
+        Cursor c(*this);
+        GEvent e;
+        while (c.next(e))
+            out.push_back(e);
         return out;
-    }
-
-    /**
-     * Rewrite every event in place: decode, apply fn(GEvent&),
-     * re-encode. Used by DeviceSpace::rewrite to remap addresses
-     * onto the canonical device layout. Invalidates cursors.
-     */
-    template <typename Fn>
-    void
-    transform(Fn &&fn)
-    {
-        LaneStream out;
-        out.buf.reserve(buf.size());
-        forEach([&](const GEvent &ev) {
-            GEvent m = ev;
-            fn(m);
-            out.append(m);
-        });
-        *this = std::move(out);
     }
 
   private:
@@ -273,12 +263,79 @@ struct LaunchConfig
     int totalThreads() const { return gridDim * blockDim; }
 };
 
-/** Recording of one thread block: one event trace per thread. */
-struct BlockRecord
+/**
+ * Recording of one thread block, sealed: one event trace per thread,
+ * all in one heap allocation of 32-bit words. Words [0, n) hold each
+ * lane's end offset into the payload, words [n, 2n) each lane's event
+ * count, and the payload — every lane's encoded bytes, back to back in
+ * thread order — follows, padded to a whole word. A lane therefore
+ * costs 8 bytes plus its encoded events, and a block one heap block.
+ * The buffer is sized exactly, so allocatedBytes() is a pure function
+ * of the recording. Sealed blocks are immutable: DeviceSpace::rewrite
+ * re-encodes into a fresh one.
+ */
+class BlockRecord
 {
-    std::vector<LaneStream> lanes;
+  public:
+    BlockRecord() = default;
+
+    /**
+     * Seal one builder per thread, in thread order. A block's payload
+     * must stay under 4 GiB (fatal otherwise).
+     */
+    BlockRecord(const std::vector<LaneStream> &lanes,
+                uint64_t shared_bytes);
+
     uint64_t sharedBytes = 0;
-    int blockDim = 0;
+    int blockDim = 0; //!< threads, and so lanes, in the block
+
+    /** Events lane @p l recorded. */
+    uint64_t
+    laneEvents(int l) const
+    {
+        return words[std::size_t(blockDim + l)];
+    }
+
+    /** A decoder over lane @p l; valid while this block lives. */
+    LaneStream::Cursor
+    lane(int l) const
+    {
+        const uint8_t *base = payload();
+        uint32_t begin = l ? words[std::size_t(l - 1)] : 0;
+        return {base + begin, base + words[std::size_t(l)]};
+    }
+
+    /** Encoded payload bytes, over all lanes. */
+    uint64_t
+    encodedBytes() const
+    {
+        return blockDim ? words[std::size_t(blockDim - 1)] : 0;
+    }
+
+    /** Heap bytes this block holds: the index plus the padded
+     *  payload. */
+    uint64_t
+    allocatedBytes() const
+    {
+        return blockDim ? 4 * wordCount(uint64_t(blockDim), encodedBytes())
+                        : 0;
+    }
+
+  private:
+    static uint64_t
+    wordCount(uint64_t lanes, uint64_t payload_bytes)
+    {
+        return 2 * lanes + (payload_bytes + 3) / 4;
+    }
+
+    const uint8_t *
+    payload() const
+    {
+        return reinterpret_cast<const uint8_t *>(
+            words.get() + 2 * std::size_t(blockDim));
+    }
+
+    std::unique_ptr<uint32_t[]> words;
 };
 
 /** Full recording of one kernel launch. */
@@ -292,6 +349,12 @@ struct KernelRecording
 
     /** Total dynamic memory instructions by space. */
     std::vector<uint64_t> memOpsBySpace() const;
+
+    /** Encoded event bytes over all blocks. */
+    uint64_t encodedBytes() const;
+
+    /** Heap bytes the sealed blocks and the block array hold. */
+    uint64_t allocatedBytes() const;
 };
 
 } // namespace gpusim

@@ -9,9 +9,9 @@
  * client from consuming either:
  *
  *  - Two priority lanes. Requests whose results are already warm
- *    (figure cache, gpuStats memo, or a published store entry) go to
- *    the warm lane, served by its own worker(s); everything else is
- *    cold. A cold-sim flood therefore queues behind other cold work
+ *    (a figure whose declared inputs are all warm, a memoized sim,
+ *    or a published store entry) go to the warm lane, served by its
+ *    own worker(s); everything else is cold. A cold-sim flood therefore queues behind other cold work
  *    only — warm hits never wait on a simulation.
  *
  *  - Bounded queues. Each lane's queue has a hard depth cap; a

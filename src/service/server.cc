@@ -173,11 +173,6 @@ struct ExperimentService::Impl
     std::mutex inflightMu;
     std::map<std::pair<std::string, std::string>, InFlight> inflight;
 
-    /** Figure id -> rendered text. Figure output is deterministic,
-     *  so a benign double-build race publishes identical bytes. */
-    std::mutex figureCacheMu;
-    std::map<std::string, std::string> figureCache;
-
     // ---- lifecycle --------------------------------------------
 
     bool bind();
@@ -202,8 +197,6 @@ struct ExperimentService::Impl
     void finishError(Task &task, const std::string &cls,
                      const std::string &message);
 
-    bool figureWarm(const std::string &id);
-    std::string figureText(const driver::FigureDef &def);
 
     void eraseInflight(const Conn &conn, const std::string &id);
     void cancelConnection(const Conn &conn, const std::string &why);
@@ -394,10 +387,6 @@ ExperimentService::Impl::handleStats(const std::shared_ptr<Conn> &conn,
     }
     os << "},\"queue\":{\"warm\":" << admission.queueDepth(Lane::Warm)
        << ",\"cold\":" << admission.queueDepth(Lane::Cold) << "}";
-    {
-        std::lock_guard<std::mutex> lock(figureCacheMu);
-        os << ",\"figure_cache\":" << figureCache.size();
-    }
     os << ",\"sim_flights\":" << ctx.simFlightsInFlight();
     os << ",\"metrics\":"
        << metrics::Registry::global().snapshot().renderJson() << "}";
@@ -429,13 +418,6 @@ ExperimentService::Impl::handleCancel(
     }
 }
 
-bool
-ExperimentService::Impl::figureWarm(const std::string &id)
-{
-    std::lock_guard<std::mutex> lock(figureCacheMu);
-    return figureCache.count(id) != 0;
-}
-
 void
 ExperimentService::Impl::handleWork(const std::shared_ptr<Conn> &conn,
                                     const Request &req)
@@ -453,7 +435,8 @@ ExperimentService::Impl::handleWork(const std::shared_ptr<Conn> &conn,
                 "unknown figure '" + req.figure + "'"));
             return;
         }
-        task.lane = figureWarm(req.figure) ? Lane::Warm : Lane::Cold;
+        task.lane = driver::figureWarm(*task.figure, ctx) ? Lane::Warm
+                                                          : Lane::Cold;
     } else {
         auto &reg = core::Registry::instance();
         if (!reg.has(req.workload)) {
@@ -586,23 +569,6 @@ ExperimentService::Impl::workerLoop(Lane lane)
     }
 }
 
-std::string
-ExperimentService::Impl::figureText(const driver::FigureDef &def)
-{
-    {
-        std::lock_guard<std::mutex> lock(figureCacheMu);
-        auto it = figureCache.find(def.id);
-        if (it != figureCache.end()) {
-            metrics::count("service.figure_cache_hits");
-            return it->second;
-        }
-    }
-    std::string text = driver::buildFigure(def, ctx);
-    std::lock_guard<std::mutex> lock(figureCacheMu);
-    figureCache.emplace(def.id, text);
-    return text;
-}
-
 void
 ExperimentService::Impl::streamPayload(Task &task,
                                        const std::string &payload,
@@ -662,7 +628,7 @@ ExperimentService::Impl::execute(Task &task)
             // simulation's error class if it fails, and its own
             // cancel or deadline unwinds only itself.
             if (task.op == Op::Figure)
-                payload = figureText(*task.figure);
+                payload = driver::buildFigure(*task.figure, ctx);
             else
                 payload = gpusim::serializeKernelStats(
                     ctx.gpuStats(task.workload, task.scale, task.version,

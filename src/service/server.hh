@@ -8,8 +8,9 @@
  * the line-delimited JSON protocol (service/protocol.hh), all
  * sharing ONE warm driver::Context, ONE ResultStore, and ONE
  * work-stealing Executor — so the memoized characterizations,
- * recordings, and timing simulations that a batch run pays for once
- * are paid for once per daemon lifetime, not once per client.
+ * content hashes, trace analyses and timing simulations that a batch
+ * run pays for once are paid for once per daemon lifetime, not once
+ * per client.
  *
  * Request path:
  *
@@ -18,8 +19,10 @@
  *        rejection, never a daemon abort; SimConfigs are clamped and
  *        checked at this boundary)
  *     -> lane classification: warm iff the result is already served
- *        from cache (figure text cache, gpuStats memo, or published
- *        store entry)
+ *        without computing: a sim memoized or published in the
+ *        store, or a figure whose declared inputs are all warm
+ *        (driver::figureWarm; a warm figure is re-rendered from the
+ *        memoized results, in well under a millisecond for most)
  *     -> admission control (per-client quota, per-lane queue cap;
  *        see service/admission.hh) -> "accepted" or "rejected"
  *     -> lane queue: FIFO, served in arrival order; once stop() has
@@ -33,7 +36,8 @@
  *        bytes with "coalesced":1 on their done line, a joiner's
  *        cancel or deadline never disturbs the simulation, and a
  *        failed simulation propagates its error class to every
- *        joiner
+ *        joiner; distinct cold sims of one kernel in flight at once
+ *        share one recording, and none is kept between requests
  *     -> execute under a per-request CancelToken (deadline watchdog
  *        + client cancel + connection teardown all cancel the same
  *        token, reusing the cooperative checkpoints threaded through

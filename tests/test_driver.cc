@@ -26,6 +26,7 @@
 #include "driver/job.hh"
 #include "driver/result_store.hh"
 #include "support/cancel.hh"
+#include "support/faultinject.hh"
 #include "support/metrics.hh"
 
 using namespace rodinia;
@@ -518,7 +519,7 @@ TEST(Context, FigureRegistryIsComplete)
     for (const auto &def : driver::allFigures()) {
         EXPECT_FALSE(def.id.empty());
         EXPECT_FALSE(def.title.empty());
-        EXPECT_NE(def.build, nullptr);
+        EXPECT_NE(def.render, nullptr);
     }
 }
 
@@ -557,19 +558,24 @@ TEST(Figures, ConcurrentFirstLookupSeesOneTable)
 
 TEST(Context, ShippedVersionSharesOneRecording)
 {
-    // Version 0 names the shipped kernel, SRAD v2: one recording and
-    // one content hash serve both names.
+    // Version 0 names the shipped kernel, SRAD v2: both names record
+    // the same kernel, and a Context records and hashes it once for
+    // both.
+    const auto tiny = core::Scale::Tiny;
     EXPECT_EQ(driver::gpuVersion("srad", 0), 2);
     EXPECT_EQ(driver::gpuVersion("srad", 1), 1);
+    const uint64_t v2 =
+        gpusim::contentHash(driver::recordGpuLaunch("srad", tiny, 2));
+    EXPECT_EQ(gpusim::contentHash(driver::recordGpuLaunch("srad", tiny, 0)),
+              v2);
     driver::Context ctx;
     uint64_t records0 = counter("gpusim.record.calls");
     uint64_t hashes0 = counter("gpusim.hash.calls");
-    const auto &shipped = ctx.gpu("srad", core::Scale::Tiny, 0);
-    const auto &v2 = ctx.gpu("srad", core::Scale::Tiny, 2);
-    EXPECT_EQ(&shipped, &v2);
+    EXPECT_EQ(ctx.recordingHash("srad", tiny, 0), v2);
+    EXPECT_EQ(ctx.recordingHash("srad", tiny, 2), v2);
     EXPECT_EQ(counter("gpusim.record.calls"), records0 + 1);
     EXPECT_EQ(counter("gpusim.hash.calls"), hashes0 + 1);
-    EXPECT_NE(&ctx.gpu("srad", core::Scale::Tiny, 1), &shipped);
+    EXPECT_NE(ctx.recordingHash("srad", tiny, 1), v2);
     EXPECT_EQ(counter("gpusim.record.calls"), records0 + 2);
 }
 
@@ -603,7 +609,9 @@ TEST(Context, TraceFiguresAnalyseEachRecordingOnce)
     for (size_t i = 0; i < 3; ++i) {
         const auto *def = driver::findFigure(ids[i]);
         ASSERT_NE(def, nullptr);
-        g.add(ids[i], [&text, &ctx, def, i] { text[i] = def->build(ctx); });
+        g.add(ids[i], [&text, &ctx, def, i] {
+            text[i] = driver::buildFigure(*def, ctx);
+        });
     }
     ASSERT_TRUE(ex.run(g));
     EXPECT_EQ(counter("gpusim.replay.calls"), replays0 + 16);
@@ -623,11 +631,11 @@ TEST(Context, ParallelFigureMatchesSerialFigure)
     ASSERT_NE(def, nullptr);
 
     driver::Context serial;
-    std::string serialText = def->build(serial);
+    std::string serialText = driver::buildFigure(*def, serial);
 
     Executor ex(4);
     driver::Context pooled(nullptr, &ex);
-    std::string pooledText = def->build(pooled);
+    std::string pooledText = driver::buildFigure(*def, pooled);
 
     EXPECT_FALSE(serialText.empty());
     EXPECT_EQ(serialText, pooledText);
@@ -710,7 +718,7 @@ TEST(GpuStats, ShippedAndExplicitVersionShareOneStoreEntry)
     // v2 by number finds the entry the shipped-version call wrote.
     ResultStore store(scratch.dir());
     driver::Context ctx(&store);
-    ctx.gpu("srad", core::Scale::Tiny, 2);
+    ctx.recordingHash("srad", core::Scale::Tiny, 2);
     EXPECT_TRUE(ctx.gpuStatsWarm("srad", core::Scale::Tiny, 2, cfg));
     uint64_t sims0 = counter("gpusim.sims_run");
     uint64_t served0 = counter("gpusim.store_served");
@@ -731,7 +739,7 @@ TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)
         driver::Context ctx(&store);
         uint64_t sims0 = counter("gpusim.sims_run");
         uint64_t served0 = counter("gpusim.store_served");
-        cold = def->build(ctx);
+        cold = driver::buildFigure(*def, ctx);
         EXPECT_EQ(counter("gpusim.store_served"), served0);
         EXPECT_GT(counter("gpusim.sims_run"), sims0);
     }
@@ -744,10 +752,207 @@ TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)
     driver::Context ctx(&store, &ex);
     uint64_t sims0 = counter("gpusim.sims_run");
     uint64_t served0 = counter("gpusim.store_served");
-    std::string warm = def->build(ctx);
+    std::string warm = driver::buildFigure(*def, ctx);
     EXPECT_EQ(warm, cold);
     EXPECT_GT(counter("gpusim.store_served"), served0);
     EXPECT_EQ(counter("gpusim.sims_run"), sims0);
+}
+
+// ---------------------------------------------------------------
+// KernelPass: one pass per kernel records once, a render never does
+// ---------------------------------------------------------------
+
+TEST(KernelPass, RenderNeverRecords)
+{
+    // Each GPU figure on a fresh store-less pooled Context: the build
+    // settles one pass per distinct kernel it declares, recording each
+    // kernel once (fig5 reads 36 sims of 12 kernels: 12 recordings),
+    // and the render reads only memoized results. A second build
+    // records and simulates nothing.
+    PrimaryScaleGuard scale(core::Scale::Tiny);
+    Executor ex(4);
+    size_t gpuFigures = 0;
+    for (const auto &def : driver::allFigures()) {
+        if (def.gpuDeps.empty())
+            continue;
+        SCOPED_TRACE(def.id);
+        ++gpuFigures;
+        const auto kernels = driver::kernelWork({&def});
+        size_t sims = 0;
+        for (const auto &k : kernels)
+            sims += k.sims.size();
+        if (def.id == "fig5") {
+            EXPECT_EQ(def.simKernels.size() * def.simConfigs.size(), 36u);
+            EXPECT_EQ(kernels.size(), 12u);
+        }
+        driver::Context ctx(nullptr, &ex);
+        uint64_t records0 = counter("gpusim.record.calls");
+        uint64_t sims0 = counter("gpusim.sims_run");
+        std::string text = driver::buildFigure(def, ctx);
+        EXPECT_FALSE(text.empty());
+        EXPECT_EQ(counter("gpusim.record.calls"),
+                  records0 + kernels.size());
+        EXPECT_EQ(counter("gpusim.sims_run"), sims0 + sims);
+
+        records0 = counter("gpusim.record.calls");
+        sims0 = counter("gpusim.sims_run");
+        EXPECT_EQ(driver::buildFigure(def, ctx), text);
+        EXPECT_EQ(counter("gpusim.record.calls"), records0);
+        EXPECT_EQ(counter("gpusim.sims_run"), sims0);
+    }
+    // Figs. 1-5, Table III, PB and the coalescing ablation.
+    EXPECT_EQ(gpuFigures, 8u);
+}
+
+TEST(KernelPass, PooledSettleSimulatesEveryConfigOnOneRecording)
+{
+    // One kernel, many configs and its trace analysis, settled on a
+    // 4-worker pool: every sim reads the one recording while the
+    // stats and trace memos settle around it. The results are the
+    // ones a serial Context computes point by point.
+    driver::KernelWork work{"hotspot", core::Scale::Tiny, 0, {}, true};
+    for (int shaders : {1, 2, 4, 8, 14, 28})
+        work.sims.push_back(gpusim::SimConfig::shaders(shaders));
+    work.sims.push_back(gpusim::SimConfig::gtx280());
+    work.sims.push_back(gpusim::SimConfig::gtx480(true));
+
+    Executor ex(4);
+    driver::Context ctx(nullptr, &ex);
+    uint64_t records0 = counter("gpusim.record.calls");
+    uint64_t sims0 = counter("gpusim.sims_run");
+    uint64_t replays0 = counter("gpusim.replay.calls");
+    JobGraph g;
+    g.add("gpu:hotspot", [&] { ctx.settle(work); });
+    ASSERT_TRUE(ex.run(g));
+    EXPECT_EQ(counter("gpusim.record.calls"), records0 + 1);
+    EXPECT_EQ(counter("gpusim.sims_run"), sims0 + work.sims.size());
+    EXPECT_EQ(counter("gpusim.replay.calls"), replays0 + 1);
+
+    driver::Context serial;
+    for (const auto &cfg : work.sims)
+        EXPECT_EQ(gpusim::serializeKernelStats(
+                      ctx.gpuStats("hotspot", core::Scale::Tiny, 0, cfg)),
+                  gpusim::serializeKernelStats(serial.gpuStats(
+                      "hotspot", core::Scale::Tiny, 0, cfg)));
+    EXPECT_EQ(gpusim::serializeTraceStats(
+                  ctx.traceStats("hotspot", core::Scale::Tiny)),
+              gpusim::serializeTraceStats(
+                  serial.traceStats("hotspot", core::Scale::Tiny)));
+
+    // Settled: a second pass does no work.
+    records0 = counter("gpusim.record.calls");
+    sims0 = counter("gpusim.sims_run");
+    ctx.settle(work);
+    EXPECT_EQ(counter("gpusim.record.calls"), records0);
+    EXPECT_EQ(counter("gpusim.sims_run"), sims0);
+}
+
+TEST(KernelPass, AllFigureBuildHoldsAtMostOneRecordingPerWorker)
+{
+    // The experiments CLI's graph at Tiny scale on a 4-worker pool:
+    // one settle job per distinct kernel, then the figure renders. A
+    // recording lives only while a call that needs it runs, so at
+    // most one is alive per worker. The registry starts empty, so the
+    // gauge's high-water mark is this build's alone.
+    PrimaryScaleGuard scale(core::Scale::Tiny);
+    support::metrics::Registry::global().clear();
+    std::vector<const driver::FigureDef *> defs;
+    for (const auto &def : driver::allFigures())
+        defs.push_back(&def);
+    const auto kernels = driver::kernelWork(defs);
+    EXPECT_EQ(kernels.size(), 28u);
+
+    Executor ex(4);
+    driver::Context ctx(nullptr, &ex);
+    uint64_t records0 = counter("gpusim.record.calls");
+    JobGraph g;
+    std::vector<size_t> settled;
+    for (const auto &k : kernels)
+        settled.push_back(
+            g.add("gpu:" + k.workload, [&ctx, &k] { ctx.settle(k); }));
+    std::vector<std::string> text(defs.size());
+    for (size_t i = 0; i < defs.size(); ++i)
+        g.add(
+            "figure:" + defs[i]->id,
+            [&ctx, &text, &defs, i] {
+                text[i] = driver::buildFigure(*defs[i], ctx);
+            },
+            settled);
+    ASSERT_TRUE(ex.run(g));
+    EXPECT_EQ(counter("gpusim.record.calls"), records0 + kernels.size());
+    uint64_t resident =
+        support::metrics::Registry::global().snapshot().value(
+            "gpusim.record.resident_max");
+    EXPECT_GE(resident, 1u);
+    EXPECT_LE(resident, 4u);
+}
+
+TEST(KernelPass, OverlappingCallsShareOneRecording)
+{
+    // Five sims of one kernel under distinct configs start together,
+    // and each stalls after it has read the recording, so every call
+    // overlaps the others. They share one recording instead of making
+    // five. Once the last has returned the recording is freed: a
+    // later miss of the same kernel records it again.
+    support::FaultInjector::instance().configure("stall=sim:nw/s0/@200");
+    driver::Context ctx;
+    uint64_t records0 = counter("gpusim.record.calls");
+    uint64_t sims0 = counter("gpusim.sims_run");
+    constexpr int kCalls = 5;
+    std::vector<uint64_t> cycles(kCalls, 0);
+    std::vector<std::thread> threads;
+    for (int i = 0; i < kCalls; ++i)
+        threads.emplace_back([&, i] {
+            auto cfg = gpusim::SimConfig::shaders(1 << i);
+            cycles[size_t(i)] =
+                ctx.gpuStats("nw", core::Scale::Tiny, 0, cfg).cycles;
+        });
+    for (auto &t : threads)
+        t.join();
+    support::FaultInjector::instance().configure("");
+    EXPECT_EQ(counter("gpusim.record.calls"), records0 + 1);
+    EXPECT_EQ(counter("gpusim.sims_run"), sims0 + kCalls);
+    for (uint64_t c : cycles)
+        EXPECT_GT(c, 0u);
+
+    ctx.gpuStats("nw", core::Scale::Tiny, 0,
+                 gpusim::SimConfig::shaders(3));
+    EXPECT_EQ(counter("gpusim.record.calls"), records0 + 2);
+}
+
+TEST(KernelPass, FigureIsWarmOnlyWhenEveryDeclaredInputIs)
+{
+    // A CPU figure is warm once every characterization it reads is
+    // memoized, not one fewer. A GPU figure is warm once its sims
+    // and trace analyses are; a figure that declares no inputs
+    // (table1, ablation_simt) never is, even after a build.
+    PrimaryScaleGuard scale(core::Scale::Tiny);
+    driver::Context ctx;
+    const driver::FigureDef *fig10 = driver::findFigure("fig10");
+    ASSERT_NE(fig10, nullptr);
+    const auto names = driver::allCpuWorkloads();
+    ASSERT_GT(names.size(), 1u);
+    for (size_t i = 0; i + 1 < names.size(); ++i)
+        ctx.cpu(names[i], core::Scale::Tiny);
+    EXPECT_FALSE(driver::figureWarm(*fig10, ctx));
+    ctx.cpu(names.back(), core::Scale::Tiny);
+    EXPECT_TRUE(driver::figureWarm(*fig10, ctx));
+
+    for (const char *id : {"fig2", "ablation_coalesce"}) {
+        SCOPED_TRACE(id);
+        const driver::FigureDef *def = driver::findFigure(id);
+        ASSERT_NE(def, nullptr);
+        EXPECT_FALSE(driver::figureWarm(*def, ctx));
+        driver::buildFigure(*def, ctx);
+        EXPECT_TRUE(driver::figureWarm(*def, ctx));
+    }
+    for (const char *id : {"table1", "ablation_simt"}) {
+        SCOPED_TRACE(id);
+        const driver::FigureDef *def = driver::findFigure(id);
+        ASSERT_NE(def, nullptr);
+        driver::buildFigure(*def, ctx);
+        EXPECT_FALSE(driver::figureWarm(*def, ctx));
+    }
 }
 
 // ---------------------------------------------------------------
@@ -935,13 +1140,11 @@ syntheticRecording(int blocks, int block_dim, int events_per_lane)
     gpusim::KernelRecording rec;
     rec.launch.gridDim = blocks;
     rec.launch.blockDim = block_dim;
-    rec.blocks.resize(size_t(blocks));
     for (int b = 0; b < blocks; ++b) {
-        auto &block = rec.blocks[size_t(b)];
-        block.blockDim = block_dim;
-        block.lanes.resize(size_t(block_dim));
+        std::vector<gpusim::LaneStream> lanes(
+            static_cast<size_t>(block_dim));
         for (int l = 0; l < block_dim; ++l) {
-            auto &lane = block.lanes[size_t(l)];
+            auto &lane = lanes[size_t(l)];
             for (int e = 0; e < events_per_lane; ++e) {
                 gpusim::GEvent ev;
                 ev.key.hi = uint64_t(e + 1) << 48; // event "PC"
@@ -957,6 +1160,7 @@ syntheticRecording(int blocks, int block_dim, int events_per_lane)
                 lane.append(ev);
             }
         }
+        rec.blocks.emplace_back(lanes, 0);
     }
     return rec;
 }

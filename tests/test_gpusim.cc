@@ -65,9 +65,9 @@ TEST(Recorder, RecordsPerLaneEvents)
         ctx.stg(&data[ctx.tid()], 0.0f);
     });
     ASSERT_EQ(rec.blocks.size(), 1u);
-    ASSERT_EQ(rec.blocks[0].lanes.size(), 32u);
-    for (const auto &lane : rec.blocks[0].lanes)
-        EXPECT_EQ(lane.size(), 3u);
+    ASSERT_EQ(rec.blocks[0].blockDim, 32);
+    for (int l = 0; l < 32; ++l)
+        EXPECT_EQ(rec.blocks[0].laneEvents(l), 3u);
     EXPECT_EQ(rec.threadInstructions(), 32u * 4); // fp(2) counts as 2
 }
 
@@ -128,8 +128,10 @@ TEST(Recorder, AluEventsMerge)
         for (int i = 0; i < 100; ++i)
             ctx.fp(1); // same site, same key: must merge
     });
-    ASSERT_EQ(rec.blocks[0].lanes[0].size(), 1u);
-    EXPECT_EQ(rec.blocks[0].lanes[0].decodeAll()[0].count, 100u);
+    ASSERT_EQ(rec.blocks[0].laneEvents(0), 1u);
+    GEvent e;
+    ASSERT_TRUE(rec.blocks[0].lane(0).next(e));
+    EXPECT_EQ(e.count, 100u);
 }
 
 namespace {
@@ -248,11 +250,11 @@ TEST(Recorder, SwitchesTwicePerThreadAndBarrierWait)
     });
     uint64_t switches = fiberSwitches() - before;
     uint64_t syncs = 0;
+    GEvent e;
     for (const auto &b : rec.blocks)
-        for (const auto &lane : b.lanes)
-            lane.forEach([&](const GEvent &e) {
+        for (int l = 0; l < b.blockDim; ++l)
+            for (LaneStream::Cursor c = b.lane(l); c.next(e);)
                 syncs += e.op == GOp::Sync;
-            });
     EXPECT_EQ(syncs, uint64_t(block) * (1 + 2 + 3));
     EXPECT_EQ(switches, 2 * (uint64_t(grid) * block + syncs));
 }

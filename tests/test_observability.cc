@@ -398,75 +398,71 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
     ScratchDir scratch("kgstats");
     std::string cache = (scratch.dir() / "cache").string();
 
-    // Stall the cfd sim far past the watchdog deadline: the figure
-    // job runs some kmeans sims (publishing them to the store —
-    // durable side effects are not transactional), then fails on
-    // the deadline. Its metric transaction must be dropped whole:
-    // --stats reports zero sims and none of its store traffic, not
-    // the partial counts the job accumulated before dying. The three
-    // gpu: jobs commit: they miss the recording index, record, and
-    // publish it.
+    // One gpu: job per kernel settles that kernel's three sims. Stall
+    // the cfd sim far past the watchdog deadline: gpu:cfd/s1/v1 has
+    // recorded cfd, published its index entry (durable side effects
+    // are not transactional) and missed its first stats entry when
+    // the deadline fails it, so the figure is skipped. Its metric
+    // transaction must be dropped whole: --stats reports only the
+    // kmeans and bfs jobs, which commit on their own (one recording,
+    // one index miss, three sims and three stats misses each), and
+    // none of cfd's recording, sims or store traffic.
     std::vector<std::string> args = {
         "--figure", "ablation_coalesce", "--jobs", "1",
         "--deadline", "2500", "--keep-going", "--stats",
         "--quiet", "--no-summary"};
+    auto expectFound = [](const std::string &out, const char *what) {
+        EXPECT_NE(out.find(what), std::string::npos) << what << "\n"
+                                                     << out;
+    };
+    // The --stats tables, after the figure text.
+    auto stats = [](const std::string &out) {
+        size_t at = out.find("Cache-sweep replay throughput");
+        return at == std::string::npos ? std::string() : out.substr(at);
+    };
     RunResult r1 =
         runExperiments(args, "stall=sim:cfd@60000", cache);
     EXPECT_NE(r1.exit, 0);
-    EXPECT_NE(r1.out.find("MISSING(deadline)"), std::string::npos)
-        << r1.out;
-    EXPECT_NE(r1.out.find("0 sims run / 0 store-served"),
-              std::string::npos)
-        << r1.out;
-    EXPECT_NE(r1.out.find("result store: 0 hits / 3 misses / 0 "
-                          "publish failures / 0 orphaned tmp "
-                          "collected"),
-              std::string::npos)
-        << r1.out;
-    EXPECT_NE(r1.out.find("3 recordings: "), std::string::npos)
-        << r1.out;
-    EXPECT_NE(r1.out.find("; 3 hashes (0 from the index); "),
-              std::string::npos)
-        << r1.out;
-    EXPECT_NE(r1.out.find("no sweeps replayed this run"),
-              std::string::npos)
-        << r1.out;
+    expectFound(r1.out, "MISSING(skipped)");
+    expectFound(r1.out, "skipped: dependency 'gpu:cfd/s1/v1' failed");
+    expectFound(r1.out, "6 sims run / 0 store-served");
+    expectFound(r1.out, "result store: 0 hits / 8 misses / 0 publish "
+                        "failures / 0 orphaned tmp collected");
+    expectFound(r1.out, "2 recordings: ");
+    expectFound(r1.out, "; 2 hashes (0 from the index); ");
+    expectFound(r1.out, "no sweeps replayed this run");
+    // No row of the recording or sim tables names the failed kernel.
+    EXPECT_NE(stats(r1.out).find("kmeans/"), std::string::npos) << r1.out;
+    EXPECT_EQ(stats(r1.out).find("cfd/"), std::string::npos) << r1.out;
     // Jobs completed, so the all-zero hint must not print.
     EXPECT_EQ(r1.out.find("hint: nothing was recorded"),
               std::string::npos)
         << r1.out;
 
-    // The dropped transaction did not undo durable work: sims the
-    // doomed job memoized before its deadline were published.
-    bool published = false;
+    // The dropped transaction did not undo durable work: the index
+    // entry the doomed job published before its deadline is there.
+    bool indexed = false;
     std::error_code ec;
     for (const auto &entry : std::filesystem::directory_iterator(
              cache, ec))
-        if (entry.path().filename().string().rfind("gpustats_", 0) ==
-            0)
-            published = true;
-    EXPECT_TRUE(published);
+        indexed = indexed ||
+                  entry.path().filename().string().rfind(
+                      "recindex_cfd", 0) == 0;
+    EXPECT_TRUE(indexed);
 
-    // Run 2: the gpu: jobs read the index run 1 published, and the
-    // doomed job serves those kmeans sims from the store, records
-    // cfd for its missing sim, then dies the same way. It drops the
-    // store hits, the recording and the sims with its transaction.
+    // Run 2: every gpu: job reads the index run 1 published. kmeans
+    // and bfs serve their sims from the store; gpu:cfd/s1/v1 misses
+    // its stats, records cfd, and dies the same way, dropping its
+    // index hit, its misses and the recording with its transaction.
     RunResult r2 =
         runExperiments(args, "stall=sim:cfd@60000", cache);
     EXPECT_EQ(r1.exit, r2.exit);
-    EXPECT_NE(r2.out.find("0 sims run / 0 store-served"),
-              std::string::npos)
-        << r2.out;
-    EXPECT_NE(r2.out.find("result store: 3 hits / 0 misses / 0 "
-                          "publish failures / 0 orphaned tmp "
-                          "collected"),
-              std::string::npos)
-        << r2.out;
-    EXPECT_NE(r2.out.find("0 recordings: "), std::string::npos)
-        << r2.out;
-    EXPECT_NE(r2.out.find("; 0 hashes (3 from the index); "),
-              std::string::npos)
-        << r2.out;
+    expectFound(r2.out, "0 sims run / 6 store-served");
+    expectFound(r2.out, "result store: 8 hits / 0 misses / 0 publish "
+                        "failures / 0 orphaned tmp collected");
+    expectFound(r2.out, "0 recordings: ");
+    expectFound(r2.out, "; 0 hashes (2 from the index); ");
+    EXPECT_EQ(stats(r2.out).find("cfd/"), std::string::npos) << r2.out;
     EXPECT_EQ(r2.out.find("hint: nothing was recorded"),
               std::string::npos)
         << r2.out;
@@ -481,7 +477,7 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
     RunResult ok = runExperiments(args, "", cache);
     EXPECT_EQ(ok.exit, 0) << ok.out;
     EXPECT_EQ(ok.out.find("MISSING("), std::string::npos) << ok.out;
-    EXPECT_EQ(ok.out.find("0 sims run"), std::string::npos) << ok.out;
+    expectFound(ok.out, "3 sims run / 6 store-served");
 }
 
 TEST(KeepGoing, StatsHintsWhenNothingWasRecorded)

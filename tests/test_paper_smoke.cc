@@ -148,6 +148,11 @@ TEST(PaperSmokeDeep, SradParallelSimMatchesSerialAtPaperScale)
     auto w = Registry::instance().create("srad");
     gpusim::LaunchSequence seq = w->runGpu(Scale::Paper);
     ASSERT_FALSE(seq.launches.empty());
+    // Sealed blocks hold little beyond the encoded events: an 8-byte
+    // index entry per lane and word padding per block.
+    EXPECT_LE(double(seq.allocatedBytes()), 1.1 * double(seq.encodedBytes()))
+        << seq.allocatedBytes() << " bytes allocated for "
+        << seq.encodedBytes() << " encoded";
 
     const gpusim::SimConfig base = gpusim::SimConfig::gpgpusimDefault();
     gpusim::KernelStats ref = gpusim::reference::simulate(base, seq);

@@ -239,8 +239,8 @@ TEST(EpochEngine, EmptyOddBlocksMatchReference)
             ctx.stg(&data[(i * 7) % data.size()], v + 1.0f);
         });
     ASSERT_EQ(rec.blocks.size(), 12u);
-    for (const LaneStream &lane : rec.blocks[1].lanes)
-        ASSERT_TRUE(lane.empty());
+    for (int l = 0; l < rec.blocks[1].blockDim; ++l)
+        ASSERT_EQ(rec.blocks[1].laneEvents(l), 0u);
     for (const SimConfig &cfg : testConfigs())
         expectMatchesReference(cfg, rec, "odd blocks empty");
 }
@@ -262,8 +262,8 @@ TEST(EpochEngine, EmptyTrailingBlocksMatchReference)
             ctx.alu(3);
             ctx.stg(&data[i], v * 2.0f);
         });
-    for (const LaneStream &lane : rec.blocks.back().lanes)
-        ASSERT_TRUE(lane.empty());
+    for (int l = 0; l < rec.blocks.back().blockDim; ++l)
+        ASSERT_EQ(rec.blocks.back().laneEvents(l), 0u);
     SimConfig one_slot = SimConfig::shaders(1);
     one_slot.maxCtasPerSm = 1;
     expectMatchesReference(one_slot, rec, "one CTA slot");

@@ -15,7 +15,6 @@
 
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -140,8 +139,9 @@ class FaultConfig
 
 /**
  * Build figures the way the experiments CLI does: one job per
- * distinct kernel resolving its content hash, and one job per
- * figure depending on its kernels. Returns the figure texts.
+ * distinct kernel settling every point the figures declare for it,
+ * and one job per figure depending on its kernels. Returns the
+ * figure texts.
  */
 std::vector<std::string>
 runFigures(driver::Context &ctx, Executor &ex,
@@ -149,36 +149,25 @@ runFigures(driver::Context &ctx, Executor &ex,
 {
     JobGraph g;
     std::vector<std::string> text(ids.size());
-    std::map<std::string, size_t> kernels; // "name/scale/version" -> job
-    for (size_t i = 0; i < ids.size(); ++i) {
-        const auto *def = driver::findFigure(ids[i]);
-        EXPECT_NE(def, nullptr) << ids[i];
-        if (!def)
+    std::vector<const driver::FigureDef *> defs;
+    for (const auto &id : ids) {
+        defs.push_back(driver::findFigure(id));
+        EXPECT_NE(defs.back(), nullptr) << id;
+        if (!defs.back())
             return text;
-        std::vector<size_t> deps;
-        for (const auto &dep : def->gpuDeps) {
-            std::string name = dep.workload + "/" +
-                               std::to_string(int(dep.scale)) + "/" +
-                               std::to_string(driver::gpuVersion(
-                                   dep.workload, dep.version));
-            auto it = kernels.find(name);
-            if (it == kernels.end())
-                it = kernels
-                         .emplace(name, g.add("gpu:" + name,
-                                              [&ctx, dep] {
-                                                  ctx.recordingHash(
-                                                      dep.workload,
-                                                      dep.scale,
-                                                      dep.version);
-                                              }))
-                         .first;
-            deps.push_back(it->second);
-        }
+    }
+    const auto kernels = driver::kernelWork(defs);
+    std::vector<size_t> deps;
+    for (const auto &k : kernels)
+        deps.push_back(g.add("gpu:" + k.workload,
+                             [&ctx, &k] { ctx.settle(k); }));
+    for (size_t i = 0; i < defs.size(); ++i)
         g.add(
             "figure:" + ids[i],
-            [&ctx, &text, def, i] { text[i] = def->build(ctx); },
-            std::move(deps));
-    }
+            [&ctx, &text, &defs, i] {
+                text[i] = driver::buildFigure(*defs[i], ctx);
+            },
+            deps);
     EXPECT_TRUE(ex.run(g));
     return text;
 }
@@ -230,9 +219,9 @@ TEST(RecordingIndex, EveryTinyKernelHashIsServedFromTheIndex)
         Work work;
         for (const auto &[name, v] : kernels) {
             uint64_t h = ctx.recordingHash(name, core::Scale::Tiny, v);
-            // The memoized recording, hashed again independently.
-            EXPECT_EQ(h, gpusim::contentHash(
-                             ctx.gpu(name, core::Scale::Tiny, v)))
+            // A recording of its own, hashed again independently.
+            EXPECT_EQ(h, gpusim::contentHash(driver::recordGpuLaunch(
+                             name, core::Scale::Tiny, v)))
                 << name << " v" << v;
             recorded.push_back(h);
         }
@@ -377,7 +366,7 @@ TEST(RecordingIndex, FailedPublishesKeepFiguresAndTheNextRunRecords)
     const auto *def = driver::findFigure("fig2");
     ASSERT_NE(def, nullptr);
     driver::Context reference;
-    const std::string expected = def->build(reference);
+    const std::string expected = driver::buildFigure(*def, reference);
     ScratchDir scratch("publishfail");
 
     {
@@ -387,7 +376,7 @@ TEST(RecordingIndex, FailedPublishesKeepFiguresAndTheNextRunRecords)
         ResultStore store(scratch.dir());
         driver::Context ctx(&store);
         Work work;
-        EXPECT_EQ(def->build(ctx), expected);
+        EXPECT_EQ(driver::buildFigure(*def, ctx), expected);
         EXPECT_EQ(work.since("gpusim.record.calls"), 12u);
         EXPECT_EQ(work.since("store.publishes"), 0u);
         // 12 index entries and 12 trace analyses.
@@ -402,7 +391,7 @@ TEST(RecordingIndex, FailedPublishesKeepFiguresAndTheNextRunRecords)
     ResultStore store(scratch.dir());
     driver::Context ctx(&store);
     Work work;
-    EXPECT_EQ(def->build(ctx), expected);
+    EXPECT_EQ(driver::buildFigure(*def, ctx), expected);
     EXPECT_EQ(work.since("gpusim.record.calls"), 12u);
     EXPECT_EQ(work.since("store.publishes"), 24u);
     EXPECT_EQ(store.publishFailures(), 0u);

@@ -31,6 +31,7 @@
 #include <thread>
 #include <vector>
 
+#include "driver/figures.hh"
 #include "driver/tracing.hh"
 #include "gpusim/timing.hh"
 #include "service/admission.hh"
@@ -99,6 +100,24 @@ simsRun()
     return support::metrics::Registry::global().snapshot().value(
         "gpusim.sims_run");
 }
+
+uint64_t
+recordings()
+{
+    return support::metrics::Registry::global().snapshot().value(
+        "gpusim.record.calls");
+}
+
+/** Sets the primary scale for one test and restores Full after. */
+class PrimaryScaleGuard
+{
+  public:
+    explicit PrimaryScaleGuard(core::Scale scale)
+    {
+        driver::setPrimaryScale(scale);
+    }
+    ~PrimaryScaleGuard() { driver::setPrimaryScale(core::Scale::Full); }
+};
 
 /** Total admitted-but-unfinished work across every client. */
 uint64_t
@@ -452,6 +471,62 @@ TEST(Service, SecondIdenticalSimIsWarmAndRunsZeroSims)
     EXPECT_EQ(second.lane, "warm");
     EXPECT_EQ(simsRun(), simsBefore);
     EXPECT_EQ(second.payload, first.payload);
+    svc.stop();
+}
+
+TEST(Service, FreshDaemonRoutesFiguresByTheirDeclaredInputs)
+{
+    // A figure request takes the warm lane only when every input it
+    // declares is warm. A first daemon fills the store. On a fresh
+    // daemon fig1's sims are all published, so it is warm and served
+    // without a recording or a sim. fig2 reads trace analyses, which
+    // the lane probe takes from the memo alone: cold once, then warm.
+    // table1 and ablation_simt declare no inputs and stay cold, and a
+    // CPU figure is warm once its characterizations are memoized.
+    PrimaryScaleGuard tiny(core::Scale::Tiny);
+    ScratchDir scratch("figlanes");
+    const ServiceConfig cfg = testConfig(scratch);
+    auto ask = [](ServiceClient &c, const std::string &id,
+                  const std::string &figure) {
+        EXPECT_TRUE(c.sendFigure(id, figure));
+        Outcome out = c.await(id);
+        EXPECT_TRUE(out.ok()) << id << ": " << out.detail;
+        return out;
+    };
+    std::string fig1;
+    {
+        ExperimentService svc(cfg);
+        ASSERT_TRUE(svc.start());
+        ServiceClient c;
+        ASSERT_TRUE(c.connect(cfg.socketPath));
+        fig1 = ask(c, "fill1", "fig1").payload;
+        EXPECT_EQ(ask(c, "fill2", "fig2").lane, "cold");
+        EXPECT_EQ(ask(c, "fill10", "fig10").lane, "cold");
+        svc.stop();
+    }
+
+    ExperimentService svc(cfg);
+    ASSERT_TRUE(svc.start());
+    ServiceClient c;
+    ASSERT_TRUE(c.connect(cfg.socketPath));
+    const uint64_t records0 = recordings();
+    const uint64_t sims0 = simsRun();
+    Outcome out = ask(c, "fig1", "fig1");
+    EXPECT_EQ(out.lane, "warm");
+    EXPECT_EQ(out.payload, fig1);
+    EXPECT_EQ(recordings(), records0);
+    EXPECT_EQ(simsRun(), sims0);
+
+    EXPECT_EQ(ask(c, "fig2a", "fig2").lane, "cold");
+    EXPECT_EQ(ask(c, "fig2b", "fig2").lane, "warm");
+    EXPECT_EQ(recordings(), records0);
+    EXPECT_EQ(ask(c, "fig10a", "fig10").lane, "cold");
+    EXPECT_EQ(ask(c, "fig10b", "fig10").lane, "warm");
+    for (const char *figure : {"table1", "ablation_simt"})
+        for (const char *round : {"a", "b"})
+            EXPECT_EQ(ask(c, std::string(figure) + round, figure).lane,
+                      "cold")
+                << figure << round;
     svc.stop();
 }
 

@@ -339,6 +339,7 @@ TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
                "}";
     };
     uint64_t sims0 = simsRun();
+    uint64_t records0 = metric("gpusim.record.calls");
 
     // pool payloads seen, per variant, across every client — the
     // byte-identity assertion after the drain.
@@ -455,6 +456,10 @@ TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
     // Zero duplicate cold executions: sims computed == distinct
     // fingerprints in the pool.
     EXPECT_EQ(simsRun(), sims0 + uint64_t(kPool));
+    // No recording outlives its request, so each executed sim may
+    // record the kernel, but never more than once; sims in flight
+    // together share one recording.
+    EXPECT_LE(metric("gpusim.record.calls"), records0 + uint64_t(kPool));
     // Byte-identical responses for every variant, across clients.
     for (int v = 0; v < kPool; ++v) {
         ASSERT_FALSE(seen[size_t(v)].empty()) << "variant " << v;

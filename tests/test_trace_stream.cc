@@ -387,6 +387,135 @@ TEST(LaneStream, ZeroAddrSizeEventRoundTrips)
 }
 
 // ---------------------------------------------------------------
+// SealedBlock: a finished block's lanes in one buffer
+// ---------------------------------------------------------------
+
+namespace {
+
+/** Every field of every event, one lane at a time. */
+void
+expectSameEvents(const std::vector<gpusim::GEvent> &want,
+                 gpusim::LaneStream::Cursor got, int lane)
+{
+    gpusim::GEvent e;
+    for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_TRUE(got.next(e)) << "lane " << lane << " ends at " << i;
+        EXPECT_TRUE(e.key == want[i].key) << "lane " << lane << " #" << i;
+        EXPECT_EQ(e.addr, want[i].addr) << "lane " << lane << " #" << i;
+        EXPECT_EQ(e.size, want[i].size) << "lane " << lane << " #" << i;
+        EXPECT_EQ(e.count, want[i].count) << "lane " << lane << " #" << i;
+        EXPECT_EQ(int(e.op), int(want[i].op)) << "lane " << lane;
+        EXPECT_EQ(int(e.space), int(want[i].space)) << "lane " << lane;
+    }
+    EXPECT_FALSE(got.next(e)) << "lane " << lane << " runs long";
+}
+
+/** Seal @p lanes and check every lane, the sizes and the index. */
+void
+expectSealsExactly(const std::vector<std::vector<gpusim::GEvent>> &lanes)
+{
+    std::vector<gpusim::LaneStream> builders(lanes.size());
+    uint64_t encoded = 0;
+    for (size_t l = 0; l < lanes.size(); ++l) {
+        for (const auto &e : lanes[l])
+            builders[l].append(e);
+        encoded += builders[l].encodedBytes();
+    }
+    gpusim::BlockRecord block(builders, 96);
+    ASSERT_EQ(block.blockDim, int(lanes.size()));
+    EXPECT_EQ(block.sharedBytes, 96u);
+    EXPECT_EQ(block.encodedBytes(), encoded);
+    // Exactly sized: the 8-byte lane index plus the payload padded to
+    // a whole 32-bit word.
+    EXPECT_EQ(block.allocatedBytes(),
+              8 * lanes.size() + (encoded + 3) / 4 * 4);
+    for (size_t l = 0; l < lanes.size(); ++l) {
+        EXPECT_EQ(block.laneEvents(int(l)), lanes[l].size());
+        expectSameEvents(lanes[l], block.lane(int(l)), int(l));
+    }
+    // Sealing copies: the builders can be reused without touching
+    // the sealed bytes.
+    for (auto &b : builders)
+        b.clear();
+    for (size_t l = 0; l < lanes.size(); ++l)
+        expectSameEvents(lanes[l], block.lane(int(l)), int(l));
+}
+
+gpusim::GEvent
+alu(uint16_t pc, uint32_t count = 1)
+{
+    gpusim::GEvent e;
+    e.key.hi = uint64_t(pc) << 48;
+    e.op = gpusim::GOp::FpAlu;
+    e.count = count;
+    return e;
+}
+
+gpusim::GEvent
+load(uint16_t pc, uint64_t addr, uint32_t size)
+{
+    gpusim::GEvent e;
+    e.key.hi = uint64_t(pc) << 48;
+    e.op = gpusim::GOp::Load;
+    e.space = gpusim::Space::Global;
+    e.addr = addr;
+    e.size = size;
+    return e;
+}
+
+} // namespace
+
+TEST(SealedBlock, EveryLaneDecodesExactlyWhatItsBuilderGot)
+{
+    // Empty lanes first, between and last; lanes with and without
+    // addresses and repeat counts; a zero address with a size; a
+    // backwards address delta; a wide order-key jump.
+    gpusim::GEvent jump = alu(7);
+    jump.key.lo = 0x0123456789abcdefull;
+    std::vector<std::vector<gpusim::GEvent>> lanes = {
+        {},
+        {alu(1), alu(2, 1000), load(3, 0x1000, 4), load(3, 0x800, 8)},
+        {},
+        {load(4, 0, 4), alu(5)},
+        {alu(6, 0xffffffffu), jump},
+        {},
+    };
+    expectSealsExactly(lanes);
+
+    // A random lane mix, as a workload's block would record it.
+    Rng rng(0x5EA1);
+    std::vector<std::vector<gpusim::GEvent>> mixed(37);
+    for (auto &lane : mixed) {
+        size_t n = rng.chance(0.2) ? 0 : size_t(rng.below(300));
+        uint64_t addr = 0x40000000 + rng.below(1 << 20);
+        for (size_t i = 0; i < n; ++i) {
+            uint16_t pc = uint16_t(1 + rng.below(500));
+            if (rng.chance(0.5)) {
+                addr += rng.chance(0.7) ? 4 : 0ull - 256;
+                lane.push_back(load(pc, addr, uint32_t(1 + rng.below(16))));
+            } else {
+                lane.push_back(alu(pc, rng.chance(0.2)
+                                           ? uint32_t(2 + rng.below(99))
+                                           : 1));
+            }
+        }
+    }
+    expectSealsExactly(mixed);
+}
+
+TEST(SealedBlock, OneThreadAndAllEmptyBlocks)
+{
+    expectSealsExactly({{load(1, 0x2000, 4), alu(2, 3), alu(3)}});
+    expectSealsExactly({{}});
+    expectSealsExactly({{}, {}, {}});
+
+    gpusim::BlockRecord none;
+    EXPECT_EQ(none.blockDim, 0);
+    EXPECT_EQ(none.encodedBytes(), 0u);
+    EXPECT_EQ(none.allocatedBytes(), 0u);
+}
+
+// ---------------------------------------------------------------
 // Interleaved replay order (the live-cursor compaction rewrite)
 // ---------------------------------------------------------------
 

@@ -216,13 +216,10 @@ main(int argc, char **argv)
     std::fputs(t.render().c_str(), stdout);
     auto snap = support::metrics::Registry::global().snapshot();
     std::printf("\n%llu connection(s), %llu sims run, "
-                "%llu store-served, %llu figure cache hit(s), "
-                "%llu coalesced follower(s)\n",
+                "%llu store-served, %llu coalesced follower(s)\n",
                 (unsigned long long)svc.connectionsAccepted(),
                 (unsigned long long)snap.value("gpusim.sims_run"),
                 (unsigned long long)snap.value("gpusim.store_served"),
-                (unsigned long long)snap.value(
-                    "service.figure_cache_hits"),
                 (unsigned long long)snap.value(
                     "service.coalesce.followers"));
 

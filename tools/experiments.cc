@@ -2,15 +2,15 @@
  * @file
  * `experiments` — run the paper's figures as one parallel job graph.
  *
- * Where each bench binary reproduces a single figure serially, this
- * CLI builds a driver::JobGraph over every requested figure: one job
- * per distinct GPU kernel's content hash (shared by Figs. 1-5 /
- * Table III / PB), one per CPU characterization (shared by Figs.
- * 6-12), and one per figure assembly, wired with explicit
- * dependencies and executed on the work-stealing pool. Figure text
- * is byte-identical to the per-binary serial runs because both paths
- * call the same driver::FigureDef build functions with deterministic
- * slot-ordered assembly.
+ * This CLI builds a driver::JobGraph over every requested figure: one
+ * job per distinct GPU kernel (shared by Figs. 1-5 / Table III / PB),
+ * which settles every sim and trace analysis the selected figures
+ * declare for it and frees its recording, one per CPU
+ * characterization (shared by Figs. 6-12), and one per figure render,
+ * wired with explicit dependencies and executed on the work-stealing
+ * pool. Figure text is byte-identical to a serial build because every
+ * path renders through the same driver::FigureDef functions with
+ * deterministic ordered assembly.
  *
  * Usage:
  *   experiments [--figure <id>|all] [--scale S] [--jobs N] [--no-cache]
@@ -30,11 +30,14 @@
  * injects deterministic faults for testing.
  */
 
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <thread>
 #include <string>
@@ -97,8 +100,8 @@ usage(const char *argv0)
         "  --list         print figure ids and exit\n"
         "  --stats        print cache-sweep replay throughput, GPU\n"
         "                 timing-simulation telemetry, GPU recording\n"
-        "                 work, and result-store health after the\n"
-        "                 figures\n"
+        "                 work, memory (peak RSS, live recordings) and\n"
+        "                 result-store health after the figures\n"
         "  --keep-going   on job failure, still emit every\n"
         "                 completable figure and render failed ones\n"
         "                 as MISSING(<error-class>) markers\n"
@@ -263,14 +266,22 @@ selectFigures(const Options &opt, bool &ok)
     return out;
 }
 
-/** One job per distinct kernel: version 0 names the shipped one. */
+/** One job per distinct kernel (its version already resolved). */
 std::string
-gpuJobName(const driver::GpuDep &dep)
+gpuJobName(const driver::KernelWork &k)
 {
-    std::ostringstream os;
-    os << "gpu:" << dep.workload << "/s" << int(dep.scale) << "/v"
-       << driver::gpuVersion(dep.workload, dep.version);
-    return os.str();
+    return std::string("gpu:").append(
+        driver::recordingKey(k.workload, k.scale, k.version));
+}
+
+/** This process's peak resident set, in KiB. */
+uint64_t
+peakRssKiB()
+{
+    struct rusage ru;
+    if (getrusage(RUSAGE_SELF, &ru) != 0)
+        return 0;
+    return uint64_t(ru.ru_maxrss);
 }
 
 } // namespace
@@ -321,31 +332,24 @@ main(int argc, char **argv)
 
     driver::JobGraph graph;
 
-    // Shared input jobs: one per distinct GPU kernel, deduplicated
-    // across figures, then one per CPU characterization. A gpu: job
-    // resolves the kernel's content hash: from the store's recording
-    // index when this build recorded it before, else by recording
-    // and hashing it (the recording stays memoized for the sims and
-    // trace analyses that miss the store). The executor starts roots
-    // in graph order, so the kernels that gate Figs. 1-5 go first.
-    std::vector<std::pair<std::string, size_t>> gpuJobs;
+    // Shared input jobs: one per distinct GPU kernel over the union
+    // of the selected figures' points, then one per CPU
+    // characterization. A gpu: job settles its kernel's sims and
+    // trace analysis (Context::settle): it serves what the store
+    // holds, and only on a miss records once, runs the missing sims
+    // across the pool, publishes, and frees the recording. The
+    // executor starts roots in graph order, so the kernels that gate
+    // Figs. 1-5 go first.
+    const std::vector<driver::KernelWork> kernels =
+        driver::kernelWork(figures);
+    std::map<std::string, size_t> kernelJob; // job name -> job id
+    for (const auto &k : kernels)
+        kernelJob[gpuJobName(k)] =
+            graph.add(gpuJobName(k), [&ctx, &k] { ctx.settle(k); });
     std::vector<std::vector<size_t>> gpuDeps(figures.size());
-    for (size_t i = 0; i < figures.size(); ++i) {
-        for (const auto &dep : figures[i]->gpuDeps) {
-            std::string jobName = gpuJobName(dep);
-            auto it = std::find_if(
-                gpuJobs.begin(), gpuJobs.end(),
-                [&](const auto &job) { return job.first == jobName; });
-            if (it == gpuJobs.end()) {
-                size_t id = graph.add(jobName, [&ctx, dep] {
-                    ctx.recordingHash(dep.workload, dep.scale,
-                                      dep.version);
-                });
-                it = gpuJobs.emplace(gpuJobs.end(), jobName, id);
-            }
-            gpuDeps[i].push_back(it->second);
-        }
-    }
+    for (size_t i = 0; i < figures.size(); ++i)
+        for (const auto &k : driver::kernelWork({figures[i]}))
+            gpuDeps[i].push_back(kernelJob.at(gpuJobName(k)));
 
     bool needsAllCpu = false;
     for (const auto *def : figures)
@@ -435,6 +439,7 @@ main(int argc, char **argv)
     // registry holds only *committed* work: a job that failed under
     // --keep-going dropped its metric transaction whole, so these
     // tables never show partially-merged counters.
+    support::metrics::gauge("process.peak_rss_kib", peakRssKiB());
     support::metrics::Snapshot snap =
         support::metrics::Registry::global().snapshot();
 
@@ -552,15 +557,16 @@ main(int argc, char **argv)
         Table r("GPU recording");
         r.setHeader({"Recording", "Launches", "Blocks", "Events",
                      "B/event", "Fiber switches"});
-        uint64_t recTotals[5] = {0, 0, 0, 0, 0};
-        static const char *const recCounters[5] = {
+        uint64_t recTotals[6] = {0, 0, 0, 0, 0, 0};
+        static const char *const recCounters[6] = {
             "gpusim.record.launches", "gpusim.record.blocks",
             "gpusim.record.events", "gpusim.record.encoded_bytes",
-            "gpusim.record.fiber_switches"};
+            "gpusim.record.fiber_switches",
+            "gpusim.record.allocated_bytes"};
         if (const auto *events = snap.find("gpusim.record.events")) {
             for (const auto &[key, n] : events->values) {
-                uint64_t v[5];
-                for (int i = 0; i < 5; ++i) {
+                uint64_t v[6];
+                for (int i = 0; i < 6; ++i) {
                     v[i] = snap.value(recCounters[i], key);
                     recTotals[i] += v[i];
                 }
@@ -588,6 +594,21 @@ main(int argc, char **argv)
                     (unsigned long long)snap.value("gpusim.replay.calls"),
                     (unsigned long long)snap.value(
                         "gpusim.replay.store_served"));
+        // Peak RSS and the resident gauges are wall-clock-like
+        // (volatile): they depend on the schedule, not only the work.
+        std::printf("memory: peak RSS %.1f MiB; recordings alive at "
+                    "once: at most %llu (%.1f MiB); %llu allocated bytes "
+                    "for %llu encoded (%.3fx)\n",
+                    double(snap.value("process.peak_rss_kib")) / 1024.0,
+                    (unsigned long long)snap.value(
+                        "gpusim.record.resident_max"),
+                    double(snap.value("gpusim.record.resident_bytes_max")) /
+                        (1024.0 * 1024.0),
+                    (unsigned long long)recTotals[5],
+                    (unsigned long long)recTotals[3],
+                    recTotals[3] ? double(recTotals[5]) /
+                                       double(recTotals[3])
+                                 : 0.0);
         std::printf("result store: %llu hits / %llu misses / "
                     "%llu publish failures / %llu orphaned tmp "
                     "collected\n",
