@@ -139,10 +139,13 @@ characterizeGpu(Workload &workload, Scale scale,
     out.name = workload.info().name;
     out.version = version;
 
-    gpusim::LaunchSequence seq = workload.runGpu(scale, version);
-    out.trace = gpusim::analyzeTrace(seq, config.warpSize);
     gpusim::TimingSim sim(config);
-    out.timing = sim.simulate(seq);
+    // One replay serves both: the trace carries its own analysis. The
+    // recording is freed once the trace is built.
+    gpusim::SequenceTrace trace(workload.runGpu(scale, version),
+                                config.warpSize);
+    out.trace = trace.stats;
+    out.timing = sim.simulate(trace);
     return out;
 }
 

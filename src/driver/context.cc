@@ -2,6 +2,7 @@
 
 #include <elf.h>
 #include <link.h>
+#include <malloc.h>
 
 #include <algorithm>
 #include <chrono>
@@ -9,6 +10,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
+#include <utility>
 
 #include "driver/executor.hh"
 #include "driver/tracing.hh"
@@ -351,9 +353,58 @@ microsSince(std::chrono::steady_clock::time_point t0,
         std::chrono::duration<double, std::micro>(t1 - t0).count());
 }
 
-/** Recordings alive in this process, and their allocated bytes. */
-std::atomic<uint64_t> liveRecordings{0};
-std::atomic<uint64_t> liveRecordingBytes{0};
+/** The warp size trace analyses (Figs. 2-3, Table III) replay at. */
+constexpr int kAnalysisWarpSize = 32;
+
+/** Objects of one kind alive in this process and their heap bytes;
+ *  each high-water mark is a Volatile gauge. */
+struct LiveSet
+{
+    const char *countGauge;
+    const char *bytesGauge;
+    std::atomic<uint64_t> count{0};
+    std::atomic<uint64_t> bytes{0};
+};
+
+LiveSet liveRecordings{"gpusim.record.resident_max",
+                       "gpusim.record.resident_bytes_max"};
+LiveSet liveTraces{"gpusim.replay.resident_max",
+                   "gpusim.replay.resident_bytes_max"};
+
+/** Counts one object into a LiveSet while it lives (move-only). */
+class Resident
+{
+  public:
+    Resident() = default;
+    Resident(LiveSet &live, uint64_t n) : set(&live), bytes(n)
+    {
+        support::metrics::gauge(live.countGauge,
+                                live.count.fetch_add(1) + 1);
+        support::metrics::gauge(live.bytesGauge, live.bytes.fetch_add(n) + n);
+    }
+    Resident(Resident &&o) noexcept
+        : set(std::exchange(o.set, nullptr)), bytes(o.bytes)
+    {
+    }
+    Resident &
+    operator=(Resident &&o) noexcept
+    {
+        std::swap(set, o.set);
+        std::swap(bytes, o.bytes);
+        return *this;
+    }
+    ~Resident()
+    {
+        if (set) {
+            set->count.fetch_sub(1);
+            set->bytes.fetch_sub(bytes);
+        }
+    }
+
+  private:
+    LiveSet *set = nullptr;
+    uint64_t bytes = 0;
+};
 
 } // namespace
 
@@ -370,10 +421,6 @@ class Context::Pass
 
     ~Pass()
     {
-        if (const Recorded *r = made.done("")) {
-            liveRecordings.fetch_sub(1);
-            liveRecordingBytes.fetch_sub(r->allocated);
-        }
         // Drop this pass's slot unless a newer pass already took it.
         std::lock_guard<std::mutex> lock(ctx.passMu);
         auto it = ctx.passes.find(key);
@@ -390,34 +437,74 @@ class Context::Pass
     const std::string key; //!< recordingKey() of the kernel
 
     /**
-     * The kernel's recording, made on the first call and hashed in
-     * the same call; @p hash is set to its content hash. Callers
-     * that arrive while it records wait for it under their own
-     * cancel token.
+     * Record the kernel and return its content hash. The lanes stay
+     * in the pass until a trace build takes them (replayed()) or the
+     * pass ends, so a call whose results are all stored builds
+     * nothing. Runs only as the hash memo's compute: once per kernel
+     * at a time.
      */
-    const gpusim::LaunchSequence &recording(uint64_t &hash);
+    uint64_t recordedHash();
+
+    /**
+     * The kernel's warp traces at @p warp_size, made on the first call
+     * for that warp size: replayed once from the lanes recordedHash()
+     * left, or from a fresh recording when no lanes are held; the
+     * trace analysis is tallied in the same walk and the lanes are
+     * freed before the call returns. @p hash is set to the content
+     * hash of the recording the traces come from. Callers that arrive
+     * while they are being made wait under their own cancel token.
+     */
+    const gpusim::SequenceTrace &replayed(int warp_size, uint64_t &hash);
 
   private:
     struct Recorded
     {
         gpusim::LaunchSequence seq;
         uint64_t hash = 0;
-        uint64_t allocated = 0;
+        Resident resident; //!< counts the lanes while they live
+    };
+
+    struct Replayed
+    {
+        gpusim::SequenceTrace trace;
+        uint64_t hash = 0;
+        Resident resident; //!< counts the trace while it lives
     };
 
     Recorded record();
+    Replayed replay(int warp_size);
 
     Context &ctx;
-    /** One entry, under the empty key: the recording. */
-    FlightMemo<Recorded> made{"recording"};
+    std::mutex lanesMu;
+    /** Lanes recordedHash() made that no build has taken yet. */
+    std::optional<Recorded> lanes;
+    /** Keyed by warp size. */
+    FlightMemo<Replayed> made{"replay"};
 };
 
-const gpusim::LaunchSequence &
-Context::Pass::recording(uint64_t &hash)
+// Recording, hashing and the trace build are shared by every call
+// joined to them, so they run under no cancel token: a cancelled
+// caller must not fail the others. It stops at its own checkpoint
+// before its sim instead.
+
+uint64_t
+Context::Pass::recordedHash()
 {
-    const Recorded &r = made.get("", [this] { return record(); });
+    support::CancelScope shared(nullptr);
+    Recorded r = record();
+    uint64_t hash = r.hash;
+    std::lock_guard<std::mutex> lock(lanesMu);
+    lanes = std::move(r);
+    return hash;
+}
+
+const gpusim::SequenceTrace &
+Context::Pass::replayed(int warp_size, uint64_t &hash)
+{
+    const Replayed &r = made.get(std::to_string(warp_size),
+                                 [&] { return replay(warp_size); });
     hash = r.hash;
-    return r.seq;
+    return r.trace;
 }
 
 Context::Pass::Recorded
@@ -432,6 +519,7 @@ Context::Pass::record()
     uint64_t switches = gpusim::fiberSwitches() - switches0;
     auto t1 = std::chrono::steady_clock::now();
     RecordingSize size(r.seq);
+    r.resident = Resident(liveRecordings, size.allocatedBytes);
     m::count("gpusim.record.calls");
     m::countLabeled("gpusim.record.launches", key, size.launches);
     m::countLabeled("gpusim.record.blocks", key, size.blocks);
@@ -451,8 +539,8 @@ Context::Pass::record()
                        .json(),
                    t0, t1);
 
-    // The digest walks every event, so it is taken once here, in the
-    // recording's own call, not per config by its readers.
+    // The digest walks every lane event, so it is taken once here,
+    // over the lanes, not per config by the trace's readers.
     r.hash = gpusim::contentHash(r.seq);
     auto t2 = std::chrono::steady_clock::now();
     m::count("gpusim.hash.calls");
@@ -474,11 +562,48 @@ Context::Pass::record()
                 ctx.store->store(*index, serializeRecordingHash(r.hash));
         }
     }
+    return r;
+}
 
-    r.allocated = size.allocatedBytes;
-    m::gauge("gpusim.record.resident_max", liveRecordings.fetch_add(1) + 1);
-    m::gauge("gpusim.record.resident_bytes_max",
-             liveRecordingBytes.fetch_add(r.allocated) + r.allocated);
+Context::Pass::Replayed
+Context::Pass::replay(int warp_size)
+{
+    support::CancelScope shared(nullptr);
+    namespace m = support::metrics;
+    std::optional<Recorded> rec;
+    {
+        std::lock_guard<std::mutex> lock(lanesMu);
+        rec.swap(lanes);
+    }
+    if (!rec)
+        rec = record();
+    support::FaultInjector::instance().maybeStall("replay:" + key);
+    auto t0 = std::chrono::steady_clock::now();
+    Replayed r;
+    r.hash = rec->hash;
+    // Every sim and the analysis read the trace; the lanes go as soon
+    // as it is built. The build stays on this thread: blocks
+    // allocated by short-lived helpers raised a cold run's peak RSS
+    // by tens of MiB for no wall-time gain.
+    r.trace = gpusim::SequenceTrace(rec->seq, warp_size);
+    rec.reset();
+    auto t1 = std::chrono::steady_clock::now();
+    uint64_t encoded = r.trace.encodedBytes();
+    m::count("gpusim.replay.calls");
+    m::countLabeled("gpusim.replay.warp_insts", key,
+                    r.trace.stats.warpInstructions);
+    m::countLabeled("gpusim.replay.encoded_bytes", key, encoded);
+    m::gaugeLabeled("gpusim.replay.wall_us", key, microsSince(t0, t1));
+    if (auto *tc = TraceCollector::active())
+        tc->record("gpusim", "replay",
+                   TraceArgs()
+                       .str("key", key)
+                       .num("warp_size", uint64_t(warp_size))
+                       .num("warp_insts", r.trace.stats.warpInstructions)
+                       .num("encoded_bytes", encoded)
+                       .json(),
+                   t0, t1);
+    r.resident = Resident(liveTraces, r.trace.allocatedBytes());
     return r;
 }
 
@@ -509,6 +634,14 @@ Context::indexKey(const std::string &name, core::Scale scale,
     return recordingIndexKey(name, scale, version, build);
 }
 
+bool
+Context::stored(const ResultStore::Key &key) const
+{
+    std::error_code ec;
+    return store && store->enabled() &&
+           std::filesystem::exists(store->pathFor(key), ec);
+}
+
 std::optional<uint64_t>
 Context::settledHash(const std::string &key) const
 {
@@ -533,7 +666,7 @@ Context::resolvedHash(Pass &pass)
         if (index && loadParsed(*store, *index, parseRecordingHash, h)) {
             support::metrics::count("gpusim.hash.index_served");
         } else {
-            pass.recording(h);
+            h = pass.recordedHash();
             if (index)
                 store->store(*index, serializeRecordingHash(h));
         }
@@ -542,22 +675,22 @@ Context::resolvedHash(Pass &pass)
     return slot->load();
 }
 
-const gpusim::LaunchSequence *
-Context::storedOrRecording(Pass &pass,
-                           const std::function<bool(uint64_t)> &load,
-                           uint64_t &hash)
+const gpusim::SequenceTrace *
+Context::storedOrReplayed(Pass &pass, int warp_size,
+                          const std::function<bool(uint64_t)> &load,
+                          uint64_t &hash)
 {
     hash = resolvedHash(pass);
     if (load(hash))
         return nullptr;
     uint64_t recorded = 0;
-    const gpusim::LaunchSequence &seq = pass.recording(recorded);
+    const gpusim::SequenceTrace &trace = pass.replayed(warp_size, recorded);
     if (recorded != hash) {
         hash = recorded;
         if (load(hash))
             return nullptr;
     }
-    return &seq;
+    return &trace;
 }
 
 void
@@ -571,15 +704,34 @@ Context::settle(const KernelWork &work)
     const bool analyse = work.trace && !traceMemo.done(p->key);
     if (sims.empty() && !analyse)
         return;
-    // The hash first, on this thread: on an index miss it records,
-    // so the fan-out below never waits on the recorder.
-    resolvedHash(*p);
+    // The hash first, on this thread: on an index miss it records.
+    // If the store lacks a result, a sim or the analysis reads the
+    // trace, so it is built here too and the fan-out below never
+    // waits on the recorder or the build. If the store holds them
+    // all, nothing is built.
+    uint64_t hash = resolvedHash(*p);
+    bool build = analyse && !stored(traceStatsKey(p->name, p->scale, hash));
+    for (size_t i = 0; i < sims.size() && !build; ++i)
+        build = !stored(gpuStatsKey(p->name, p->scale,
+                                    sims[i]->fingerprint(), hash));
+    if (build)
+        p->replayed(sims.empty() ? kAnalysisWarpSize
+                                 : sims.front()->warpSize,
+                    hash);
     parallelFor(sims.size() + (analyse ? 1 : 0), [&](size_t i) {
         if (i < sims.size())
             stats(*p, *sims[i], nullptr);
         else
             trace(*p);
     });
+    // The freed lanes stay cached in this thread's malloc arena, out
+    // of reach of the threads that run CPU characterizations next;
+    // handing them back to the OS keeps them out of a batch run's
+    // peak RSS. A lone gpuStats call (the daemon's sim op) does not
+    // trim: the trim walks every arena, and the next recording would
+    // fault the pages back in.
+    if (build)
+        ::malloc_trim(0);
 }
 
 bool
@@ -606,11 +758,7 @@ Context::settleWarm(const KernelWork &work)
                 return false;
             hash = indexed;
         }
-        std::error_code ec;
-        if (!std::filesystem::exists(
-                store->pathFor(
-                    gpuStatsKey(work.workload, work.scale, fp, *hash)),
-                ec))
+        if (!stored(gpuStatsKey(work.workload, work.scale, fp, *hash)))
             return false;
     }
     return true;
@@ -630,8 +778,8 @@ Context::trace(Pass &pass)
         namespace m = support::metrics;
         gpusim::TraceStats stats;
         uint64_t hash = 0;
-        const gpusim::LaunchSequence *rec = storedOrRecording(
-            pass,
+        const gpusim::SequenceTrace *replayed = storedOrReplayed(
+            pass, kAnalysisWarpSize,
             [&](uint64_t h) {
                 return store &&
                        loadParsed(*store,
@@ -639,28 +787,16 @@ Context::trace(Pass &pass)
                                   gpusim::parseTraceStats, stats);
             },
             hash);
-        if (!rec) {
+        if (!replayed) {
             m::count("gpusim.replay.store_served");
             return stats;
         }
-        auto t0 = std::chrono::steady_clock::now();
-        stats = gpusim::analyzeTrace(*rec);
-        auto t1 = std::chrono::steady_clock::now();
+        // The build tallied the analysis: nothing left to walk.
+        stats = replayed->stats;
         if (store)
             store->store(traceStatsKey(pass.name, pass.scale, hash),
                          gpusim::serializeTraceStats(stats));
-        m::count("gpusim.replay.calls");
-        m::countLabeled("gpusim.replay.warp_insts", pass.key,
-                        stats.warpInstructions);
-        m::gaugeLabeled("gpusim.replay.wall_us", pass.key,
-                        microsSince(t0, t1));
-        if (auto *tc = TraceCollector::active())
-            tc->record("gpusim", "replay",
-                       TraceArgs()
-                           .str("key", pass.key)
-                           .num("warp_insts", stats.warpInstructions)
-                           .json(),
-                       t0, t1);
+        m::count("gpusim.replay.analyses");
         return stats;
     });
 }
@@ -688,12 +824,13 @@ Context::stats(Pass &pass, const gpusim::SimConfig &config, bool *joined)
     auto compute = [&] {
         auto span0 = std::chrono::steady_clock::now();
         // The content hash is part of the key (a changed recording
-        // must not be served stale stats); the kernel is recorded
-        // only when the stats must be simulated.
+        // must not be served stale stats); the kernel is recorded and
+        // replayed only when the stats must be simulated.
+        gpusim::TimingSim sim(config);
         gpusim::KernelStats s;
         uint64_t hash = 0;
-        const gpusim::LaunchSequence *rec = storedOrRecording(
-            pass,
+        const gpusim::SequenceTrace *trace = storedOrReplayed(
+            pass, config.warpSize,
             [&](uint64_t h) {
                 return store &&
                        loadParsed(*store,
@@ -701,14 +838,13 @@ Context::stats(Pass &pass, const gpusim::SimConfig &config, bool *joined)
                                   gpusim::parseKernelStats, s);
             },
             hash);
-        bool fromStore = !rec;
+        bool fromStore = !trace;
         if (!fromStore) {
             support::FaultInjector::instance().maybeStall("sim:" +
                                                           keyName);
             support::checkpointCancellation();
             auto t0 = std::chrono::steady_clock::now();
-            gpusim::TimingSim sim(config);
-            s = sim.simulate(*rec);
+            s = sim.simulate(*trace);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
             if (store)

@@ -23,14 +23,20 @@
  * store's recording index maps each kernel to that hash under the
  * running build (buildIdentity). Against a filled store the hash,
  * the trace analyses and the stats are all store reads: a kernel is
- * recorded only when a result is missing and must be computed.
- * Recordings are never memoized: a recording lives only while some
- * call that needs it runs (settle() for a kernel's whole set of
- * results, or a single gpuStats/traceStats/recordingHash miss).
- * Calls for one kernel that overlap share one recording, and a call
- * that finds it being made waits for it under its own cancel token;
- * the last call to leave frees it. So at most one recording is alive
- * per thread running such a call.
+ * recorded only when its hash or a result is missing. It is hashed
+ * over its lane events; then, on the first result the store lacks,
+ * it is replayed once into warp traces (gpusim/warptrace.hh) at the
+ * warp size the caller needs. The build tallies the trace analysis,
+ * and the lanes are freed before any sim reads the traces. Nothing
+ * is memoized across calls: the lanes and traces live only while
+ * some call that needs them runs (settle() for a kernel's whole set
+ * of results, or a single gpuStats/traceStats/recordingHash miss).
+ * Calls for one kernel that overlap share one recording and one
+ * trace per warp size. A call that finds them being made waits under
+ * its own cancel token, and their making runs under none, so one
+ * caller's cancellation never fails another. The last call to leave
+ * frees them. So at most one recording is alive per thread running
+ * such a call.
  *
  * All public methods are thread-safe and return references that
  * stay valid for the Context's lifetime (results are never evicted).
@@ -146,11 +152,13 @@ class Context
 
     /**
      * Settle every result @p work names in this Context's memos.
-     * Results the store holds are served from it. Only on a miss is
-     * the kernel recorded, once; the missing simulations then fan out
-     * across the executor (parallelFor) next to the trace analysis,
-     * each result is published, and the recording is freed once
-     * settle and every call sharing it have returned. The experiments
+     * Results the store holds are served from it. The kernel is
+     * recorded when its hash is not indexed or a result is missing,
+     * and only on a miss is it replayed into warp traces, once,
+     * before the missing simulations fan out across the executor
+     * (parallelFor) next to the trace analysis. Each result is
+     * published, and the traces are freed once settle and every call
+     * sharing them have returned. The experiments
      * CLI runs one settle per distinct kernel as its `gpu:` job;
      * buildFigure runs the same pass for the figure's own kernels.
      */
@@ -242,7 +250,7 @@ class Context
     trace::ChunkSink *prevSpillSink = nullptr;
     uint32_t prevSpillResident = 0;
 
-    /** One kernel's results being settled, and the recording made
+    /** One kernel's results being settled, and the warp traces made
      *  on the first miss; shared by every call for the kernel while
      *  one of them runs (context.cc). */
     class Pass;
@@ -255,8 +263,14 @@ class Context
      *  overwrite (see recordingHash()). */
     using HashSlot = std::unique_ptr<std::atomic<uint64_t>>;
 
-    /** recordingHash() of the pass's kernel. */
+    /** recordingHash() of the pass's kernel. On an index miss the
+     *  kernel is recorded, and the pass keeps the lanes for a trace
+     *  build until it ends. */
     uint64_t resolvedHash(Pass &pass);
+
+    /** Does the store hold an entry under @p key? One stat(), no
+     *  read. */
+    bool stored(const ResultStore::Key &key) const;
 
     /** The hash this Context has settled for a recording key, or
      *  nullopt. */
@@ -270,16 +284,18 @@ class Context
 
     /**
      * Serve a hash-keyed result from the store, or return the
-     * recording to compute it from. @p load tries the store under
-     * one content hash, taken from resolvedHash(). When a miss
-     * forces a recording whose own hash differs (a wrong index
-     * entry), the recording wins and the store is tried once more
-     * under its hash. Returns nullptr when the store served the
-     * result; @p hash is set to the hash the result is keyed by.
+     * kernel's warp traces at @p warp_size to compute it from. @p load
+     * tries the store under one content hash, taken from
+     * resolvedHash(). When a miss forces a recording whose own hash
+     * differs (a wrong index entry), the recording wins and the store
+     * is tried once more under its hash. Returns nullptr when the
+     * store served the result; @p hash is set to the hash the result
+     * is keyed by.
      */
-    const gpusim::LaunchSequence *
-    storedOrRecording(Pass &pass, const std::function<bool(uint64_t)> &load,
-                      uint64_t &hash);
+    const gpusim::SequenceTrace *
+    storedOrReplayed(Pass &pass, int warp_size,
+                     const std::function<bool(uint64_t)> &load,
+                     uint64_t &hash);
 
     /** gpuStats() and traceStats() of the pass's kernel. */
     const gpusim::KernelStats &stats(Pass &pass,

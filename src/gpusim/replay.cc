@@ -54,27 +54,28 @@ TraceStats::memOpFractions() const
     return out;
 }
 
+void
+TraceStats::add(const TraceStats &o)
+{
+    warpInstructions += o.warpInstructions;
+    threadInstructions += o.threadInstructions;
+    for (size_t i = 0; i < occupancyBuckets.size(); ++i)
+        occupancyBuckets[i] += o.occupancyBuckets[i];
+    for (size_t i = 0; i < memOps.size(); ++i)
+        memOps[i] += o.memOps[i];
+}
+
 namespace {
 
 void
 accumulate(TraceStats &stats, const KernelRecording &rec, int warp_size)
 {
+    WarpInst inst;
     for (const auto &block : rec.blocks) {
         for (int w = 0; w < warpsPerBlock(block.blockDim, warp_size); ++w) {
             WarpReplayer rep(block, w * warp_size, warp_size);
-            WarpInst inst;
-            while (rep.next(inst)) {
-                int active = inst.activeLanes();
-                stats.warpInstructions += inst.count;
-                stats.threadInstructions +=
-                    uint64_t(active) * inst.count;
-                int bucket = (active - 1) / 8;
-                if (bucket > 3)
-                    bucket = 3;
-                stats.occupancyBuckets[bucket] += inst.count;
-                if (inst.op == GOp::Load || inst.op == GOp::Store)
-                    stats.memOps[size_t(inst.space)] += active;
-            }
+            while (rep.next(inst))
+                stats.tally(inst);
         }
     }
 }

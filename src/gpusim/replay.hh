@@ -15,6 +15,7 @@
 #ifndef RODINIA_GPUSIM_REPLAY_HH
 #define RODINIA_GPUSIM_REPLAY_HH
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
@@ -67,10 +68,9 @@ class WarpReplayer
     uint32_t live = 0;
 };
 
-// Defined inline: this runs once per warp instruction inside the
-// timing-simulation issue loop — the hottest call in the whole
-// experiment pipeline — and inlining it there is worth several
-// percent of end-to-end runtime.
+// Defined inline: this runs once per warp instruction of every
+// warp-trace build (gpusim/warptrace.hh) and trace analysis, so
+// its scan must inline into those loops.
 inline bool
 WarpReplayer::next(WarpInst &out)
 {
@@ -136,6 +136,24 @@ struct TraceStats
     std::array<uint64_t, 4> occupancyBuckets{};
     /** Thread-level memory operations by Space. */
     std::array<uint64_t, 7> memOps{};
+
+    /** Count one warp instruction. */
+    void
+    tally(const WarpInst &inst)
+    {
+        int active = inst.activeLanes();
+        warpInstructions += inst.count;
+        threadInstructions += uint64_t(active) * inst.count;
+        occupancyBuckets[size_t(std::min((active - 1) / 8, 3))] +=
+            inst.count;
+        if (inst.op == GOp::Load || inst.op == GOp::Store)
+            memOps[size_t(inst.space)] += uint64_t(active);
+    }
+
+    /** Add another analysis's counts (launches, or disjoint blocks). */
+    void add(const TraceStats &o);
+
+    bool operator==(const TraceStats &o) const = default;
 
     /** Average active threads over all issued warp instructions. */
     double avgWarpOccupancy() const;

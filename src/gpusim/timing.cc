@@ -231,7 +231,7 @@ strictChecksEnabled()
  * counts it and optionally fails fast.
  */
 const char *
-ctaOverloadReason(const SimConfig &cfg, const BlockRecord &block)
+ctaOverloadReason(const SimConfig &cfg, const WarpTrace::Block &block)
 {
     if (block.blockDim > cfg.maxThreadsPerSm)
         return "blockDim exceeds maxThreadsPerSm";
@@ -243,7 +243,7 @@ ctaOverloadReason(const SimConfig &cfg, const BlockRecord &block)
 }
 
 void
-noteOversubscribedCta(const SimConfig &cfg, const BlockRecord &block,
+noteOversubscribedCta(const SimConfig &cfg, const WarpTrace::Block &block,
                       size_t sm_index, const char *why)
 {
     support::metrics::count("gpusim.oversubscribed_cta");
@@ -259,17 +259,10 @@ noteOversubscribedCta(const SimConfig &cfg, const BlockRecord &block,
 
 struct Cta;
 
-/** One resident warp: its replay cursor and pending instruction. */
+/** One resident warp: a cursor at its next instruction. */
 struct Warp
 {
-    Warp(const BlockRecord &block, int start, int warp_size)
-        : rep(block, start, warp_size)
-    {
-    }
-
-    WarpReplayer rep;
-    WarpInst inst;
-    bool hasInst = false;
+    WarpTrace::Cursor cur;
     Cta *cta = nullptr;
 };
 
@@ -279,7 +272,7 @@ struct Cta
     int blockDim = 0;
     uint64_t sharedBytes = 0;
     int smIndex = -1;
-    std::vector<std::unique_ptr<Warp>> warps;
+    std::vector<Warp> warps; //!< reserved up front: never reallocates
     int aliveWarps = 0;
     int arrived = 0;
     std::vector<Warp *> barrierWaiters;
@@ -459,6 +452,7 @@ struct Lane
     bool paused = false;     //!< waiting for coordinator block handout
     uint64_t pauseCycle = 0; //!< cycle of the suspending completion
     KernelStats stats;       //!< SM-local partial sums
+    WarpInst inst;           //!< the instruction being issued
     std::vector<uint64_t> scratch;
     std::vector<uint64_t> defer; //!< current issue's deferred addrs
     std::vector<DeferredReq> reqs;
@@ -474,9 +468,9 @@ struct Lane
 class EpochEngine
 {
   public:
-    EpochEngine(const SimConfig &cfg, const KernelRecording &rec,
+    EpochEngine(const SimConfig &cfg, const WarpTrace &trace,
                 int participants)
-        : cfg(cfg), rec(rec),
+        : cfg(cfg), trace(trace),
           participants(std::max(1, participants)),
           parentCancel(support::currentCancelToken())
     {
@@ -527,9 +521,9 @@ class EpochEngine
         if (cap && cap < epochLen)
             epochLen = cap; // shorter epochs are always sound
 
-        blocksRemaining = rec.blocks.size();
+        blocksRemaining = trace.blocks.size();
         for (size_t s = 0;
-             s < lanes.size() && nextBlock < rec.blocks.size(); ++s)
+             s < lanes.size() && nextBlock < trace.blocks.size(); ++s)
             placeBlocks(lanes[s], 0);
 
         uint64_t finalCycle = 0;
@@ -568,7 +562,7 @@ class EpochEngine
                                     lanes[s].sm.freeCycle,
                                     laneBound(lanes[s])};
                     panic(formatDeadlockDiagnostics(
-                        end, nextBlock, rec.blocks.size(),
+                        end, nextBlock, trace.blocks.size(),
                         blocksRemaining, snaps));
                 }
                 base = std::max(end, next);
@@ -809,7 +803,8 @@ class EpochEngine
     issue(Lane &ln, Warp &w, uint64_t cycle)
     {
         Sm &sm = ln.sm;
-        const WarpInst &inst = w.inst;
+        w.cur.next(ln.inst);
+        const WarpInst &inst = ln.inst;
         const int active = inst.activeLanes();
         const int issueC = cfg.warpIssueCycles();
 
@@ -844,8 +839,7 @@ class EpochEngine
 
           case GOp::Sync: {
             Cta *cta = w.cta;
-            w.hasInst = w.rep.next(w.inst);
-            if (!w.hasInst) {
+            if (w.cur.done()) {
                 finishWarp(ln, w, cycle);
             } else {
                 cta->barrierWaiters.push_back(&w);
@@ -939,8 +933,7 @@ class EpochEngine
         // and the coordinator folds the replayed completions in at
         // the barrier — they cannot land before the next epoch, so
         // nothing this lane simulates meanwhile can depend on them.
-        w.hasInst = w.rep.next(w.inst);
-        if (!w.hasInst) {
+        if (w.cur.done()) {
             if (!ln.defer.empty())
                 flushDeferred(ln, cycle, -1);
             ln.simEnd = std::max(ln.simEnd, wake);
@@ -965,7 +958,7 @@ class EpochEngine
     // ---- coordinator phases (serial, between epochs) -----------------
 
     bool
-    canFit(const Sm &sm, const BlockRecord &block) const
+    canFit(const Sm &sm, const WarpTrace::Block &block) const
     {
         if (sm.usedCtas == 0)
             return true; // always allow one CTA to avoid deadlock
@@ -980,9 +973,9 @@ class EpochEngine
     placeBlocks(Lane &ln, uint64_t cycle)
     {
         Sm &sm = ln.sm;
-        while (nextBlock < rec.blocks.size() &&
-               canFit(sm, rec.blocks[nextBlock])) {
-            const BlockRecord &block = rec.blocks[nextBlock];
+        while (nextBlock < trace.blocks.size() &&
+               canFit(sm, trace.blocks[nextBlock])) {
+            const WarpTrace::Block &block = trace.blocks[nextBlock];
             ++nextBlock;
             if (const char *why = ctaOverloadReason(cfg, block))
                 noteOversubscribedCta(cfg, block, ln.smIndex, why);
@@ -991,17 +984,14 @@ class EpochEngine
             cta->blockDim = block.blockDim;
             cta->sharedBytes = block.sharedBytes;
             cta->smIndex = int(ln.smIndex);
-            int warps = warpsPerBlock(block.blockDim, cfg.warpSize);
-            for (int wi = 0; wi < warps; ++wi) {
-                auto warp = std::make_unique<Warp>(
-                    block, wi * cfg.warpSize, cfg.warpSize);
-                warp->cta = cta.get();
-                warp->hasInst = warp->rep.next(warp->inst);
-                if (warp->hasInst) {
+            cta->warps.reserve(size_t(block.warps()));
+            for (int wi = 0; wi < block.warps(); ++wi) {
+                Warp &warp = cta->warps.emplace_back(
+                    Warp{block.warp(wi), cta.get()});
+                if (!warp.cur.done()) {
                     ++cta->aliveWarps;
-                    sm.waiting.push({cycle + 1, ln.seq++, warp.get()});
+                    sm.waiting.push({cycle + 1, ln.seq++, &warp});
                 }
-                cta->warps.push_back(std::move(warp));
             }
 
             if (cta->aliveWarps == 0) {
@@ -1140,7 +1130,7 @@ class EpochEngine
     static constexpr uint64_t barrierLatency = 8;
 
     const SimConfig &cfg;
-    const KernelRecording &rec;
+    const WarpTrace &trace;
     int participants;
     const support::CancelToken *parentCancel;
 
@@ -1175,8 +1165,11 @@ class EpochEngine
 } // namespace
 
 KernelStats
-TimingSim::simulate(const KernelRecording &rec) const
+TimingSim::simulate(const WarpTrace &trace) const
 {
+    if (trace.warpSize != cfg.warpSize)
+        panic("gpusim: a warp-", trace.warpSize,
+              " trace simulated under warpSize ", cfg.warpSize);
     // One lane runner per SM at most; simThreads > 0 caps the count.
     // The process budget sizes the helper pool. An executor worker
     // already counts itself in the budget, but a caller outside the
@@ -1193,21 +1186,33 @@ TimingSim::simulate(const KernelRecording &rec) const
         int n;
         ~Release() { b.release(n); }
     } release{budget, granted};
-    EpochEngine engine(cfg, rec, 1 + granted);
+    EpochEngine engine(cfg, trace, 1 + granted);
     return engine.run();
+}
+
+KernelStats
+TimingSim::simulate(const SequenceTrace &seq) const
+{
+    KernelStats total;
+    for (const auto &trace : seq.launches) {
+        support::checkpointCancellation();
+        KernelStats s = simulate(trace);
+        s.cycles += cfg.launchOverheadCycles;
+        total.add(s);
+    }
+    return total;
+}
+
+KernelStats
+TimingSim::simulate(const KernelRecording &rec) const
+{
+    return simulate(WarpTrace(rec, cfg.warpSize));
 }
 
 KernelStats
 TimingSim::simulate(const LaunchSequence &seq) const
 {
-    KernelStats total;
-    for (const auto &rec : seq.launches) {
-        support::checkpointCancellation();
-        KernelStats s = simulate(rec);
-        s.cycles += cfg.launchOverheadCycles;
-        total.add(s);
-    }
-    return total;
+    return simulate(SequenceTrace(seq, cfg.warpSize));
 }
 
 } // namespace gpusim

@@ -2,14 +2,16 @@
  * @file
  * Cycle-level GPU timing model (the GPGPU-Sim analog).
  *
- * Replays a recorded kernel through a configurable many-core GPU:
- * CTAs are placed onto SMs subject to thread/CTA/shared-memory/
- * register limits; each SM issues at most one warp instruction per
- * cycle from a round-robin-ish ready queue; memory instructions are
- * coalesced into transactions that queue on the memory channels;
- * shared-memory bank conflicts serialize issue; texture/constant
- * caches, and (in Fermi mode) per-SM L1 plus a unified L2, filter
- * traffic. Barriers synchronize the warps of a CTA.
+ * Replays a kernel's warp trace (gpusim/warptrace.hh) through a
+ * configurable many-core GPU: CTAs are placed onto SMs subject to
+ * thread/CTA/shared-memory/register limits; each SM issues at most
+ * one warp instruction per cycle from a round-robin-ish ready queue,
+ * decoding it from the warp's stream as it issues; memory
+ * instructions are coalesced into transactions that queue on the
+ * memory channels; shared-memory bank conflicts serialize issue;
+ * texture/constant caches, and (in Fermi mode) per-SM L1 plus a
+ * unified L2, filter traffic. Barriers synchronize the warps of a
+ * CTA.
  *
  * Outputs the statistics behind Figures 1-5 and Table III: IPC, warp
  * occupancy, memory-space mix, DRAM bandwidth utilization, and cache
@@ -28,6 +30,7 @@
 #include "gpusim/replay.hh"
 #include "gpusim/simconfig.hh"
 #include "gpusim/types.hh"
+#include "gpusim/warptrace.hh"
 
 namespace rodinia {
 namespace gpusim {
@@ -166,13 +169,25 @@ class TimingSim
         cfg.validate();
     }
 
-    /** Simulate one kernel launch. */
-    KernelStats simulate(const KernelRecording &rec) const;
+    /**
+     * Simulate one kernel launch from its warp trace, which must be
+     * replayed at the config's warp size (fatal otherwise). Runs on
+     * the calling thread plus the helpers the ThreadBudget grants.
+     */
+    KernelStats simulate(const WarpTrace &trace) const;
 
     /**
      * Simulate a sequence of dependent launches; cycle counts add up
      * and a per-launch overhead models the driver launch cost.
      */
+    KernelStats simulate(const SequenceTrace &seq) const;
+
+    /** Build the launch's warp trace at the config's warp size, then
+     *  simulate it. */
+    KernelStats simulate(const KernelRecording &rec) const;
+
+    /** Build every launch's warp trace at the config's warp size,
+     *  then simulate the sequence. */
     KernelStats simulate(const LaunchSequence &seq) const;
 
     const SimConfig &config() const { return cfg; }

@@ -130,6 +130,21 @@ class ThreadCtx
     }
 
     /**
+     * ld() for an element other threads may store concurrently
+     * (through stShared or their own relaxed atomic accesses): a
+     * relaxed atomic load keeps the race well-defined. Records the
+     * same load event as ld().
+     */
+    template <typename T>
+    T
+    ldShared(T *p,
+             std::source_location loc = std::source_location::current())
+    {
+        load(p, sizeof(T), loc);
+        return std::atomic_ref<T>(*p).load(std::memory_order_relaxed);
+    }
+
+    /**
      * st() for an element several threads store in one phase, all
      * with the same value: a relaxed atomic store keeps the race
      * well-defined. Records the same store event as st().

@@ -1,5 +1,6 @@
 #include "workloads/parsec/parsec.hh"
 
+#include <atomic>
 #include <mutex>
 
 #include "support/rng.hh"
@@ -66,15 +67,25 @@ Canneal::runCpu(trace::TraceSession &session, core::Scale scale)
     // Striped locks, as canneal's lock-free swaps would contend.
     constexpr int kLocks = 64;
     std::mutex locks[kLocks];
+    // Cost evaluations read placements without the locks while other
+    // threads swap them under theirs, as canneal does: every placement
+    // access is a relaxed atomic, so the reads race benignly.
+    auto swapAt = [](std::vector<int> &v, int a, int b) {
+        std::atomic_ref<int> ra(v[size_t(a)]), rb(v[size_t(b)]);
+        int va = ra.load(std::memory_order_relaxed);
+        ra.store(rb.load(std::memory_order_relaxed),
+                 std::memory_order_relaxed);
+        rb.store(va, std::memory_order_relaxed);
+    };
 
     auto wireCost = [&](trace::ThreadCtx &ctx, int e) {
         int cost = 0;
-        int ex = ctx.ld(&locX[e]);
-        int ey = ctx.ld(&locY[e]);
+        int ex = ctx.ldShared(&locX[e]);
+        int ey = ctx.ldShared(&locY[e]);
         for (int f = 0; f < fanout; ++f) {
             int o = ctx.ld(&nets[size_t(e) * fanout + f]);
-            int ox = ctx.ld(&locX[o]);
-            int oy = ctx.ld(&locY[o]);
+            int ox = ctx.ldShared(&locX[o]);
+            int oy = ctx.ldShared(&locY[o]);
             ctx.alu(6);
             cost += std::abs(ex - ox) + std::abs(ey - oy);
         }
@@ -102,8 +113,8 @@ Canneal::runCpu(trace::TraceSession &session, core::Scale scale)
                                   locks[(b % kLocks) == (a % kLocks)
                                             ? (b % kLocks + 1) % kLocks
                                             : b % kLocks]);
-            std::swap(locX[a], locX[b]);
-            std::swap(locY[a], locY[b]);
+            swapAt(locX, a, b);
+            swapAt(locY, a, b);
             ctx.store(&locX[a], 4);
             ctx.store(&locX[b], 4);
             ctx.store(&locY[a], 4);
@@ -120,8 +131,8 @@ Canneal::runCpu(trace::TraceSession &session, core::Scale scale)
             bool accept = after < before ||
                           u < std::exp((before - after) / temperature);
             if (!accept) {
-                std::swap(locX[a], locX[b]);
-                std::swap(locY[a], locY[b]);
+                swapAt(locX, a, b);
+                swapAt(locY, a, b);
             }
             // Final-placement write-back: the same four stores are
             // recorded whether the swap committed or reverted, so

@@ -598,11 +598,12 @@ TEST(Context, TraceFiguresAnalyseEachRecordingOnce)
 {
     // Figs. 2 and 3 read the 12 shipped recordings and Table III its
     // 8 versions, 4 of them shipped: 16 distinct trace analyses, each
-    // run once however the figures overlap on the pool.
+    // taken once from a warp-trace build however the figures overlap
+    // on the pool.
     PrimaryScaleGuard scale(core::Scale::Tiny);
     Executor ex(4);
     driver::Context ctx(nullptr, &ex);
-    uint64_t replays0 = counter("gpusim.replay.calls");
+    uint64_t replays0 = counter("gpusim.replay.analyses");
     JobGraph g;
     std::vector<std::string> text(3);
     const char *ids[3] = {"fig2", "fig3", "table3"};
@@ -614,12 +615,12 @@ TEST(Context, TraceFiguresAnalyseEachRecordingOnce)
         });
     }
     ASSERT_TRUE(ex.run(g));
-    EXPECT_EQ(counter("gpusim.replay.calls"), replays0 + 16);
+    EXPECT_EQ(counter("gpusim.replay.analyses"), replays0 + 16);
     for (const auto &t : text)
         EXPECT_FALSE(t.empty());
     EXPECT_EQ(&ctx.traceStats("srad", core::Scale::Tiny, 0),
               &ctx.traceStats("srad", core::Scale::Tiny, 2));
-    EXPECT_EQ(counter("gpusim.replay.calls"), replays0 + 16);
+    EXPECT_EQ(counter("gpusim.replay.analyses"), replays0 + 16);
 }
 
 TEST(Context, ParallelFigureMatchesSerialFigure)
@@ -845,6 +846,148 @@ TEST(KernelPass, PooledSettleSimulatesEveryConfigOnOneRecording)
     ctx.settle(work);
     EXPECT_EQ(counter("gpusim.record.calls"), records0);
     EXPECT_EQ(counter("gpusim.sims_run"), sims0);
+}
+
+TEST(KernelPass, SettleFreesTheLanesBeforeItsSimsRun)
+{
+    // A pooled settle of N configs plus the analysis records hotspot
+    // once and replays it once; each sim then stalls on its trace.
+    // While they stall, nw is recorded and replayed. Had hotspot's
+    // lanes outlived its build, two recordings would have been alive
+    // at once; its trace, which the stalled sims read, is.
+    support::metrics::Registry::global().clear();
+    support::FaultInjector::instance().configure(
+        "stall=sim:hotspot/s0/@800");
+    driver::KernelWork work{"hotspot", core::Scale::Tiny, 0, {}, true};
+    for (int shaders : {1, 2, 4, 8})
+        work.sims.push_back(gpusim::SimConfig::shaders(shaders));
+    Executor ex(4);
+    driver::Context ctx(nullptr, &ex);
+    std::thread settler([&] { ctx.settle(work); });
+    // The build's counter moves only once the lanes are gone.
+    bool built =
+        eventually([] { return counter("gpusim.replay.calls") == 1; });
+    if (built)
+        ctx.gpuStats("nw", core::Scale::Tiny, 0,
+                     gpusim::SimConfig::shaders(2));
+    settler.join();
+    support::FaultInjector::instance().configure("");
+    ASSERT_TRUE(built);
+    EXPECT_EQ(counter("gpusim.record.calls"), 2u);
+    EXPECT_EQ(counter("gpusim.replay.calls"), 2u);
+    EXPECT_EQ(counter("gpusim.replay.analyses"), 1u);
+    EXPECT_EQ(counter("gpusim.sims_run"), work.sims.size() + 1);
+    EXPECT_EQ(counter("gpusim.record.resident_max"), 1u);
+    EXPECT_EQ(counter("gpusim.replay.resident_max"), 2u);
+    EXPECT_GT(counter("gpusim.replay.encoded_bytes", "hotspot/s0/v1"), 0u);
+}
+
+TEST(KernelPass, OtherWarpSizeSimulatesItsOwnReplay)
+{
+    // A warp-16 sim records the kernel once, replays it at 16 lanes
+    // and matches a direct simulation of the recording. A warp-32 sim
+    // of the same kernel then records it again, since the pass kept
+    // no lanes, and reads its own trace.
+    gpusim::SimConfig w16 = gpusim::SimConfig::gpgpusimDefault();
+    w16.warpSize = 16;
+    w16.simdWidth = 8;
+    driver::Context ctx;
+    uint64_t records0 = counter("gpusim.record.calls");
+    const auto &got = ctx.gpuStats("backprop", core::Scale::Tiny, 0, w16);
+    EXPECT_EQ(counter("gpusim.record.calls"), records0 + 1);
+    EXPECT_EQ(gpusim::serializeKernelStats(got),
+              gpusim::serializeKernelStats(gpusim::TimingSim(w16).simulate(
+                  driver::recordGpuLaunch("backprop", core::Scale::Tiny))));
+    const auto &w32 = ctx.gpuStats("backprop", core::Scale::Tiny, 0,
+                                   gpusim::SimConfig::gpgpusimDefault());
+    EXPECT_EQ(counter("gpusim.record.calls"), records0 + 2);
+    EXPECT_NE(gpusim::serializeKernelStats(w32),
+              gpusim::serializeKernelStats(got));
+}
+
+TEST(KernelPass, CancelledCallerLeavesItsJoinersTheBuild)
+{
+    // The first call for nw stalls inside the trace build it shares;
+    // a call for another config joins that build. Cancelling the
+    // first call fails only it, at its own checkpoint before its
+    // sim: the build completes and the joined call simulates on it.
+    support::metrics::Registry::global().clear();
+    support::FaultInjector::instance().configure("stall=replay:nw/s0/@500");
+    driver::Context ctx(nullptr, nullptr);
+    support::CancelToken token;
+    std::string leaderError, joinerError, joined;
+    std::thread leader([&] {
+        support::CancelScope scope(&token);
+        try {
+            ctx.gpuStats("nw", core::Scale::Tiny, 0,
+                         gpusim::SimConfig::shaders(2));
+        } catch (const std::exception &e) {
+            leaderError = e.what();
+        }
+    });
+    bool stalled = eventually([] {
+        return support::FaultInjector::instance().stallsServed() == 1;
+    });
+    std::thread joiner([&] {
+        try {
+            joined = gpusim::serializeKernelStats(ctx.gpuStats(
+                "nw", core::Scale::Tiny, 0, gpusim::SimConfig::shaders(4)));
+        } catch (const std::exception &e) {
+            joinerError = e.what();
+        }
+    });
+    bool waiting =
+        eventually([] { return counter("memo.joins", "replay") == 1; });
+    token.cancel("request cancelled");
+    leader.join();
+    joiner.join();
+    support::FaultInjector::instance().configure("");
+    ASSERT_TRUE(stalled);
+    ASSERT_TRUE(waiting);
+    EXPECT_EQ(leaderError, "request cancelled");
+    EXPECT_EQ(joinerError, "");
+    EXPECT_EQ(counter("gpusim.record.calls"), 1u);
+    EXPECT_EQ(counter("gpusim.replay.calls"), 1u);
+    EXPECT_EQ(counter("gpusim.sims_run"), 1u);
+    EXPECT_EQ(joined, gpusim::serializeKernelStats(
+                          gpusim::TimingSim(gpusim::SimConfig::shaders(4))
+                              .simulate(driver::recordGpuLaunch(
+                                  "nw", core::Scale::Tiny))));
+}
+
+TEST(KernelPass, StoredResultsBuildNoTrace)
+{
+    // A new build finds hotspot's results stored under its content
+    // hash but no index entry of its own, so it records to prove the
+    // hash. No result is missing, so no trace is built and the lanes
+    // leave with the pass; a later miss records and builds afresh.
+    ScratchDir scratch("stored_no_trace");
+    ResultStore store(scratch.dir());
+    driver::KernelWork work{"hotspot", core::Scale::Tiny, 0, {}, true};
+    for (int shaders : {2, 4})
+        work.sims.push_back(gpusim::SimConfig::shaders(shaders));
+    {
+        driver::Context fill(&store, nullptr);
+        fill.settle(work);
+    }
+    size_t dropped = 0;
+    for (const auto &e : std::filesystem::directory_iterator(scratch.dir()))
+        if (e.path().filename().string().rfind("recindex_", 0) == 0)
+            dropped += std::filesystem::remove(e.path());
+    ASSERT_EQ(dropped, 1u);
+
+    support::metrics::Registry::global().clear();
+    driver::Context ctx(&store, nullptr);
+    ctx.settle(work);
+    EXPECT_EQ(counter("gpusim.record.calls"), 1u);
+    EXPECT_EQ(counter("gpusim.replay.calls"), 0u);
+    EXPECT_EQ(counter("gpusim.sims_run"), 0u);
+    ctx.gpuStats("hotspot", core::Scale::Tiny, 0,
+                 gpusim::SimConfig::shaders(8));
+    EXPECT_EQ(counter("gpusim.record.calls"), 2u);
+    EXPECT_EQ(counter("gpusim.replay.calls"), 1u);
+    EXPECT_EQ(counter("gpusim.sims_run"), 1u);
+    EXPECT_EQ(counter("gpusim.record.resident_max"), 1u);
 }
 
 TEST(KernelPass, AllFigureBuildHoldsAtMostOneRecordingPerWorker)

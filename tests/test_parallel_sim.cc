@@ -3,7 +3,8 @@
  * Determinism tests for the epoch timing engine: bit-identity with
  * the serial reference model (tests/reference/) at 1, 2, 4 and 8
  * lane runners on synthetic kernels, on launches with empty blocks,
- * one block or one SM, and on every registered GPU workload;
+ * one block or one SM, and on every registered GPU workload, at
+ * 32- and 16-lane warps;
  * epoch-length invariance; the lone-sim thread cap; the
  * oversubscribed-CTA guard (metric + RODINIA_STRICT panic); the
  * deadlock-diagnostic formatter; and the ThreadBudget that sizes
@@ -111,13 +112,25 @@ syntheticKernel(unsigned seed, int grid, int block)
     });
 }
 
+/** The default config at 16-lane warps (two issue cycles each). The
+ *  engine reads a warp-16 trace; the reference merges lanes itself. */
+SimConfig
+warp16Config()
+{
+    SimConfig cfg = SimConfig::gpgpusimDefault();
+    cfg.warpSize = 16;
+    cfg.simdWidth = 8;
+    return cfg;
+}
+
 std::vector<SimConfig>
 testConfigs()
 {
-    // No-L2 default, Fermi (L1 + unified L2), and a small shader
-    // count that forces many CTAs per SM and short idle jumps.
+    // No-L2 default, Fermi (L1 + unified L2), a small shader count
+    // that forces many CTAs per SM and short idle jumps, and 16-lane
+    // warps.
     return {SimConfig::gpgpusimDefault(), SimConfig::gtx480(false),
-            SimConfig::shaders(4)};
+            SimConfig::shaders(4), warp16Config()};
 }
 
 /** Lane-runner counts every reference comparison runs the engine at. */
@@ -445,6 +458,27 @@ TEST(SerialParallelWorkloads, FermiConfigBitIdentical)
         auto wl = core::Registry::instance().create(name);
         if (wl->gpuVersions() < 1)
             continue;
+        LaunchSequence seq = wl->runGpu(core::Scale::Small, 1);
+        KernelStats ref = reference::simulate(cfg, seq);
+        for (int lanes : kLaneCounts) {
+            SimConfig lane_cfg = cfg;
+            lane_cfg.simThreads = lanes;
+            EXPECT_EQ(ref, TimingSim(lane_cfg).simulate(seq))
+                << name << ", " << lanes << " lane runners";
+        }
+    }
+}
+
+TEST(SerialParallelWorkloads, Warp16ConfigBitIdentical)
+{
+    // Half-width warps split every block into twice the streams and
+    // change what diverges; the engine must still match the
+    // reference, which merges the lanes at 16 itself.
+    core::registerAllWorkloads();
+    BudgetCapacity budget(8);
+    SimConfig cfg = warp16Config();
+    for (const char *name : {"bfs", "hotspot", "kmeans", "nw", "srad"}) {
+        auto wl = core::Registry::instance().create(name);
         LaunchSequence seq = wl->runGpu(core::Scale::Small, 1);
         KernelStats ref = reference::simulate(cfg, seq);
         for (int lanes : kLaneCounts) {

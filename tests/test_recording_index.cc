@@ -412,9 +412,11 @@ TEST(RecordingIndex, WarmContextOnAPoolRecordsNothing)
         driver::Context ctx(&store, &ex);
         Work work;
         cold = runFigures(ctx, ex, ids);
-        // 16 Tiny kernels plus ablation_coalesce's three Small ones.
+        // 16 Tiny kernels plus ablation_coalesce's three Small ones,
+        // each replayed once; 16 of them are trace analyses.
         EXPECT_EQ(work.since("gpusim.record.calls"), 19u);
-        EXPECT_EQ(work.since("gpusim.replay.calls"), 16u);
+        EXPECT_EQ(work.since("gpusim.replay.calls"), 19u);
+        EXPECT_EQ(work.since("gpusim.replay.analyses"), 16u);
         EXPECT_GT(work.since("gpusim.sims_run"), 0u);
     }
     for (const auto &text : cold)

@@ -581,7 +581,8 @@ main(int argc, char **argv)
         std::printf("%llu recordings: %llu launches / %llu blocks / "
                     "%llu events in %llu encoded bytes / %llu fiber "
                     "switches; %llu hashes (%llu from the index); "
-                    "%llu trace analyses (%llu from the store)\n",
+                    "%llu warp-trace builds; %llu trace analyses (%llu "
+                    "from the store)\n",
                     (unsigned long long)snap.value("gpusim.record.calls"),
                     (unsigned long long)recTotals[0],
                     (unsigned long long)recTotals[1],
@@ -593,16 +594,23 @@ main(int argc, char **argv)
                         "gpusim.hash.index_served"),
                     (unsigned long long)snap.value("gpusim.replay.calls"),
                     (unsigned long long)snap.value(
+                        "gpusim.replay.analyses"),
+                    (unsigned long long)snap.value(
                         "gpusim.replay.store_served"));
         // Peak RSS and the resident gauges are wall-clock-like
         // (volatile): they depend on the schedule, not only the work.
         std::printf("memory: peak RSS %.1f MiB; recordings alive at "
+                    "once: at most %llu (%.1f MiB); warp traces alive at "
                     "once: at most %llu (%.1f MiB); %llu allocated bytes "
                     "for %llu encoded (%.3fx)\n",
                     double(snap.value("process.peak_rss_kib")) / 1024.0,
                     (unsigned long long)snap.value(
                         "gpusim.record.resident_max"),
                     double(snap.value("gpusim.record.resident_bytes_max")) /
+                        (1024.0 * 1024.0),
+                    (unsigned long long)snap.value(
+                        "gpusim.replay.resident_max"),
+                    double(snap.value("gpusim.replay.resident_bytes_max")) /
                         (1024.0 * 1024.0),
                     (unsigned long long)recTotals[5],
                     (unsigned long long)recTotals[3],
