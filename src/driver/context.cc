@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <mutex>
 #include <utility>
@@ -165,48 +164,6 @@ hex(uint64_t v)
     return buf;
 }
 
-/**
- * ChunkSink adapter that spills sealed trace chunks into the
- * ResultStore, keyed by the chunk's content hash — the store doubles
- * as the trace cache, so spilled chunks survive the process and
- * dedupe across identical traces. put/load ride the store's
- * concurrency-safe publish/load paths, so pool threads may spill
- * and refetch concurrently.
- */
-class StoreChunkSink : public trace::ChunkSink
-{
-  public:
-    explicit StoreChunkSink(ResultStore *store) : store(store) {}
-
-    void
-    put(uint64_t key, const std::string &blob) override
-    {
-        store->store(keyFor(key), blob);
-    }
-
-    bool
-    get(uint64_t key, std::string &blob) override
-    {
-        auto payload = store->load(keyFor(key));
-        if (!payload)
-            return false;
-        blob = std::move(*payload);
-        return true;
-    }
-
-  private:
-    static ResultStore::Key
-    keyFor(uint64_t hash)
-    {
-        ResultStore::Key k;
-        k.kind = "tracechunk";
-        k.config = hex(hash);
-        return k;
-    }
-
-    ResultStore *store;
-};
-
 } // namespace
 
 uint64_t
@@ -218,33 +175,6 @@ buildIdentity()
         return walk.executableHasNote ? walk.digest.digest() : 0;
     }();
     return identity;
-}
-
-Context::Context(ResultStore *store, Executor *executor)
-    : store(store), exec(executor)
-{
-    // Opt-in spill-to-store for streaming CPU traces: the env var's
-    // value is the resident sealed-chunk budget per EventStream.
-    // Installed here (not in trace/) so the sink can reuse the
-    // figure result store; torn down in the destructor so tests that
-    // build short-lived Contexts don't leak a dangling sink.
-    const char *budget = std::getenv("RODINIA_TRACE_SPILL_CHUNKS");
-    if (store && budget && *budget) {
-        char *end = nullptr;
-        unsigned long n = std::strtoul(budget, &end, 10);
-        if (end != budget && *end == '\0' && n > 0) {
-            prevSpillResident = trace::traceSpillResidentChunks();
-            spillSink = std::make_unique<StoreChunkSink>(store);
-            prevSpillSink =
-                trace::setTraceSpill(spillSink.get(), uint32_t(n));
-        }
-    }
-}
-
-Context::~Context()
-{
-    if (spillSink)
-        trace::setTraceSpill(prevSpillSink, prevSpillResident);
 }
 
 const core::CpuCharacterization &

@@ -130,10 +130,10 @@ class Context
      *        sweeps serially
      */
     explicit Context(ResultStore *store = nullptr,
-                     Executor *executor = nullptr);
-
-    /** Uninstalls the trace-spill sink if the constructor armed it. */
-    ~Context();
+                     Executor *executor = nullptr)
+        : store(store), exec(executor)
+    {
+    }
 
     Context(const Context &) = delete;
     Context &operator=(const Context &) = delete;
@@ -243,12 +243,6 @@ class Context
   private:
     ResultStore *store;
     Executor *exec;
-
-    /** ResultStore-backed trace-chunk spill sink (see context.cc);
-     *  non-null only when RODINIA_TRACE_SPILL_CHUNKS armed it. */
-    std::unique_ptr<trace::ChunkSink> spillSink;
-    trace::ChunkSink *prevSpillSink = nullptr;
-    uint32_t prevSpillResident = 0;
 
     /** One kernel's results being settled, and the warp traces made
      *  on the first miss; shared by every call for the kernel while

@@ -1,8 +1,12 @@
 #include "driver/result_store.hh"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <sstream>
@@ -25,6 +29,27 @@ elapsedUs(std::chrono::steady_clock::time_point t0)
             .count());
 }
 
+/**
+ * Is the temp @p name, whose ".tmp." starts at @p tmpAt, the
+ * in-flight publish of a running process? A temp is named
+ * `<entry>.tmp.<pid>.<thread>`. A name with no pid field (the older
+ * `<entry>.tmp.<thread>` form) or whose pid names no process is a
+ * crashed writer's. kill(pid, 0) failing with EPERM still means the
+ * process exists.
+ */
+bool
+liveWriterTmp(const std::string &name, size_t tmpAt)
+{
+    const char *pidAt = name.data() + tmpAt + 5;
+    const char *end = name.data() + name.size();
+    const char *dot = std::find(pidAt, end, '.');
+    pid_t pid = 0;
+    auto [stop, ec] = std::from_chars(pidAt, dot, pid);
+    if (dot == end || ec != std::errc() || stop != dot || pid <= 0)
+        return false;
+    return ::kill(pid, 0) == 0 || errno != ESRCH;
+}
+
 } // namespace
 
 namespace rodinia {
@@ -38,11 +63,13 @@ ResultStore::ResultStore(std::filesystem::path dir, bool enabled,
         collectTmpGarbage();
 }
 
-// A crashed publish leaves `<entry>.tmp.<writer>` behind (write
+// A crashed publish leaves `<entry>.tmp.<pid>.<thread>` behind (write
 // happened, rename did not). Those droppings are dead weight — a
 // tmp name is never read and never reused unless the same writer id
-// recurs — so sweep them when the store opens, before any publishes
-// from this process can be in flight.
+// recurs — so sweep them when the store opens. Another process
+// publishing into the same directory (the daemon beside a CLI run)
+// is still writing its temps, so a temp whose pid is alive is left
+// alone.
 void
 ResultStore::collectTmpGarbage()
 {
@@ -54,7 +81,8 @@ ResultStore::collectTmpGarbage()
     for (const auto &entry :
          std::filesystem::directory_iterator(dir, ec)) {
         std::string name = entry.path().filename().string();
-        if (name.find(".tmp.") == std::string::npos)
+        size_t tmpAt = name.find(".tmp.");
+        if (tmpAt == std::string::npos || liveWriterTmp(name, tmpAt))
             continue;
         if (support::FaultInjector::instance().failFile(
                 support::FaultOp::Unlink, name)) {
@@ -226,10 +254,12 @@ ResultStore::doStore(const Key &key, const std::string &payload) const
         return false;
     }
     std::filesystem::path dest = pathFor(key);
-    // Unique temp name per writer so concurrent stores of the same
-    // key never scribble on one another's half-written file.
+    // Unique temp name per writer (process and thread) so concurrent
+    // stores of the same key never scribble on one another's
+    // half-written file, and an opening store can tell a running
+    // writer's temp from a crashed one's.
     std::ostringstream tmpName;
-    tmpName << dest.filename().string() << ".tmp."
+    tmpName << dest.filename().string() << ".tmp." << ::getpid() << "."
             << std::hash<std::thread::id>{}(std::this_thread::get_id());
     std::filesystem::path tmp = dir / tmpName.str();
     if (!writeAllDurably(tmp, payload, dest.filename().string())) {

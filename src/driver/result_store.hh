@@ -60,8 +60,10 @@ class ResultStore
      *
      * Opening an enabled store garbage-collects orphaned `*.tmp.*`
      * droppings left behind by publishes that crashed between write
-     * and rename (counted in tmpCollected()). Published entries are
-     * never touched.
+     * and rename (counted in tmpCollected()). A temp is named after
+     * its writer's pid and thread, and one whose pid is a running
+     * process is spared, so processes may share a store directory.
+     * Published entries are never touched.
      */
     explicit ResultStore(std::filesystem::path dir, bool enabled = true,
                          int version = kVersion);

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <iomanip>
 #include <limits>
@@ -212,49 +211,20 @@ namespace {
 
 constexpr uint64_t kIdle = ~0ULL;
 
-/** RODINIA_STRICT as a runtime switch (unset or "0" = off). Read
- *  uncached on the cold oversubscription path so death tests and
- *  child processes see the current environment. */
-bool
-strictChecksEnabled()
-{
-    const char *v = std::getenv("RODINIA_STRICT");
-    return v && *v && !(v[0] == '0' && v[1] == '\0');
-}
-
 /**
- * Why this block can never satisfy canFit's steady-state bounds on
- * an *empty* SM — i.e. its standalone demand exceeds the SM's total
- * capacity — or nullptr if it fits. Such a CTA is only ever admitted
- * through the "always allow one CTA" deadlock-avoidance hatch, and
- * silently simulating it understates contention, so the engine
- * counts it and optionally fails fast.
+ * Can this block never satisfy canFit's steady-state bounds on an
+ * *empty* SM, i.e. does its standalone demand exceed the SM's total
+ * capacity? Such a CTA is only ever admitted through the "always
+ * allow one CTA" deadlock-avoidance hatch, and silently simulating
+ * it understates contention, so the engine counts it
+ * (gpusim.oversubscribed_cta, reported by `--stats`).
  */
-const char *
-ctaOverloadReason(const SimConfig &cfg, const WarpTrace::Block &block)
+bool
+ctaOverloads(const SimConfig &cfg, const WarpTrace::Block &block)
 {
-    if (block.blockDim > cfg.maxThreadsPerSm)
-        return "blockDim exceeds maxThreadsPerSm";
-    if (block.sharedBytes > cfg.sharedMemPerSm)
-        return "sharedBytes exceeds sharedMemPerSm";
-    if (block.blockDim * cfg.regsPerThread > cfg.regFileSize)
-        return "register demand exceeds regFileSize";
-    return nullptr;
-}
-
-void
-noteOversubscribedCta(const SimConfig &cfg, const WarpTrace::Block &block,
-                      size_t sm_index, const char *why)
-{
-    support::metrics::count("gpusim.oversubscribed_cta");
-    if (strictChecksEnabled())
-        panic("gpusim: oversubscribed CTA admitted on sm", sm_index,
-              " (", why, "): blockDim=", block.blockDim,
-              " sharedBytes=", block.sharedBytes,
-              " regDemand=", block.blockDim * cfg.regsPerThread,
-              " vs maxThreadsPerSm=", cfg.maxThreadsPerSm,
-              " sharedMemPerSm=", cfg.sharedMemPerSm,
-              " regFileSize=", cfg.regFileSize);
+    return block.blockDim > cfg.maxThreadsPerSm ||
+           block.sharedBytes > cfg.sharedMemPerSm ||
+           block.blockDim * cfg.regsPerThread > cfg.regFileSize;
 }
 
 struct Cta;
@@ -977,8 +947,8 @@ class EpochEngine
                canFit(sm, trace.blocks[nextBlock])) {
             const WarpTrace::Block &block = trace.blocks[nextBlock];
             ++nextBlock;
-            if (const char *why = ctaOverloadReason(cfg, block))
-                noteOversubscribedCta(cfg, block, ln.smIndex, why);
+            if (ctaOverloads(cfg, block))
+                support::metrics::count("gpusim.oversubscribed_cta");
 
             auto cta = std::make_unique<Cta>();
             cta->blockDim = block.blockDim;

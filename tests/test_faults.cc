@@ -20,6 +20,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -348,13 +349,28 @@ TEST(ResultStoreFaults, CollectsOrphanedTmpFilesOnOpen)
         EXPECT_EQ(writer.tmpCollected(), 0u);
     }
     // Fake the droppings of two publishes that crashed between
-    // write and rename.
+    // write and rename, in the older one-field name form.
     std::ofstream(scratch.dir() / "cpuchar_bfs_feed.txt.tmp.123")
         << "half";
     std::ofstream(scratch.dir() / "gpustats_cfd_beef.txt.tmp.9")
         << "torn";
+    // A temp named after a pid no process can have is a crashed
+    // writer's; one named after this process is a running publish
+    // (another store open on the same directory) and must survive.
+    std::filesystem::path dead =
+        scratch.dir() / ("recindex_kmeans_f00d.txt.tmp." +
+                         std::to_string(INT_MAX) + ".77");
+    std::filesystem::path live =
+        scratch.dir() / ("recindex_nw_cafe.txt.tmp." +
+                         std::to_string(getpid()) + ".42");
+    std::ofstream(dead) << "dead";
+    std::ofstream(live) << "live";
     ResultStore store(scratch.dir());
-    EXPECT_EQ(store.tmpCollected(), 2u);
+    EXPECT_EQ(store.tmpCollected(), 3u);
+    EXPECT_FALSE(std::filesystem::exists(dead));
+    EXPECT_TRUE(std::filesystem::exists(live))
+        << "GC must not collect a running writer's temp";
+    std::filesystem::remove(live);
     EXPECT_FALSE(dirHasTmpDroppings(scratch.dir()));
     auto loaded = store.load(key);
     ASSERT_TRUE(loaded.has_value()) << "GC must not touch published "

@@ -20,6 +20,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "driver/context.hh"
 #include "driver/executor.hh"
@@ -91,6 +92,13 @@ TEST(Golden, FiguresMatchCorpusByteForByte)
  * to grant even while every worker is busy (an odd count, to dodge
  * any accidentally-even partitioning symmetry). Lane runners must
  * never shift a single byte of reproduced output.
+ *
+ * It settles the inputs the way the experiments CLI does: one settle
+ * per distinct kernel over the union of every figure's points, so
+ * each kernel is recorded once and a point two figures share (Fig.
+ * 1's 28-SM config is Fig. 4's 8-channel one) is simulated once. The
+ * renders then find every result memoized. FiguresMatchCorpus
+ * above keeps the daemon's figure-by-figure path.
  */
 TEST(Golden, ParallelSimThreadsMatchCorpusByteForByte)
 {
@@ -100,6 +108,12 @@ TEST(Golden, ParallelSimThreadsMatchCorpusByteForByte)
         support::ThreadBudget::instance().setCapacity(
             pool.threadCount() + 3);
         driver::Context ctx(nullptr, &pool);
+        std::vector<const driver::FigureDef *> figures;
+        for (const auto &def : driver::allFigures())
+            figures.push_back(&def);
+        auto kernels = driver::kernelWork(figures);
+        ctx.parallelFor(kernels.size(),
+                        [&](size_t i) { ctx.settle(kernels[i]); });
         for (const auto &def : driver::allFigures()) {
             SCOPED_TRACE(def.id);
             std::filesystem::path ref = goldenDir() / (def.id + ".txt");

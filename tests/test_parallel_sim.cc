@@ -6,9 +6,8 @@
  * one block or one SM, and on every registered GPU workload, at
  * 32- and 16-lane warps;
  * epoch-length invariance; the lone-sim thread cap; the
- * oversubscribed-CTA guard (metric + RODINIA_STRICT panic); the
- * deadlock-diagnostic formatter; and the ThreadBudget that sizes
- * every sim's helper pool.
+ * oversubscribed-CTA metric; the deadlock-diagnostic formatter; and
+ * the ThreadBudget that sizes every sim's helper pool.
  *
  * The EpochEngine suite is cheap (synthetic kernels) and runs in the
  * tsan-smoke and asan-smoke lanes; the SerialParallelWorkloads matrix
@@ -17,7 +16,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <functional>
 #include <memory>
 #include <random>
@@ -392,24 +390,6 @@ TEST(EpochEngine, EpochLengthTracksSharedPathLatency)
               std::min(uint64_t(fermi.l2HitLatency),
                        uint64_t(fermi.channelServiceCycles() +
                                 fermi.gmemLatencyCycles)));
-}
-
-TEST(OversubscribedCtaDeath, StrictModePanics)
-{
-    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    std::vector<float> data(32, 0.0f);
-    KernelRecording rec =
-        recordKernel(launchOf(2, 32), [&](KernelCtx &ctx) {
-            auto sh = ctx.shared<double>(8192);
-            sh.put(ctx, ctx.tid(), 1.0);
-            ctx.stg(&data[ctx.tid()], 0.0f);
-        });
-    EXPECT_DEATH(
-        {
-            setenv("RODINIA_STRICT", "1", 1);
-            simulateWith(SimConfig::gpgpusimDefault(), 1, rec);
-        },
-        "oversubscribed");
 }
 
 TEST(SerialParallelWorkloads, AllGpuWorkloadsBitIdentical)

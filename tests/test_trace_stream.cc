@@ -3,24 +3,19 @@
  * Regression tests for the streaming trace representations: the
  * CPU-side delta-encoded columnar EventStream (trace/stream.hh), the
  * GPU-side LaneStream (gpusim/types.hh), record-time line splitting
- * of oversized accesses, the packPc line-overflow fold, interleaved
- * replay order, and spill-to-sink round-trips. Each compact stream
- * must decode event for event to the plain vector the test built
- * for arbitrary inputs — that equivalence is what lets the golden
- * corpus pin paper figures while traces stream through a bounded
- * ring.
+ * of oversized accesses, the packPc line-overflow fold, and
+ * interleaved replay order. Each compact stream must decode event
+ * for event to the plain vector the test built for arbitrary inputs
+ * — that equivalence is what lets the golden corpus pin paper
+ * figures while traces are stored compactly.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <filesystem>
-#include <map>
 #include <source_location>
+#include <string>
 #include <vector>
 
-#include "driver/context.hh"
-#include "driver/result_store.hh"
 #include "gpusim/types.hh"
 #include "support/rng.hh"
 #include "trace/stream.hh"
@@ -30,49 +25,6 @@ using namespace rodinia;
 using namespace rodinia::trace;
 
 namespace {
-
-/** In-memory spill sink; counts round-trips for the tests. */
-class MapSink : public ChunkSink
-{
-  public:
-    void
-    put(uint64_t key, const std::string &blob) override
-    {
-        chunks[key] = blob;
-        ++puts;
-    }
-
-    bool
-    get(uint64_t key, std::string &blob) override
-    {
-        auto it = chunks.find(key);
-        if (it == chunks.end())
-            return false;
-        blob = it->second;
-        ++gets;
-        return true;
-    }
-
-    std::map<uint64_t, std::string> chunks;
-    int puts = 0;
-    int gets = 0;
-};
-
-/** RAII: install a spill sink, restore the previous one on exit. */
-class SpillGuard
-{
-  public:
-    SpillGuard(ChunkSink *sink, uint32_t resident)
-        : prevResident(traceSpillResidentChunks()),
-          prev(setTraceSpill(sink, resident))
-    {
-    }
-    ~SpillGuard() { setTraceSpill(prev, prevResident); }
-
-  private:
-    uint32_t prevResident;
-    ChunkSink *prev;
-};
 
 std::vector<MemEvent>
 randomEvents(uint64_t n, uint64_t seed)
@@ -97,6 +49,45 @@ randomEvents(uint64_t n, uint64_t seed)
     return out;
 }
 
+/** Decode @p s and compare every field with @p events. */
+void
+expectDecodes(const EventStream &s, const std::vector<MemEvent> &events)
+{
+    auto out = s.decodeAll();
+    ASSERT_EQ(out.size(), events.size());
+    for (size_t i = 0; i < events.size(); ++i) {
+        ASSERT_EQ(out[i].addr, events[i].addr) << "event " << i;
+        ASSERT_EQ(out[i].size, events[i].size) << "event " << i;
+        ASSERT_EQ(out[i].isWrite, events[i].isWrite) << "event " << i;
+    }
+}
+
+/**
+ * A stream of @p n random events must decode to them in two
+ * independent passes, and again after a transform round trip
+ * re-encodes it twice.
+ */
+void
+expectRoundTrips(uint64_t n, uint64_t seed)
+{
+    auto events = randomEvents(n, seed);
+    EventStream s;
+    for (const auto &e : events)
+        s.append(e.addr, e.size, e.isWrite);
+    ASSERT_EQ(s.size(), n);
+    EXPECT_EQ(s.empty(), n == 0);
+    for (int pass = 0; pass < 2; ++pass) {
+        SCOPED_TRACE("decode pass " + std::to_string(pass));
+        expectDecodes(s, events);
+    }
+    auto flip = [](MemEvent &e) { e.addr ^= 0xfff; };
+    s.transform(flip);
+    s.transform(flip);
+    SCOPED_TRACE("after a transform round trip");
+    ASSERT_EQ(s.size(), n);
+    expectDecodes(s, events);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -119,13 +110,7 @@ TEST(EventStream, CompactDecodesIdenticalToMaterialized)
     EXPECT_LT(compact.encodedBytes(),
               events.size() * sizeof(MemEvent) / 3);
 
-    auto dc = compact.decodeAll();
-    ASSERT_EQ(dc.size(), events.size());
-    for (size_t i = 0; i < events.size(); ++i) {
-        ASSERT_EQ(dc[i].addr, events[i].addr) << "event " << i;
-        ASSERT_EQ(dc[i].size, events[i].size) << "event " << i;
-        ASSERT_EQ(dc[i].isWrite, events[i].isWrite) << "event " << i;
-    }
+    expectDecodes(compact, events);
 }
 
 TEST(EventStream, IndependentCursorsDoNotInterfere)
@@ -167,86 +152,34 @@ TEST(EventStream, TransformRewritesAndStaysDecodable)
 }
 
 // ---------------------------------------------------------------
-// EventStream: spill-to-sink round-trip
+// EventStream: streams that end on, just before and just past a
+// chunk seal
 // ---------------------------------------------------------------
 
-TEST(EventStream, SpillsOldestChunksAndRefetchesOnDecode)
+TEST(EventStream, EmptyStreamDecodesNothing)
 {
-    MapSink sink;
-    SpillGuard guard(&sink, 1); // keep at most 1 sealed chunk resident
-
-    auto events = randomEvents(5 * EventStream::kChunkEvents, 0x5B1);
-    EventStream s;
-    for (const auto &e : events)
-        s.append(e.addr, e.size, e.isWrite);
-    // 5 sealed chunks, 1 resident: at least 3 must have spilled.
-    EXPECT_GE(s.spilledChunks(), 3u);
-    EXPECT_EQ(size_t(sink.puts), sink.chunks.size());
-
-    // Two full decodes: spilled chunks are refetched each time, and
-    // both passes see the identical event sequence.
-    for (int pass = 0; pass < 2; ++pass) {
-        auto out = s.decodeAll();
-        ASSERT_EQ(out.size(), events.size()) << "pass " << pass;
-        for (size_t i = 0; i < events.size(); ++i) {
-            ASSERT_EQ(out[i].addr, events[i].addr);
-            ASSERT_EQ(out[i].size, events[i].size);
-            ASSERT_EQ(out[i].isWrite, events[i].isWrite);
-        }
-    }
-    EXPECT_GE(sink.gets, 2 * 3);
+    expectRoundTrips(0, 0xE0);
+    EXPECT_EQ(EventStream().encodedBytes(), 0u);
 }
 
-TEST(EventStream, SpilledChunkKeysAreContentHashes)
+TEST(EventStream, OneEventShortOfASealStaysOpen)
 {
-    MapSink sink;
-    SpillGuard guard(&sink, 0);
-    // Two streams with identical content spill chunks with identical
-    // keys — the sink (and thus the ResultStore) dedupes them.
-    // Spilling runs when the next chunk starts, so with 3 sealed
-    // chunks + an open tail all three sealed chunks spill per stream.
-    auto events = randomEvents(3 * EventStream::kChunkEvents + 10, 42);
-    EventStream a, b;
-    for (const auto &e : events) {
-        a.append(e.addr, e.size, e.isWrite);
-        b.append(e.addr, e.size, e.isWrite);
-    }
-    EXPECT_EQ(a.spilledChunks(), 3u);
-    EXPECT_EQ(b.spilledChunks(), 3u);
-    // Identical chunks landed on the same keys: the map holds half.
-    EXPECT_EQ(sink.chunks.size(), size_t(a.spilledChunks()));
-    for (const auto &[key, blob] : sink.chunks)
-        EXPECT_EQ(key, chunkContentHash(blob));
+    // No chunk is sealed: the whole stream is the open chunk, with a
+    // partial flag byte still in the accumulator.
+    expectRoundTrips(EventStream::kChunkEvents - 1, 0xE1);
 }
 
-TEST(ResultStoreChunkSink, SpilledChunksRoundTripThroughStore)
+TEST(EventStream, StreamEndingExactlyOnASealHasNoOpenChunk)
 {
-    // End-to-end: RODINIA_TRACE_SPILL_CHUNKS arms a Context-owned
-    // sink that spills trace chunks into the ResultStore; recording
-    // past the resident budget must spill, and decoding must read
-    // the bytes back from disk.
-    auto dir = std::filesystem::temp_directory_path() /
-               "rodinia_tracechunk_test";
-    std::filesystem::remove_all(dir);
-    setenv("RODINIA_TRACE_SPILL_CHUNKS", "1", 1);
-    {
-        driver::ResultStore store(dir, true);
-        driver::Context ctx(&store, nullptr);
+    // The last chunk is sealed and no open chunk follows it: a
+    // cursor must read that chunk's own count, not the (empty) open
+    // tail's.
+    expectRoundTrips(5 * EventStream::kChunkEvents, 0x5B1);
+}
 
-        auto events =
-            randomEvents(4 * EventStream::kChunkEvents, 0xD15C);
-        EventStream s;
-        for (const auto &e : events)
-            s.append(e.addr, e.size, e.isWrite);
-        EXPECT_GE(s.spilledChunks(), 2u);
-
-        auto out = s.decodeAll();
-        ASSERT_EQ(out.size(), events.size());
-        for (size_t i = 0; i < events.size(); ++i)
-            ASSERT_EQ(out[i].addr, events[i].addr) << i;
-    }
-    unsetenv("RODINIA_TRACE_SPILL_CHUNKS");
-    std::filesystem::remove_all(dir);
+TEST(EventStream, OneEventPastASealOpensATailChunk)
+{
+    expectRoundTrips(5 * EventStream::kChunkEvents + 1, 0xE2);
 }
 
 // ---------------------------------------------------------------

@@ -547,8 +547,7 @@ main(int argc, char **argv)
         if (uint64_t over = snap.value("gpusim.oversubscribed_cta"))
             std::printf("WARNING: %llu CTA placement(s) exceeded "
                         "standalone SM capacity (admitted by the "
-                        "make-progress hatch; set RODINIA_STRICT=1 "
-                        "to fail fast)\n",
+                        "make-progress hatch)\n",
                         (unsigned long long)over);
         // Work counts only, all stable: a run whose only committed
         // jobs are recordings must still print byte-identical
