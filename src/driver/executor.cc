@@ -55,14 +55,6 @@ struct Executor::Impl
      * can never observe destroyed state even though run() may have
      * already returned on the waiting thread.
      */
-    /** Watchdog view of one in-flight job attempt. */
-    struct RunningSlot
-    {
-        std::shared_ptr<support::CancelToken> token;
-        std::chrono::steady_clock::time_point start;
-        double deadlineMs = 0.0;
-    };
-
     struct RunCtx
     {
         JobGraph *graph = nullptr;
@@ -77,7 +69,6 @@ struct Executor::Impl
         std::vector<char> depFailed;
         std::vector<size_t> skipCause; //!< failed dep behind depFailed
         std::vector<std::vector<size_t>> dependents;
-        std::vector<RunningSlot> running; //!< guarded by mu
         /** When each job was (re)submitted to the pool; written
          *  before submit(), whose queue mutex publishes it to the
          *  worker that later claims the task. Feeds the queue-wait
@@ -91,7 +82,6 @@ struct Executor::Impl
                             size_t id, JobStatus status, double wallMs,
                             const std::string &error, ErrorClass cls,
                             int attempts);
-    static void watchdogLoop(const std::shared_ptr<RunCtx> &ctx);
 
     // Which executor (if any) owns the current thread. Lets submit()
     // push to the worker's own queue, and keeps queue indices
@@ -340,9 +330,9 @@ Executor::Impl::completeJob(const std::shared_ptr<RunCtx> &ctx,
 }
 
 // executeJob() is the task body run on pool threads. Each attempt
-// gets a fresh CancelToken registered in ctx->running so the
-// watchdog can cancel it; transient failures retry with capped
-// exponential backoff.
+// runs under a fresh CancelToken that carries the job's soft
+// deadline, if any, counted from the attempt's start; transient
+// failures retry with capped exponential backoff.
 void
 Executor::Impl::executeJob(const std::shared_ptr<RunCtx> &ctx, size_t id)
 {
@@ -390,14 +380,20 @@ Executor::Impl::executeJob(const std::shared_ptr<RunCtx> &ctx, size_t id)
     ErrorClass cls = ErrorClass::None;
     int attempt = 0;
     for (attempt = 1;; ++attempt) {
-        auto token = std::make_shared<support::CancelToken>();
-        {
-            std::lock_guard<std::mutex> lock(ctx->mu);
-            ctx->running[id] = {token,
-                                std::chrono::steady_clock::now(),
-                                deadlineMs};
-        }
         auto attemptStart = std::chrono::steady_clock::now();
+        // The deadline counts from the attempt's start. Its reason
+        // quotes the configured budget, not the measured elapsed
+        // time, so failure messages (and therefore MISSING cells and
+        // resumed reruns) stay byte-deterministic.
+        support::CancelToken token =
+            deadlineMs > 0.0
+                ? support::CancelToken(
+                      attemptStart + std::chrono::microseconds(
+                                         int64_t(deadlineMs * 1e3)),
+                      "watchdog: job '" + name +
+                          "' exceeded soft deadline of " +
+                          std::to_string(int64_t(deadlineMs)) + " ms")
+                : support::CancelToken();
         auto attemptSpan = [&](const char *outcome) {
             auto end = std::chrono::steady_clock::now();
             if (tc)
@@ -416,7 +412,7 @@ Executor::Impl::executeJob(const std::shared_ptr<RunCtx> &ctx, size_t id)
                         kVolatile);
         };
         try {
-            support::CancelScope scope(token.get());
+            support::CancelScope scope(&token);
             support::metrics::SinkScope msink(&txn);
             injector.maybeFailJob(name, attempt);
             injector.maybeStall("job:" + name);
@@ -430,10 +426,6 @@ Executor::Impl::executeJob(const std::shared_ptr<RunCtx> &ctx, size_t id)
             break; // success
         } catch (...) {
             Classified c = classifyCurrentException();
-            {
-                std::lock_guard<std::mutex> lock(ctx->mu);
-                ctx->running[id] = RunningSlot{};
-            }
             if (c.transient && attempt < maxAttempts) {
                 attemptSpan("retry");
                 reg.countAdd("executor.retries", "", 1,
@@ -466,50 +458,10 @@ Executor::Impl::executeJob(const std::shared_ptr<RunCtx> &ctx, size_t id)
     }
     if (status == JobStatus::Done)
         txn.drainInto(reg);
-    {
-        std::lock_guard<std::mutex> lock(ctx->mu);
-        ctx->running[id] = RunningSlot{};
-    }
     double ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
     completeJob(ctx, id, status, ms, error, cls, attempt);
-}
-
-// watchdogLoop() runs on its own thread for graphs with soft
-// deadlines: it wakes every ~20 ms, compares each running attempt's
-// elapsed time against its deadline, and cancels overdue tokens.
-// The cancel reason quotes the configured deadline (not the
-// measured elapsed time) so failure messages — and therefore
-// MISSING cells and resumed reruns — stay byte-deterministic.
-void
-Executor::Impl::watchdogLoop(const std::shared_ptr<RunCtx> &ctx)
-{
-    std::unique_lock<std::mutex> lock(ctx->mu);
-    for (;;) {
-        if (ctx->cv.wait_for(lock, std::chrono::milliseconds(20), [&] {
-                return ctx->finished == ctx->total;
-            }))
-            return;
-        auto now = std::chrono::steady_clock::now();
-        for (size_t id = 0; id < ctx->running.size(); ++id) {
-            RunningSlot &slot = ctx->running[id];
-            if (!slot.token || slot.deadlineMs <= 0.0 ||
-                slot.token->cancelled())
-                continue;
-            double elapsed =
-                std::chrono::duration<double, std::milli>(now -
-                                                          slot.start)
-                    .count();
-            if (elapsed <= slot.deadlineMs)
-                continue;
-            // CancelToken has its own (leaf) mutex; safe under mu.
-            slot.token->cancel(
-                "watchdog: job '" + ctx->graph->job(id).name +
-                "' exceeded soft deadline of " +
-                std::to_string(int64_t(slot.deadlineMs)) + " ms");
-        }
-    }
 }
 
 bool
@@ -528,7 +480,6 @@ Executor::run(JobGraph &graph, support::ProgressReporter *progress)
     ctx->depFailed.assign(total, 0);
     ctx->skipCause.assign(total, 0);
     ctx->dependents.resize(total);
-    ctx->running.assign(total, Impl::RunningSlot{});
     ctx->submitted.assign(total,
                           std::chrono::steady_clock::time_point{});
 
@@ -548,13 +499,6 @@ Executor::run(JobGraph &graph, support::ProgressReporter *progress)
             roots.push_back(i);
     }
 
-    bool anyDeadline = false;
-    for (size_t i = 0; i < total; ++i)
-        anyDeadline = anyDeadline || graph.job(i).softDeadlineMs > 0.0;
-    std::thread watchdog;
-    if (anyDeadline)
-        watchdog = std::thread([ctx] { Impl::watchdogLoop(ctx); });
-
     std::vector<Impl::Task> rootTasks;
     rootTasks.reserve(roots.size());
     for (size_t r : roots) {
@@ -568,8 +512,6 @@ Executor::run(JobGraph &graph, support::ProgressReporter *progress)
         ctx->cv.wait(lock,
                      [&] { return ctx->finished == ctx->total; });
     }
-    if (watchdog.joinable())
-        watchdog.join();
     return graph.allDone();
 }
 
@@ -601,8 +543,8 @@ Executor::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     st->n = n;
     st->fn = &fn;
     // Propagate the caller's cancel token onto helper threads so a
-    // watchdog-cancelled job's nested sweep iterations observe the
-    // cancellation at their own checkpoints.
+    // cancelled or overdue job's nested sweep iterations observe it
+    // at their own checkpoints.
     st->token = support::currentCancelToken();
     // Ditto for the metric sink: helper iterations of a job's sweep
     // must charge the same per-job transaction as the caller, or a

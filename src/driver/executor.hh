@@ -50,13 +50,14 @@
  *    cap with capped exponential backoff; permanent classes fail on
  *    the first throw.
  *
- *  - Watchdog: when any job carries a softDeadlineMs, run() spawns a
- *    monitor thread that cancels over-deadline attempts via a
- *    per-attempt support::CancelToken. Cancellation is cooperative —
- *    the token is installed as the thread's CancelScope (and
- *    propagated to parallelFor helpers), and the sim/replay loops
- *    poll checkpointCancellation(), so a hung or runaway sim fails
- *    its own figure, not the process.
+ *  - Deadlines: each attempt runs under a fresh support::CancelToken
+ *    that carries the job's softDeadlineMs, counted from the
+ *    attempt's start. Cancellation is cooperative: the token is
+ *    installed as the thread's CancelScope (and propagated to
+ *    parallelFor helpers), and the sim/replay loops poll
+ *    checkpointCancellation(), so the first checkpoint past the
+ *    deadline fails the job, and a hung or runaway sim fails its own
+ *    figure, not the process.
  */
 
 #ifndef RODINIA_DRIVER_EXECUTOR_HH

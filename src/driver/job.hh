@@ -47,7 +47,8 @@ enum class ErrorClass {
     None,     //!< job did not fail
     Injected, //!< fault-injection harness (support::InjectedFault)
     StoreIo,  //!< result-store / filesystem IO (transient)
-    Deadline, //!< cancelled by the watchdog (support::CancelledError)
+    Deadline, //!< cancelled: past its deadline, or by its canceller
+              //!< (support::CancelledError)
     Oom,      //!< allocation failure (std::bad_alloc, transient)
     Workload, //!< the experiment body threw (permanent)
     Skipped,  //!< not run; a dependency failed
@@ -65,8 +66,9 @@ struct Job
     std::vector<size_t> deps;    //!< ids of jobs that must finish first
 
     // Scheduling policy (set by the graph author before run()).
-    double softDeadlineMs = 0.0; //!< watchdog deadline per attempt;
-                                 //!< <= 0 disables
+    double softDeadlineMs = 0.0; //!< deadline per attempt, carried
+                                 //!< by its cancel token; <= 0
+                                 //!< disables
     int maxAttempts = 0;         //!< retry cap for transient errors;
                                  //!< <= 0 uses the executor's policy
 

@@ -608,7 +608,7 @@ class EpochEngine
     workerMain()
     {
         // Workers poll the same cancellation token as the coordinator
-        // so a watchdog-cancelled sim unwinds on every thread.
+        // so a cancelled or overdue sim unwinds on every thread.
         support::CancelScope cancel(parentCancel);
         uint64_t seen = 0;
         std::unique_lock<std::mutex> lock(mu);

@@ -44,7 +44,7 @@ elapsedUs(Clock::time_point from, Clock::time_point to)
 }
 
 /** Error class for a cancellation, recovered from the token reason's
- *  prefix (the watchdog, client cancel, and shutdown each stamp
+ *  prefix (the deadline, client cancel, and shutdown each stamp
  *  their own). */
 const char *
 cancelClass(const std::string &reason)
@@ -141,15 +141,6 @@ struct ExperimentService::Impl
         Clock::time_point accepted;
     };
 
-    /** Cancelation handle for every admitted-but-unfinished
-     *  request, addressed by (connection, request id). */
-    struct InFlight
-    {
-        std::shared_ptr<support::CancelToken> token;
-        Clock::time_point deadline{};
-        bool hasDeadline = false;
-    };
-
     ServiceConfig config;
     driver::ResultStore store;
     driver::Executor executor;
@@ -160,7 +151,6 @@ struct ExperimentService::Impl
     std::atomic<uint64_t> connCounter{0};
     int listenFd = -1;
     std::thread acceptThread;
-    std::thread watchdogThread;
     std::vector<std::thread> workers;
 
     std::mutex connsMu;
@@ -170,8 +160,12 @@ struct ExperimentService::Impl
     std::condition_variable queueCv;
     std::deque<Task> queues[2]; //!< [0]=warm, [1]=cold; FIFO
 
+    /** The cancel token of every admitted-but-unfinished request,
+     *  addressed by (connection, request id). */
     std::mutex inflightMu;
-    std::map<std::pair<std::string, std::string>, InFlight> inflight;
+    std::map<std::pair<std::string, std::string>,
+             std::shared_ptr<support::CancelToken>>
+        inflight;
 
     // ---- lifecycle --------------------------------------------
 
@@ -179,7 +173,6 @@ struct ExperimentService::Impl
     void acceptLoop();
     void readerLoop(const std::shared_ptr<Conn> &conn);
     void workerLoop(Lane lane);
-    void watchdogLoop();
 
     // ---- request handling -------------------------------------
 
@@ -403,9 +396,8 @@ ExperimentService::Impl::handleCancel(
         auto it = inflight.find({conn->client, req.target});
         if (it != inflight.end()) {
             found = true;
-            it->second.token->cancel("cancel: request '" +
-                                     req.target +
-                                     "' cancelled by client");
+            it->second->cancel("cancel: request '" + req.target +
+                               "' cancelled by client");
         }
     }
     if (found) {
@@ -499,23 +491,23 @@ ExperimentService::Impl::handleWork(const std::shared_ptr<Conn> &conn,
         break;
     }
 
-    task.token = std::make_shared<support::CancelToken>();
     task.accepted = Clock::now();
-    double deadlineMs = req.deadlineMs > 0.0
-                            ? req.deadlineMs
-                            : config.defaultDeadlineMs;
+    // The deadline counts from admission, so time spent queued is
+    // charged to it. Like the executor's, the reason quotes the
+    // request id, not the measured elapsed time, so error messages
+    // stay deterministic.
+    task.token =
+        req.deadlineMs > 0.0
+            ? std::make_shared<support::CancelToken>(
+                  task.accepted + std::chrono::microseconds(
+                                      int64_t(req.deadlineMs * 1e3)),
+                  "deadline: request '" + req.id +
+                      "' exceeded its deadline")
+            : std::make_shared<support::CancelToken>();
     {
         std::lock_guard<std::mutex> lock(inflightMu);
-        InFlight inf;
-        inf.token = task.token;
-        if (deadlineMs > 0.0) {
-            inf.hasDeadline = true;
-            inf.deadline =
-                task.accepted +
-                std::chrono::microseconds(int64_t(deadlineMs * 1e3));
-        }
         inflight.emplace(std::make_pair(conn->client, req.id),
-                         std::move(inf));
+                         task.token);
     }
     // Queue only while the workers still run: they read `running`
     // under queueMu before they exit, so a queued task is always
@@ -613,8 +605,8 @@ ExperimentService::Impl::execute(Task &task)
     std::string spanWhat =
         task.op == Op::Figure ? task.figure->id : task.workload;
     std::string payload, errCls, errMsg;
-    // Cancelled while queued (deadline, client cancel, teardown):
-    // answer without touching the Context at all.
+    // Cancelled or past its deadline while queued (deadline, client
+    // cancel, teardown): answer without touching the Context at all.
     if (task.token->cancelled()) {
         errCls = cancelClass(task.token->reason());
         errMsg = task.token->reason();
@@ -651,6 +643,8 @@ ExperimentService::Impl::execute(Task &task)
     // and must find this request counted as finished, not in flight.
     eraseInflight(*task.conn, task.id);
     admission.finish(task.conn->client, task.lane, served);
+    if (errCls == "deadline")
+        metrics::count("service.deadline_cancels");
     if (served)
         streamPayload(task, payload, coalesced);
     else
@@ -688,30 +682,9 @@ ExperimentService::Impl::cancelConnection(const Conn &conn,
                                           const std::string &why)
 {
     std::lock_guard<std::mutex> lock(inflightMu);
-    for (auto &[key, inf] : inflight)
+    for (auto &[key, token] : inflight)
         if (key.first == conn.client)
-            inf.token->cancel("cancelled: " + why);
-}
-
-void
-ExperimentService::Impl::watchdogLoop()
-{
-    while (running.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        auto now = Clock::now();
-        std::lock_guard<std::mutex> lock(inflightMu);
-        for (auto &[key, inf] : inflight) {
-            if (!inf.hasDeadline || inf.token->cancelled() ||
-                now <= inf.deadline)
-                continue;
-            // Like the executor watchdog, the reason quotes the
-            // request key, not the measured elapsed time, so error
-            // messages stay deterministic.
-            inf.token->cancel("deadline: request '" + key.second +
-                              "' exceeded its deadline");
-            metrics::count("service.deadline_cancels");
-        }
-    }
+            token->cancel("cancelled: " + why);
 }
 
 // ---------------------------------------------------------------
@@ -738,8 +711,6 @@ ExperimentService::start()
     impl->running.store(true, std::memory_order_release);
     impl->acceptThread =
         std::thread([this] { impl->acceptLoop(); });
-    impl->watchdogThread =
-        std::thread([this] { impl->watchdogLoop(); });
     int warm = std::max(1, impl->config.warmWorkers);
     int cold = std::max(1, impl->config.coldWorkers);
     for (int i = 0; i < warm; ++i)
@@ -770,8 +741,8 @@ ExperimentService::stop()
     }
     {
         std::lock_guard<std::mutex> lock(impl->inflightMu);
-        for (auto &[key, inf] : impl->inflight)
-            inf.token->cancel("shutdown: service stopping");
+        for (auto &[key, token] : impl->inflight)
+            token->cancel("shutdown: service stopping");
     }
     {
         // The workers' wait predicate reads `running`, which was
@@ -784,8 +755,6 @@ ExperimentService::stop()
     for (auto &w : impl->workers)
         w.join();
     impl->workers.clear();
-    if (impl->watchdogThread.joinable())
-        impl->watchdogThread.join();
     std::vector<std::shared_ptr<Impl::Conn>> conns;
     {
         std::lock_guard<std::mutex> lock(impl->connsMu);

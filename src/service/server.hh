@@ -38,10 +38,10 @@
  *        failed simulation propagates its error class to every
  *        joiner; distinct cold sims of one kernel in flight at once
  *        share one recording, and none is kept between requests
- *     -> execute under a per-request CancelToken (deadline watchdog
- *        + client cancel + connection teardown all cancel the same
- *        token, reusing the cooperative checkpoints threaded through
- *        the sim/sweep loops in PR 4)
+ *     -> execute under a per-request CancelToken (the request's
+ *        deadline_ms rides the token; client cancel and connection
+ *        teardown cancel the same token; the cooperative checkpoints
+ *        in the sim/sweep loops observe both)
  *     -> stream the payload back as "chunk" responses + "done"
  *
  * Isolation property (pinned by tests): warm requests are never
@@ -79,8 +79,6 @@ struct ServiceConfig
     int coldWorkers = 2;           //!< cold-lane request workers
     int warmWorkers = 1;           //!< warm-lane request workers
     AdmissionPolicy admission;
-    double defaultDeadlineMs = 0.0; //!< applied when a request sends
-                                    //!< none; 0 = no deadline
     bool verbose = false;          //!< per-request stderr log lines
 };
 
@@ -95,7 +93,7 @@ class ExperimentService
 
     /**
      * Bind the socket (unlinking a stale file from a previous run),
-     * start the accept loop, lane workers, and deadline watchdog.
+     * start the accept loop and the lane workers.
      * @return false with a warn() if the socket cannot be bound.
      */
     bool start();

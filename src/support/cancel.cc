@@ -1,5 +1,7 @@
 #include "support/cancel.hh"
 
+#include <utility>
+
 namespace rodinia {
 namespace support {
 
@@ -9,13 +11,19 @@ thread_local const CancelToken *tlsToken = nullptr;
 
 } // namespace
 
+CancelToken::CancelToken(Clock::time_point deadline, std::string reason)
+    : hasDeadline_(true), deadline_(deadline),
+      deadlineReason_(std::move(reason))
+{
+}
+
 void
 CancelToken::cancel(const std::string &reason)
 {
     std::lock_guard<std::mutex> lock(mu_);
     if (flag_.load(std::memory_order_relaxed))
         return; // first reason wins
-    reason_ = reason;
+    reason_ = expired() ? deadlineReason_ : reason;
     flag_.store(true, std::memory_order_release);
 }
 
@@ -23,13 +31,15 @@ std::string
 CancelToken::reason() const
 {
     std::lock_guard<std::mutex> lock(mu_);
-    return reason_;
+    if (flag_.load(std::memory_order_relaxed))
+        return reason_;
+    return expired() ? deadlineReason_ : std::string();
 }
 
 void
 CancelToken::checkpoint() const
 {
-    if (!flag_.load(std::memory_order_relaxed))
+    if (!flag_.load(std::memory_order_relaxed) && !expired())
         return;
     throw CancelledError(reason());
 }

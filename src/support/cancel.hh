@@ -2,14 +2,19 @@
  * @file
  * Cooperative cancellation.
  *
- * A CancelToken is a one-shot flag plus a reason string. The owner
- * (the executor's watchdog, a test) calls cancel(); the cancellee
- * polls checkpoint() at safe points inside its long loops — sim
- * cycles, sweep replay, stall slices — and unwinds with a
- * CancelledError when the flag is set. Cancellation is therefore
- * *cooperative*: code that never reaches a checkpoint is never
- * interrupted, and a checkpoint is the only place the exception can
- * originate, so cancellees are always unwound at a point they chose.
+ * A CancelToken is a one-shot flag plus a reason string, with an
+ * optional deadline fixed at construction. The owner (a client's
+ * cancel, daemon shutdown, a test) calls cancel(); a token with a
+ * deadline also counts as cancelled, with the reason it was built
+ * with, once the steady clock passes the deadline. The cancellee
+ * polls checkpoint() at safe points inside its long loops (sim
+ * lanes, sweep replay, memo waits, stall slices) and unwinds with a
+ * CancelledError when the token is cancelled. Cancellation is
+ * therefore *cooperative*: code that never reaches a checkpoint is
+ * never interrupted, and a checkpoint is the only place the
+ * exception can originate, so cancellees are always unwound at a
+ * point they chose. A deadline needs no monitor thread: the first
+ * checkpoint past it fires.
  *
  * Tokens are installed per-thread with a CancelScope RAII guard; the
  * free function checkpointCancellation() consults the innermost
@@ -24,6 +29,7 @@
 #define RODINIA_SUPPORT_CANCEL_HH
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -40,28 +46,49 @@ class CancelledError : public std::runtime_error
 };
 
 /** One-shot cancellation flag, shared between canceller and
- *  cancellee. All members are thread-safe. */
+ *  cancellee, with an optional deadline. All members are
+ *  thread-safe. */
 class CancelToken
 {
   public:
-    /** Request cancellation. The first caller's reason wins;
-     *  later calls are no-ops. */
+    using Clock = std::chrono::steady_clock;
+
+    /** A token only cancel() cancels. */
+    CancelToken() = default;
+
+    /** A token that also counts as cancelled, with @p reason, once
+     *  the steady clock passes @p deadline. */
+    CancelToken(Clock::time_point deadline, std::string reason);
+
+    /** Request cancellation. The first reason wins: later calls are
+     *  no-ops, and a call after the deadline keeps the deadline's
+     *  reason. */
     void cancel(const std::string &reason);
 
     bool cancelled() const
     {
-        return flag_.load(std::memory_order_acquire);
+        return flag_.load(std::memory_order_acquire) || expired();
     }
 
-    /** The first cancel() reason, or "" if not cancelled. */
+    /** The first reason (cancel()'s or the deadline's), or "" if
+     *  not cancelled. */
     std::string reason() const;
 
     /** Throw CancelledError iff cancelled. The fast path is one
-     *  relaxed atomic load. */
+     *  relaxed atomic load, plus a clock read only when the token
+     *  has a deadline. */
     void checkpoint() const;
 
   private:
+    bool expired() const
+    {
+        return hasDeadline_ && Clock::now() > deadline_;
+    }
+
     std::atomic<bool> flag_{false};
+    const bool hasDeadline_ = false;
+    const Clock::time_point deadline_{};
+    const std::string deadlineReason_;
     mutable std::mutex mu_;
     std::string reason_;
 };

@@ -16,7 +16,7 @@
  *    attempt-capped, to exercise the retry path),
  *  - artificial stalls at named sites (substring match), served in
  *    small slices that poll the cancellation checkpoint so a stalled
- *    job is still watchdog-cancellable.
+ *    job still fails at its deadline or on a cancel.
  *
  * Every probabilistic decision is a pure function of (seed, site
  * kind, site key, per-key occurrence counter) hashed through FNV-1a
@@ -112,7 +112,8 @@ class FaultInjector
     /**
      * Serve any stall= rule whose SUBSTR occurs in @p site: sleeps
      * in 10 ms slices, polling checkpointCancellation() between
-     * slices, so the watchdog can cancel a stalled job promptly.
+     * slices, so a stalled job stops within a slice of its deadline
+     * or a cancel.
      */
     void maybeStall(const std::string &site);
 

@@ -2,7 +2,8 @@
  * @file
  * Fault-tolerance tests: deterministic fault injection, store
  * durability under injected IO failures, retry/backoff attempt
- * accounting, watchdog cancellation, parallelFor error aggregation,
+ * accounting, cancel-token deadlines and the jobs they fail,
+ * parallelFor error aggregation,
  * and child-process integration tests for --keep-going MISSING
  * rendering and SIGKILL crash-resume.
  *
@@ -119,11 +120,10 @@ spawnExperiments(const std::vector<std::string> &args,
         dup2(fds[1], STDOUT_FILENO);
         close(fds[0]);
         close(fds[1]);
-        // The child's fault/cache environment is always explicit:
-        // never inherit the test runner's (the faults-smoke lane
-        // exports RODINIA_FAULTS for the whole suite).
+        // The child's fault environment is always explicit: never
+        // inherit the test runner's (the faults-smoke lane exports
+        // RODINIA_FAULTS for the whole suite).
         unsetenv("RODINIA_FAULTS");
-        unsetenv("RODINIA_CACHE_DIR");
         if (!faults.empty())
             setenv("RODINIA_FAULTS", faults.c_str(), 1);
         std::vector<std::string> all = {RODINIA_EXPERIMENTS_BIN,
@@ -520,8 +520,123 @@ TEST(Retry, PerJobMaxAttemptsOverridesPolicy)
 }
 
 // ---------------------------------------------------------------
+// CancelToken — the optional deadline a token carries
+// ---------------------------------------------------------------
+
+namespace {
+
+using TokenClock = support::CancelToken::Clock;
+
+/** The reason @p token's checkpoint() throws, or "" if it does not. */
+std::string
+checkpointReason(const support::CancelToken &token)
+{
+    try {
+        token.checkpoint();
+    } catch (const support::CancelledError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+} // namespace
+
+TEST(CancelToken, PastItsDeadlineCheckpointThrowsTheConfiguredReason)
+{
+    support::CancelToken token(TokenClock::now() -
+                                   std::chrono::milliseconds(1),
+                               "deadline: budget spent");
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_EQ(token.reason(), "deadline: budget spent");
+    EXPECT_EQ(checkpointReason(token), "deadline: budget spent");
+}
+
+TEST(CancelToken, CancelBeforeExpiryKeepsItsOwnReason)
+{
+    auto deadline = TokenClock::now() + std::chrono::milliseconds(200);
+    support::CancelToken token(deadline, "deadline: budget spent");
+    token.cancel("cancel: by its owner");
+    EXPECT_EQ(checkpointReason(token), "cancel: by its owner");
+    std::this_thread::sleep_until(deadline +
+                                  std::chrono::milliseconds(1));
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_EQ(token.reason(), "cancel: by its owner");
+    EXPECT_EQ(checkpointReason(token), "cancel: by its owner");
+}
+
+TEST(CancelToken, CancelAfterExpiryReportsTheDeadlinesReason)
+{
+    support::CancelToken token(TokenClock::now() -
+                                   std::chrono::milliseconds(1),
+                               "deadline: budget spent");
+    token.cancel("cancel: too late");
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_EQ(token.reason(), "deadline: budget spent");
+    EXPECT_EQ(checkpointReason(token), "deadline: budget spent");
+}
+
+TEST(CancelToken, TokenWithoutDeadlineNeverExpires)
+{
+    support::CancelToken token;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_FALSE(token.cancelled());
+    EXPECT_EQ(token.reason(), "");
+    EXPECT_EQ(checkpointReason(token), "");
+    token.cancel("cancel: by its owner");
+    EXPECT_TRUE(token.cancelled());
+    EXPECT_EQ(checkpointReason(token), "cancel: by its owner");
+}
+
+TEST(CancelToken, ReadersAgreeOnTheFirstReason)
+{
+    // parallelFor helpers and epoch-engine lane runners poll one
+    // token while its owner may cancel it near its deadline: every
+    // reader must unwind with the one reason that won.
+    auto deadline = TokenClock::now() + std::chrono::milliseconds(20);
+    support::CancelToken token(deadline, "deadline: budget spent");
+    std::vector<std::string> seen(4);
+    std::vector<std::thread> readers;
+    for (size_t i = 0; i < seen.size(); ++i)
+        readers.emplace_back([&token, &seen, i] {
+            auto give_up = TokenClock::now() + std::chrono::seconds(10);
+            while (seen[i].empty() && TokenClock::now() < give_up)
+                seen[i] = checkpointReason(token);
+        });
+    std::this_thread::sleep_until(deadline);
+    token.cancel("cancel: by its owner");
+    for (auto &t : readers)
+        t.join();
+    std::string winner = token.reason();
+    EXPECT_TRUE(winner == "deadline: budget spent" ||
+                winner == "cancel: by its owner")
+        << winner;
+    for (const auto &r : seen)
+        EXPECT_EQ(r, winner);
+}
+
+// ---------------------------------------------------------------
 // Watchdog — soft deadlines and cooperative cancellation
 // ---------------------------------------------------------------
+
+TEST(Watchdog, DeadlineFiresAtTheFirstCheckpointPastIt)
+{
+    // The token carries the deadline, so no monitor has to notice it
+    // first: a job that checkpoints once after its budget ran out
+    // fails right there, however soon it would have returned.
+    Executor ex(1);
+    JobGraph g;
+    size_t id = g.add("brief", [] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        support::checkpointCancellation();
+    });
+    g.job(id).softDeadlineMs = 1.0;
+    EXPECT_FALSE(ex.run(g));
+    EXPECT_EQ(g.job(id).status, JobStatus::Failed);
+    EXPECT_EQ(g.job(id).errorClass, ErrorClass::Deadline);
+    EXPECT_EQ(g.job(id).attempts, 1);
+    EXPECT_EQ(g.job(id).error,
+              "watchdog: job 'brief' exceeded soft deadline of 1 ms");
+}
 
 TEST(Watchdog, CancelsJobExceedingSoftDeadline)
 {

@@ -75,7 +75,6 @@ runExperiments(const std::vector<std::string> &args,
         close(fds[0]);
         close(fds[1]);
         unsetenv("RODINIA_FAULTS");
-        unsetenv("RODINIA_CACHE_DIR");
         if (!faults.empty())
             setenv("RODINIA_FAULTS", faults.c_str(), 1);
         std::vector<std::string> all = {RODINIA_EXPERIMENTS_BIN,
@@ -399,7 +398,7 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
     std::string cache = (scratch.dir() / "cache").string();
 
     // One gpu: job per kernel settles that kernel's three sims. Stall
-    // the cfd sim far past the watchdog deadline: gpu:cfd/s1/v1 has
+    // the cfd sim far past the job deadline: gpu:cfd/s1/v1 has
     // recorded cfd, published its index entry (durable side effects
     // are not transactional) and missed its first stats entry when
     // the deadline fails it, so the figure is skipped. Its metric

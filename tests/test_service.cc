@@ -808,14 +808,40 @@ TEST(Service, DeadlineCancelsSlowRequest)
     ServiceClient c;
     ASSERT_TRUE(c.connect(scratch.socket()));
     // A full-scale cold sim takes hundreds of milliseconds; a 1 ms
-    // deadline expires at the watchdog's first tick while the sim
-    // is queued or at an early cancellation checkpoint.
+    // deadline expires while the sim is queued or before an early
+    // cancellation checkpoint.
     ASSERT_TRUE(c.sendSim("late", "bfs", "full", "{}", 1.0));
     Outcome out = c.await("late");
     ASSERT_EQ(out.status, Outcome::Status::Error) << out.lane;
     EXPECT_EQ(out.errorClass, "deadline");
     EXPECT_NE(out.detail.find("deadline"), std::string::npos)
         << out.detail;
+    svc.stop();
+}
+
+TEST(Service, RequestExpiredInQueueNeverReachesTheContext)
+{
+    ScratchDir scratch("expired");
+    ServiceConfig cfg = testConfig(scratch);
+    cfg.coldWorkers = 1;
+    ExperimentService svc(cfg);
+    ASSERT_TRUE(svc.start());
+
+    ServiceClient c;
+    ASSERT_TRUE(c.connect(scratch.socket()));
+    // One slow sim holds the only cold worker, so the second request's
+    // 1 ms deadline passes while it is queued. The worker that takes
+    // it refuses it at dequeue: srad is never recorded.
+    uint64_t recordedBefore = recordings();
+    ASSERT_TRUE(c.sendSim("busy", "bfs", "full", "{}"));
+    ASSERT_TRUE(c.sendSim("expired", "srad", "full", "{}", 1.0));
+    Outcome expired = c.await("expired");
+    ASSERT_EQ(expired.status, Outcome::Status::Error) << expired.lane;
+    EXPECT_EQ(expired.errorClass, "deadline");
+    EXPECT_EQ(expired.detail,
+              "deadline: request 'expired' exceeded its deadline");
+    EXPECT_TRUE(c.await("busy").ok());
+    EXPECT_EQ(recordings(), recordedBefore + 1);
     svc.stop();
 }
 

@@ -15,8 +15,7 @@
  *   experimentd --socket PATH [--cache-dir DIR] [--no-cache]
  *               [--jobs N] [--cold-workers N] [--warm-workers N]
  *               [--max-cold-queue N] [--max-warm-queue N]
- *               [--per-client N] [--deadline MS] [--trace FILE]
- *               [--verbose]
+ *               [--per-client N] [--trace FILE] [--verbose]
  *
  * Runs until SIGINT/SIGTERM, then drains (queued requests fail as
  * "shutdown"), prints the per-client accounting table, and exits 0.
@@ -53,8 +52,7 @@ usage(const char *argv0)
         "usage: %s --socket PATH [options]\n"
         "  --socket PATH      Unix-domain socket to listen on\n"
         "  --cache-dir D      result store directory (default\n"
-        "                     bench_cache; RODINIA_CACHE_DIR\n"
-        "                     overrides)\n"
+        "                     bench_cache)\n"
         "  --no-cache         bypass the on-disk result store\n"
         "  --jobs N           executor worker threads (default:\n"
         "                     hardware threads)\n"
@@ -64,8 +62,6 @@ usage(const char *argv0)
         "  --max-warm-queue N warm queue depth cap (default 256)\n"
         "  --per-client N     per-client in-flight quota (default "
         "16)\n"
-        "  --deadline MS      default soft deadline for requests\n"
-        "                     that send none (default: none)\n"
         "  --trace FILE       write a Chrome trace_event JSON dump\n"
         "                     (service + driver spans) on shutdown\n"
         "  --verbose          log per-connection/request lines\n",
@@ -94,9 +90,6 @@ int
 main(int argc, char **argv)
 {
     service::ServiceConfig cfg;
-    if (const char *dir = std::getenv("RODINIA_CACHE_DIR");
-        dir && *dir)
-        cfg.cacheDir = dir;
     std::string traceOut;
 
     for (int i = 1; i < argc; ++i) {
@@ -155,12 +148,6 @@ main(int argc, char **argv)
                 !parsePositive("--per-client", v, 1, 1 << 20, n))
                 return 2;
             cfg.admission.perClientInFlight = size_t(n);
-        } else if (!std::strcmp(arg, "--deadline")) {
-            const char *v = value();
-            if (!v ||
-                !parsePositive("--deadline", v, 1, 86400000L, n))
-                return 2;
-            cfg.defaultDeadlineMs = double(n);
         } else if (!std::strcmp(arg, "--trace")) {
             const char *v = value();
             if (!v)

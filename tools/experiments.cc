@@ -25,9 +25,10 @@
  * figure is emitted byte-identical to a clean run and failed ones
  * are rendered as deterministic MISSING(<error-class>) markers.
  * Either way the process exits non-zero with a per-job failure
- * summary on stderr. --deadline arms the executor watchdog with a
- * per-job soft deadline; RODINIA_FAULTS (support/faultinject.hh)
- * injects deterministic faults for testing.
+ * summary on stderr. --deadline gives every job attempt a soft
+ * deadline that its cancel token carries: the first cancellation
+ * checkpoint past it fails the job as 'deadline'. RODINIA_FAULTS
+ * (support/faultinject.hh) injects deterministic faults for testing.
  */
 
 #include <sys/resource.h>
@@ -65,12 +66,7 @@ struct Options
     core::Scale scale = core::Scale::Full;
     int jobs = 0;                     //!< 0 = hardware concurrency
     bool cache = true;
-    // --cache-dir overrides; RODINIA_CACHE_DIR matches the bench
-    // binaries' override so both share one store by default.
-    std::string cacheDir = [] {
-        const char *dir = std::getenv("RODINIA_CACHE_DIR");
-        return std::string(dir && *dir ? dir : "bench_cache");
-    }();
+    std::string cacheDir = "bench_cache";
     bool quiet = false;
     bool summary = true;
     bool list = false;
@@ -105,9 +101,9 @@ usage(const char *argv0)
         "  --keep-going   on job failure, still emit every\n"
         "                 completable figure and render failed ones\n"
         "                 as MISSING(<error-class>) markers\n"
-        "  --deadline MS  soft per-job watchdog deadline in ms; an\n"
-        "                 over-deadline job is cancelled\n"
-        "                 cooperatively and fails as 'deadline'\n"
+        "  --deadline MS  soft per-job deadline in ms; a job fails\n"
+        "                 as 'deadline' at its first cancellation\n"
+        "                 checkpoint past it\n"
         "  --trace FILE   write a Chrome trace_event JSON span\n"
         "                 trace (executor, store, gpusim, cachesim,\n"
         "                 figure categories; load in chrome://tracing\n"
