@@ -98,7 +98,6 @@ class Executor
     /** Replace the transient-failure retry policy. Call before
      *  run(); not synchronized against an in-flight run. */
     void setRetryPolicy(const RetryPolicy &policy);
-    RetryPolicy retryPolicy() const;
 
     /**
      * Execute every job in the graph, respecting dependencies.

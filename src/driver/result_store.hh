@@ -99,7 +99,6 @@ class ResultStore
     void discard(const Key &key) const;
 
     bool enabled() const { return on; }
-    const std::filesystem::path &directory() const { return dir; }
 
     /** Cache traffic since construction (for run summaries). */
     uint64_t hits() const { return nHits.load(); }

@@ -88,7 +88,7 @@ SimConfig::check() const
         return msg("SimConfig: l2Enabled with zero l2Bytes");
     if (simThreads < 0)
         return msg("SimConfig: simThreads (", simThreads,
-                   ") must be non-negative (0 = one per SM)");
+                   ") must be non-negative (0 = the calling thread alone)");
     return "";
 }
 

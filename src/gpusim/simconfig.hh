@@ -77,11 +77,11 @@ struct SimConfig
 
     /**
      * Runtime option, NOT an architectural parameter: how many lane
-     * runners (threads) one timing simulation may spread its SMs
-     * over. 0 = up to one per SM, as support::ThreadBudget grants;
-     * a positive value caps that count. Lane runners never change
-     * simulation output — the engine is bit-identical at every count
-     * by construction and by test — so this field is deliberately
+     * runners (threads) one timing simulation spreads its SMs over,
+     * clamped to [1, numSms]. The default 0 runs the sim on the
+     * calling thread alone. Lane runners never change simulation
+     * output — the engine is bit-identical at every count by
+     * construction and by test — so this field is deliberately
      * excluded from fingerprint(): the same store entry serves every
      * count.
      */

@@ -35,12 +35,10 @@ SimpleCache::access(uint64_t addr)
     for (int w = 0; w < assoc; ++w) {
         if (base[w].valid && base[w].tag == tag) {
             base[w].lastUse = clock;
-            ++nHits;
             return true;
         }
     }
 
-    ++nMisses;
     Entry *victim = base;
     for (int w = 0; w < assoc; ++w) {
         if (!base[w].valid) {

@@ -1,8 +1,9 @@
 /**
  * @file
  * Small set-associative LRU cache used for the GPU's texture,
- * constant, L1 and L2 caches. Tracks hits and misses only — the
- * timing model turns misses into memory-channel transactions.
+ * constant, L1 and L2 caches. Reports hit or miss per access only —
+ * the timing model counts them and turns misses into memory-channel
+ * transactions.
  */
 
 #ifndef RODINIA_GPUSIM_SIMPLECACHE_HH
@@ -23,10 +24,6 @@ class SimpleCache
     /** Look up `addr`; allocate on miss. Returns true on hit. */
     bool access(uint64_t addr);
 
-    uint64_t hits() const { return nHits; }
-    uint64_t misses() const { return nMisses; }
-    int lineBytes() const { return line; }
-
   private:
     struct Entry
     {
@@ -42,8 +39,6 @@ class SimpleCache
     uint64_t numSets;
     std::vector<Entry> entries;
     uint64_t clock = 0;
-    uint64_t nHits = 0;
-    uint64_t nMisses = 0;
 };
 
 } // namespace gpusim

@@ -19,7 +19,6 @@
 #include "support/cancel.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "support/threadbudget.hh"
 
 namespace rodinia {
 namespace gpusim {
@@ -441,7 +440,7 @@ class EpochEngine
     EpochEngine(const SimConfig &cfg, const WarpTrace &trace,
                 int participants)
         : cfg(cfg), trace(trace),
-          participants(std::max(1, participants)),
+          participants(participants),
           parentCancel(support::currentCancelToken())
     {
     }
@@ -1140,23 +1139,8 @@ TimingSim::simulate(const WarpTrace &trace) const
     if (trace.warpSize != cfg.warpSize)
         panic("gpusim: a warp-", trace.warpSize,
               " trace simulated under warpSize ", cfg.warpSize);
-    // One lane runner per SM at most; simThreads > 0 caps the count.
-    // The process budget sizes the helper pool. An executor worker
-    // already counts itself in the budget, but a caller outside the
-    // pool does not, so helpers stop at capacity - 1: the sim never
-    // runs more threads than the budget's capacity.
-    int want = cfg.simThreads > 0 ? std::min(cfg.simThreads, cfg.numSms)
-                                  : cfg.numSms;
-    auto &budget = support::ThreadBudget::instance();
-    int granted =
-        budget.tryAcquire(std::min(want, budget.capacity()) - 1);
-    struct Release
-    {
-        support::ThreadBudget &b;
-        int n;
-        ~Release() { b.release(n); }
-    } release{budget, granted};
-    EpochEngine engine(cfg, trace, 1 + granted);
+    EpochEngine engine(cfg, trace,
+                       std::clamp(cfg.simThreads, 1, cfg.numSms));
     return engine.run();
 }
 

@@ -172,7 +172,8 @@ class TimingSim
     /**
      * Simulate one kernel launch from its warp trace, which must be
      * replayed at the config's warp size (fatal otherwise). Runs on
-     * the calling thread plus the helpers the ThreadBudget grants.
+     * clamp(simThreads, 1, numSms) lane runners, the calling thread
+     * being the first.
      */
     KernelStats simulate(const WarpTrace &trace) const;
 

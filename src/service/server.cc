@@ -774,12 +774,6 @@ ExperimentService::running() const
     return impl->running.load(std::memory_order_acquire);
 }
 
-const ServiceConfig &
-ExperimentService::config() const
-{
-    return impl->config;
-}
-
 uint64_t
 ExperimentService::connectionsAccepted() const
 {

@@ -108,7 +108,6 @@ class ExperimentService
     void stop();
 
     bool running() const;
-    const ServiceConfig &config() const;
 
     /** Accepted connections so far (client ids are "c<N>"). */
     uint64_t connectionsAccepted() const;

@@ -18,7 +18,9 @@
  * allocations ever share a page), and smaller ones are line-aligned
  * (so no two ever share a 64 B line). Line-straddle splits and
  * page/line grouping are then pure functions of the allocation's
- * internal layout, independent of which arena served it.
+ * internal layout, independent of which arena served it — except
+ * which page a small allocation lands on, so a traced array that can
+ * be shorter than 64 B is built with pageAlignedVector.
  *
  * The alignment is scoped — core::characterizeCpu holds a scope
  * across the traced workload run — because pinning is not free:
@@ -92,7 +94,8 @@ alignedAlloc(std::size_t size, std::size_t minAlign)
         size = 1;
     std::size_t align = minAlign;
     if (rodinia::support::deterministicAllocationActive()) {
-        std::size_t pin = size < kLine ? kLine : kPage;
+        std::size_t pin =
+            size < rodinia::support::kPageAlignedMinBytes ? kLine : kPage;
         if (align < pin)
             align = pin;
     }

@@ -1,10 +1,8 @@
 #include "support/metrics.hh"
 
+#include <algorithm>
 #include <cstdio>
-#include <functional>
 #include <sstream>
-#include <thread>
-#include <vector>
 
 #include "support/logging.hh"
 
@@ -48,24 +46,11 @@ Registry::global()
     return instance;
 }
 
-Registry::Shard &
-Registry::myShard()
+MetricSnapshot &
+Registry::slot(std::string_view name, Kind kind, Stability st)
 {
-    // One hash per thread lifetime: the shard choice only has to
-    // spread threads out, not follow them around.
-    static thread_local size_t idx =
-        std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-        kShards;
-    return shards[idx];
-}
-
-Registry::Metric &
-Registry::slot(Shard &shard, std::string_view name, Kind kind,
-               Stability st)
-{
-    auto [it, inserted] =
-        shard.metrics.try_emplace(std::string(name));
-    Metric &m = it->second;
+    auto [it, inserted] = metrics.try_emplace(std::string(name));
+    MetricSnapshot &m = it->second;
     if (inserted) {
         m.kind = kind;
         m.stability = st;
@@ -80,103 +65,61 @@ void
 Registry::countAdd(std::string_view name, std::string_view label,
                    uint64_t delta, Stability st)
 {
-    Shard &shard = myShard();
-    std::lock_guard<std::mutex> lock(shard.mu);
-    slot(shard, name, Kind::Counter, st).values[std::string(label)] +=
-        delta;
+    std::lock_guard<std::mutex> lock(mu);
+    slot(name, Kind::Counter, st).values[std::string(label)] += delta;
 }
 
 void
 Registry::gaugeMax(std::string_view name, std::string_view label,
                    uint64_t value, Stability st)
 {
-    Shard &shard = myShard();
-    std::lock_guard<std::mutex> lock(shard.mu);
-    uint64_t &v =
-        slot(shard, name, Kind::Gauge, st).values[std::string(label)];
-    if (value > v)
-        v = value;
+    std::lock_guard<std::mutex> lock(mu);
+    uint64_t &v = slot(name, Kind::Gauge, st).values[std::string(label)];
+    v = std::max(v, value);
 }
 
 void
 Registry::observe(std::string_view name, std::string_view label,
                   uint64_t value, Stability st)
 {
-    Shard &shard = myShard();
-    std::lock_guard<std::mutex> lock(shard.mu);
-    slot(shard, name, Kind::Histogram, st)
-        .hists[std::string(label)]
+    std::lock_guard<std::mutex> lock(mu);
+    slot(name, Kind::Histogram, st)
+        .histograms[std::string(label)]
         .observe(value);
 }
 
 Snapshot
 Registry::snapshot() const
 {
-    Snapshot snap;
-    for (const Shard &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto &[name, m] : shard.metrics) {
-            auto [it, inserted] = snap.metrics.try_emplace(name);
-            MetricSnapshot &out = it->second;
-            if (inserted) {
-                out.kind = m.kind;
-                out.stability = m.stability;
-            } else if (out.kind != m.kind ||
-                       out.stability != m.stability) {
-                fatal("metric '", name,
-                      "' has conflicting kind/stability across "
-                      "shards");
-            }
-            for (const auto &[label, v] : m.values) {
-                if (m.kind == Kind::Gauge) {
-                    uint64_t &dst = out.values[label];
-                    if (v > dst)
-                        dst = v;
-                } else {
-                    out.values[label] += v;
-                }
-            }
-            for (const auto &[label, h] : m.hists)
-                out.histograms[label].merge(h);
-        }
-    }
-    return snap;
+    std::lock_guard<std::mutex> lock(mu);
+    return Snapshot{metrics};
 }
 
 void
 Registry::drainInto(Registry &dst)
 {
-    for (Shard &shard : shards) {
-        std::map<std::string, Metric> taken;
-        {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            taken.swap(shard.metrics);
+    std::map<std::string, MetricSnapshot> taken;
+    {
+        std::lock_guard<std::mutex> lock(mu);
+        taken.swap(metrics);
+    }
+    std::lock_guard<std::mutex> lock(dst.mu);
+    for (const auto &[name, m] : taken) {
+        MetricSnapshot &out = dst.slot(name, m.kind, m.stability);
+        for (const auto &[label, v] : m.values) {
+            uint64_t &d = out.values[label];
+            d = m.kind == Kind::Gauge ? std::max(d, v) : d + v;
         }
-        for (const auto &[name, m] : taken) {
-            for (const auto &[label, v] : m.values) {
-                if (m.kind == Kind::Gauge)
-                    dst.gaugeMax(name, label, v, m.stability);
-                else
-                    dst.countAdd(name, label, v, m.stability);
-            }
-            for (const auto &[label, h] : m.hists) {
-                Shard &dshard = dst.myShard();
-                std::lock_guard<std::mutex> lock(dshard.mu);
-                slot(dshard, name, Kind::Histogram, m.stability)
-                    .hists[label]
-                    .merge(h);
-            }
-        }
+        for (const auto &[label, h] : m.histograms)
+            out.histograms[label].merge(h);
     }
 }
 
 void
 Registry::clear()
 {
-    for (Shard &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.metrics.clear();
-    }
+    std::lock_guard<std::mutex> lock(mu);
+    metrics.clear();
 }
 
 const MetricSnapshot *

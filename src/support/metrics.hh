@@ -4,13 +4,14 @@
  * latency histograms, addressed by a dotted metric name plus an
  * opaque label string.
  *
- * Concurrency model (same contract as gpusim::KernelStats::add):
- * every mutation lands in one of a fixed set of shards selected by
- * the writing thread's id, so unrelated threads almost never contend
- * on a shard mutex; snapshot() merges the shards with operations
- * that are associative and commutative — counters add, gauges take
- * the max, histograms merge bucket-wise — so the merged view is
- * independent of which thread wrote where and of merge order.
+ * Concurrency model: one mutex guards a registry's one map. Nearly
+ * every write goes to a per-job transaction registry that a single
+ * thread fills, and the global registry sees a few writes per job,
+ * so there is nothing to spread over shards. Transactions commit
+ * with operations that are associative and commutative (same
+ * contract as gpusim::KernelStats::add) — counters add, gauges take
+ * the max, histograms merge bucket-wise — so the global view is
+ * independent of the order in which jobs commit.
  *
  * Determinism contract: every metric carries a Stability tag.
  * Stable metrics are pure functions of the work performed (entries
@@ -118,7 +119,7 @@ struct HistogramData
     bool operator==(const HistogramData &o) const = default;
 };
 
-/** Merged view of one metric across every shard. */
+/** One metric: its class and its value per label. */
 struct MetricSnapshot
 {
     Kind kind = Kind::Counter;
@@ -151,9 +152,9 @@ struct Snapshot
 };
 
 /**
- * A sharded metric registry. Instantiable — the executor creates
- * one per job as a transaction buffer — with one process-wide
- * instance behind global().
+ * A metric registry. Instantiable — the executor creates one per job
+ * as a transaction buffer — with one process-wide instance behind
+ * global().
  */
 class Registry
 {
@@ -165,14 +166,14 @@ class Registry
     void countAdd(std::string_view name, std::string_view label,
                   uint64_t delta, Stability st);
     /** Gauges merge by max (associative, commutative); a plain
-     *  last-write-wins gauge would make shard merges order-
+     *  last-write-wins gauge would make transaction commits order-
      *  dependent. */
     void gaugeMax(std::string_view name, std::string_view label,
                   uint64_t value, Stability st);
     void observe(std::string_view name, std::string_view label,
                  uint64_t value, Stability st);
 
-    /** Merge every shard into one deterministic view. */
+    /** Copy of the whole registry; deterministic view. */
     Snapshot snapshot() const;
 
     /**
@@ -188,26 +189,13 @@ class Registry
     static Registry &global();
 
   private:
-    struct Metric
-    {
-        Kind kind = Kind::Counter;
-        Stability stability = Stability::Stable;
-        std::map<std::string, uint64_t> values;
-        std::map<std::string, HistogramData> hists;
-    };
+    /** The metric named @p name, created on first use; fatal when it
+     *  exists with another kind or stability. Caller holds mu. */
+    MetricSnapshot &slot(std::string_view name, Kind kind,
+                         Stability st);
 
-    struct Shard
-    {
-        mutable std::mutex mu;
-        std::map<std::string, Metric> metrics;
-    };
-
-    static constexpr size_t kShards = 16;
-    std::array<Shard, kShards> shards;
-
-    Shard &myShard();
-    static Metric &slot(Shard &shard, std::string_view name,
-                        Kind kind, Stability st);
+    mutable std::mutex mu;
+    std::map<std::string, MetricSnapshot> metrics;
 };
 
 /** The thread's scoped sink override; nullptr = global(). */

@@ -52,27 +52,12 @@ class StreamProgressReporter : public ProgressReporter
     void jobFailed(const std::string &name, const std::string &error,
                    bool skipped) override;
 
-    /** Jobs finished or failed so far. */
-    size_t completed() const;
-
   private:
-    mutable std::mutex mu;
+    std::mutex mu;
     size_t total;
     size_t done = 0;
     std::FILE *out;
     bool verbose; //!< false: report failures only
-};
-
-/** Reporter that swallows everything (for --quiet and tests). */
-class NullProgressReporter : public ProgressReporter
-{
-  public:
-    void jobStarted(const std::string &) override {}
-    void jobFinished(const std::string &, double) override {}
-    void jobFailed(const std::string &, const std::string &,
-                   bool) override
-    {
-    }
 };
 
 } // namespace support

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "support/alloc_align.hh"
 #include "support/rng.hh"
 
 namespace rodinia {
@@ -59,16 +60,17 @@ Swaptions::runCpu(trace::TraceSession &session, core::Scale scale)
         float maturity;
         float vol;
     };
-    std::vector<Swaption> swaptions(numSwaptions);
+    // Every traced array gets a page to itself (support/alloc_align).
+    auto swaptions = support::pageAlignedVector<Swaption>(numSwaptions);
     for (auto &s : swaptions) {
         s.strike = float(rng.uniform(0.02, 0.08));
         s.maturity = float(rng.uniform(1.0, 5.0));
         s.vol = float(rng.uniform(0.05, 0.25));
     }
-    std::vector<float> forward(tenors);
+    auto forward = support::pageAlignedVector<float>(tenors);
     for (auto &f : forward)
         f = float(rng.uniform(0.02, 0.06));
-    std::vector<double> prices(numSwaptions, 0.0);
+    auto prices = support::pageAlignedVector<double>(numSwaptions);
     const int nt = session.numThreads();
     const int work = numSwaptions * paths;
 

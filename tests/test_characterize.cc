@@ -9,6 +9,7 @@
 
 #include "core/characterize.hh"
 #include "core/workload.hh"
+#include "driver/result_store.hh"
 #include "gpusim/simconfig.hh"
 #include "stats/cluster.hh"
 #include "stats/pca.hh"
@@ -84,22 +85,16 @@ TEST(Characterize, SharingBoundsHold)
 
 TEST(Characterize, DeterministicUpToAddressLayout)
 {
-    // Instruction mix and computed results are bit-deterministic;
-    // cache statistics depend on heap base addresses (page and set
-    // alignment of allocations), so they are only stable to within a
-    // few percent run to run — like any Pin-based measurement.
+    // Heap addresses do not reach the result: the workload allocates
+    // through the scoped aligned allocator (support/alloc_align) and
+    // the trace is canonicalized (TraceSession::normalizeAddresses)
+    // before the cache sweep and the page count read it. So two
+    // characterizations agree byte for byte, cache statistics and
+    // data footprint included, as the golden fig8-fig12 require.
     auto a = charOf("srad");
     auto b = charOf("srad");
-    EXPECT_EQ(a.mix.total(), b.mix.total());
-    EXPECT_EQ(a.mix.loads, b.mix.loads);
-    EXPECT_EQ(a.checksum, b.checksum);
-    EXPECT_EQ(a.instructionSites, b.instructionSites);
-    EXPECT_NEAR(double(a.dataPages), double(b.dataPages),
-                0.1 * double(a.dataPages));
-    for (size_t i = 0; i < a.sweep.size(); ++i) {
-        EXPECT_NEAR(a.sweep[i].missRate(), b.sweep[i].missRate(),
-                    0.05 * a.sweep[i].missRate() + 1e-4);
-    }
+    EXPECT_GT(a.dataPages, 0u);
+    EXPECT_EQ(driver::serializeCpuChar(a), driver::serializeCpuChar(b));
 }
 
 TEST(Characterize, GpuPipelineEndToEnd)

@@ -25,7 +25,6 @@
 #include "driver/context.hh"
 #include "driver/executor.hh"
 #include "driver/figures.hh"
-#include "support/threadbudget.hh"
 
 using namespace rodinia;
 
@@ -85,46 +84,34 @@ TEST(Golden, FiguresMatchCorpusByteForByte)
 }
 
 /**
- * The timing engine's determinism check at figure scale: rebuild
- * every figure with lane-runner helpers forced on and pin it against
- * the same corpus. Every sim asks for one lane runner per SM; a
- * budget capacity three above the pool's worker count leaves helpers
- * to grant even while every worker is busy (an odd count, to dodge
- * any accidentally-even partitioning symmetry). Lane runners must
- * never shift a single byte of reproduced output.
- *
- * It settles the inputs the way the experiments CLI does: one settle
- * per distinct kernel over the union of every figure's points, so
- * each kernel is recorded once and a point two figures share (Fig.
- * 1's 28-SM config is Fig. 4's 8-channel one) is simulated once. The
- * renders then find every result memoized. FiguresMatchCorpus
- * above keeps the daemon's figure-by-figure path.
+ * The corpus as the experiments CLI builds it: one settle per
+ * distinct kernel over the union of every figure's points, so each
+ * kernel is recorded once and a point two figures share (Fig. 1's
+ * 28-SM config is Fig. 4's 8-channel one) is simulated once. The
+ * renders then find every result memoized. FiguresMatchCorpus above
+ * keeps the daemon's figure-by-figure path; the engine's lane-runner
+ * counts are pinned against the reference model in
+ * test_parallel_sim.cc.
  */
-TEST(Golden, ParallelSimThreadsMatchCorpusByteForByte)
+TEST(Golden, UnionSettleMatchesCorpusByteForByte)
 {
-    int prev_cap = support::ThreadBudget::instance().capacity();
-    {
-        driver::Executor pool(0);
-        support::ThreadBudget::instance().setCapacity(
-            pool.threadCount() + 3);
-        driver::Context ctx(nullptr, &pool);
-        std::vector<const driver::FigureDef *> figures;
-        for (const auto &def : driver::allFigures())
-            figures.push_back(&def);
-        auto kernels = driver::kernelWork(figures);
-        ctx.parallelFor(kernels.size(),
-                        [&](size_t i) { ctx.settle(kernels[i]); });
-        for (const auto &def : driver::allFigures()) {
-            SCOPED_TRACE(def.id);
-            std::filesystem::path ref = goldenDir() / (def.id + ".txt");
-            ASSERT_TRUE(std::filesystem::exists(ref)) << ref;
-            std::string got = driver::buildFigure(def, ctx);
-            EXPECT_EQ(got, slurp(ref))
-                << "figure '" << def.id << "' differs between sims "
-                << "with lane-runner helpers and the golden corpus";
-        }
+    driver::Executor pool(0);
+    driver::Context ctx(nullptr, &pool);
+    std::vector<const driver::FigureDef *> figures;
+    for (const auto &def : driver::allFigures())
+        figures.push_back(&def);
+    auto kernels = driver::kernelWork(figures);
+    ctx.parallelFor(kernels.size(),
+                    [&](size_t i) { ctx.settle(kernels[i]); });
+    for (const auto &def : driver::allFigures()) {
+        SCOPED_TRACE(def.id);
+        std::filesystem::path ref = goldenDir() / (def.id + ".txt");
+        ASSERT_TRUE(std::filesystem::exists(ref)) << ref;
+        std::string got = driver::buildFigure(def, ctx);
+        EXPECT_EQ(got, slurp(ref))
+            << "figure '" << def.id << "' differs between the union "
+            << "settle and the golden corpus";
     }
-    support::ThreadBudget::instance().setCapacity(prev_cap);
 }
 
 /**

@@ -41,8 +41,6 @@ TEST(SimpleCache, HitAfterMiss)
     SimpleCache c(1024, 4, 64);
     EXPECT_FALSE(c.access(0x100));
     EXPECT_TRUE(c.access(0x104));
-    EXPECT_EQ(c.hits(), 1u);
-    EXPECT_EQ(c.misses(), 1u);
 }
 
 TEST(SimpleCache, EvictsLeastRecentlyUsed)

@@ -7,8 +7,8 @@
  * bucket-merge) are associative and commutative, and merging
  * histograms equals observing the concatenation of their sample
  * streams. These tests pin both directly on HistogramData and then
- * indirectly on the whole registry by comparing a sharded parallel
- * write storm against a single-threaded reference run.
+ * indirectly on the whole registry by comparing a write storm
+ * sharded over pool workers against a single-threaded reference run.
  */
 
 #include <random>
@@ -207,11 +207,12 @@ TEST(MetricsRegistry, JsonIsDeterministicAcrossInsertionOrder)
 
 TEST(MetricsConcurrency, ShardedStormMatchesSerialReference)
 {
-    // Hammer one registry from a parallelFor storm, then replay the
-    // exact same observations single-threaded into a reference
-    // registry. Shard merge must make the two snapshots identical —
-    // including the volatile histograms, since the sample multiset
-    // is the same regardless of which thread observed what.
+    // Hammer one registry from a parallelFor storm sharded over four
+    // workers, then replay the exact same observations
+    // single-threaded into a reference registry. The two snapshots
+    // must be identical — including the volatile histograms, since
+    // the sample multiset is the same regardless of which thread
+    // observed what.
     constexpr size_t kIters = 2000;
     Registry storm;
     Executor pool(4);

@@ -24,7 +24,6 @@
 #include "gpusim/simconfig.hh"
 #include "gpusim/timing.hh"
 #include "reference/timing_reference.hh"
-#include "support/threadbudget.hh"
 #include "trace/trace.hh"
 
 using namespace rodinia;
@@ -143,8 +142,6 @@ TEST(PaperSmokeDeep, LudGpuSimulatesAtPaperScale)
 TEST(PaperSmokeDeep, SradParallelSimMatchesSerialAtPaperScale)
 {
     registerAllWorkloads();
-    int prev_cap = support::ThreadBudget::instance().capacity();
-    support::ThreadBudget::instance().setCapacity(8);
     auto w = Registry::instance().create("srad");
     gpusim::LaunchSequence seq = w->runGpu(Scale::Paper);
     ASSERT_FALSE(seq.launches.empty());
@@ -166,5 +163,4 @@ TEST(PaperSmokeDeep, SradParallelSimMatchesSerialAtPaperScale)
                   gpusim::serializeKernelStats(got));
     }
     EXPECT_LE(peakRssMiB(), kRssBudgetMiB);
-    support::ThreadBudget::instance().setCapacity(prev_cap);
 }

@@ -5,9 +5,9 @@
  * lane runners on synthetic kernels, on launches with empty blocks,
  * one block or one SM, and on every registered GPU workload, at
  * 32- and 16-lane warps;
- * epoch-length invariance; the lone-sim thread cap; the
- * oversubscribed-CTA metric; the deadlock-diagnostic formatter; and
- * the ThreadBudget that sizes every sim's helper pool.
+ * epoch-length invariance; the lane-runner count a config asks for;
+ * the oversubscribed-CTA metric; and the deadlock-diagnostic
+ * formatter.
  *
  * The EpochEngine suite is cheap (synthetic kernels) and runs in the
  * tsan-smoke and asan-smoke lanes; the SerialParallelWorkloads matrix
@@ -24,6 +24,8 @@
 
 #include "core/characterize.hh"
 #include "core/workload.hh"
+#include "driver/executor.hh"
+#include "driver/job.hh"
 #include "gpusim/kernel.hh"
 #include "gpusim/recorder.hh"
 #include "gpusim/replay.hh"
@@ -31,7 +33,6 @@
 #include "gpusim/timing.hh"
 #include "reference/timing_reference.hh"
 #include "support/metrics.hh"
-#include "support/threadbudget.hh"
 
 using namespace rodinia;
 using namespace rodinia::gpusim;
@@ -46,23 +47,6 @@ launchOf(int grid, int block)
     l.blockDim = block;
     return l;
 }
-
-/**
- * RAII: pin the thread budget's capacity (high enough that
- * tryAcquire really grants helpers regardless of the build machine's
- * core count, or low to test the cap) and restore the old capacity
- * on exit.
- */
-struct BudgetCapacity
-{
-    int old;
-    explicit BudgetCapacity(int n)
-        : old(support::ThreadBudget::instance().capacity())
-    {
-        support::ThreadBudget::instance().setCapacity(n);
-    }
-    ~BudgetCapacity() { support::ThreadBudget::instance().setCapacity(old); }
-};
 
 /** RAII epoch-length override; always restores the automatic value. */
 struct EpochCap
@@ -171,7 +155,6 @@ metricValue(const char *name)
 
 TEST(EpochEngine, BitIdenticalToSerialOnSyntheticKernels)
 {
-    BudgetCapacity budget(8);
     for (unsigned seed : {1u, 2u, 3u}) {
         KernelRecording rec = syntheticKernel(seed, 24, 96);
         for (const SimConfig &cfg : testConfigs())
@@ -187,7 +170,6 @@ TEST(EpochEngine, EpochLengthNeverChangesResults)
     // stats bit-identical. This is the core soundness property: the
     // barrier placement only affects scheduling, never arbitration
     // order.
-    BudgetCapacity budget(8);
     KernelRecording rec = syntheticKernel(7, 16, 64);
     for (const SimConfig &cfg : testConfigs()) {
         ASSERT_GE(epochCyclesFor(cfg), 1u);
@@ -205,7 +187,6 @@ TEST(EpochEngine, EpochLengthNeverChangesResults)
 
 TEST(EpochEngine, MoreThreadsThanSmsOrBlocksStillExact)
 {
-    BudgetCapacity budget(32);
     // 2 blocks on a 4-SM config with 16 requested threads: the
     // engine must clamp its lane/worker structure, not wedge or
     // diverge.
@@ -218,7 +199,6 @@ TEST(EpochEngine, MoreThreadsThanSmsOrBlocksStillExact)
 
 TEST(EpochEngine, SingleBlockLaunchMatchesReference)
 {
-    BudgetCapacity budget(8);
     KernelRecording one = syntheticKernel(12, 1, 32);
     for (const SimConfig &cfg : testConfigs())
         expectMatchesReference(cfg, one, "1-block launch");
@@ -228,7 +208,6 @@ TEST(EpochEngine, SingleSmConfigMatchesReference)
 {
     // One SM means one lane: every request collapses to the calling
     // thread, and all CTA placement runs through pauses on lane 0.
-    BudgetCapacity budget(8);
     KernelRecording rec = syntheticKernel(13, 12, 64);
     expectMatchesReference(SimConfig::shaders(1), rec, "1 SM");
 }
@@ -237,7 +216,6 @@ TEST(EpochEngine, EmptyOddBlocksMatchReference)
 {
     // Odd blocks return at once and record no events: they complete
     // at placement without occupying their SM.
-    BudgetCapacity budget(8);
     static std::vector<float> data(4096, 1.0f);
     KernelRecording rec =
         recordKernel(launchOf(12, 64), [&](KernelCtx &ctx) {
@@ -262,7 +240,6 @@ TEST(EpochEngine, EmptyTrailingBlocksMatchReference)
     // cannot be placed while a working block is resident, so the
     // last completion drains them all (resolvePauses' tail path);
     // on the wider configs they drain at placement instead.
-    BudgetCapacity budget(8);
     static std::vector<float> data(4096, 1.0f);
     KernelRecording rec =
         recordKernel(launchOf(10, 64), [&](KernelCtx &ctx) {
@@ -282,32 +259,35 @@ TEST(EpochEngine, EmptyTrailingBlocksMatchReference)
         expectMatchesReference(cfg, rec, "trailing blocks empty");
 }
 
-TEST(EpochEngine, LoneSimStaysWithinCapacity)
+TEST(EpochEngine, RunsOnTheLaneRunnersItsConfigNames)
 {
-    // Outside the executor the calling thread is not counted in the
-    // budget, so a sim may add at most capacity - 1 helpers: at the
-    // default request (one lane runner per SM) and at an explicit
-    // request above the SM count alike.
-    BudgetCapacity budget(4);
-    ASSERT_EQ(support::ThreadBudget::instance().reserved(), 0);
+    // A sim runs on clamp(simThreads, 1, numSms) lane runners and
+    // nothing else sizes it: the default runs on the calling thread
+    // alone, also inside an executor job whose pool sits idle.
     KernelRecording rec = syntheticKernel(41, 8, 64);
-    for (int threads : {0, 64}) {
+    SimConfig eight = SimConfig::shaders(8);
+    auto runnersOf = [&](int threads) {
         // A private sink: gauges keep their maximum, so the global
         // one would still hold earlier tests' wider sims.
         support::metrics::Registry sims;
-        {
-            support::metrics::SinkScope scope(&sims);
-            simulateWith(SimConfig::gpgpusimDefault(), threads, rec);
-        }
-        EXPECT_LE(sims.snapshot().value("gpusim.epoch.threads"), 4u)
-            << "simThreads " << threads;
-        EXPECT_EQ(support::ThreadBudget::instance().reserved(), 0);
-    }
+        support::metrics::SinkScope scope(&sims);
+        simulateWith(eight, threads, rec);
+        return sims.snapshot().value("gpusim.epoch.threads");
+    };
+    EXPECT_EQ(runnersOf(0), 1u);
+    EXPECT_EQ(runnersOf(3), 3u);
+    EXPECT_EQ(runnersOf(64), 8u);
+
+    driver::Executor pool(4);
+    driver::JobGraph graph;
+    uint64_t inJob = 0;
+    graph.add("lone-sim", [&] { inJob = runnersOf(0); });
+    ASSERT_TRUE(pool.run(graph));
+    EXPECT_EQ(inJob, 1u);
 }
 
 TEST(EpochEngine, LaunchSequenceAccumulatesIdentically)
 {
-    BudgetCapacity budget(8);
     LaunchSequence seq;
     seq.launches.push_back(syntheticKernel(21, 8, 64));
     seq.launches.push_back(syntheticKernel(22, 12, 32));
@@ -324,7 +304,6 @@ TEST(EpochEngine, LaunchSequenceAccumulatesIdentically)
 
 TEST(EpochEngine, EmitsEpochTelemetry)
 {
-    BudgetCapacity budget(8);
     uint64_t runs_before = metricValue("gpusim.epoch.runs");
     uint64_t epochs_before = metricValue("gpusim.epoch.count");
     KernelRecording rec = syntheticKernel(31, 8, 64);
@@ -355,7 +334,6 @@ TEST(EpochEngine, OversubscribedCtaCountsMetric)
     EXPECT_EQ(metricValue("gpusim.oversubscribed_cta"), before + 3);
     EXPECT_GT(one.cycles, 0u);
     EXPECT_EQ(one, reference::simulate(SimConfig::gpgpusimDefault(), rec));
-    BudgetCapacity budget(8);
     EXPECT_EQ(simulateWith(SimConfig::gpgpusimDefault(), 4, rec), one);
     EXPECT_EQ(metricValue("gpusim.oversubscribed_cta"), before + 6);
 }
@@ -400,7 +378,6 @@ TEST(SerialParallelWorkloads, AllGpuWorkloadsBitIdentical)
     // must match field for field and byte for byte in the store
     // payload.
     core::registerAllWorkloads();
-    BudgetCapacity budget(8);
     SimConfig cfg = SimConfig::gpgpusimDefault();
     int checked = 0;
     for (const auto &info : core::Registry::instance().all()) {
@@ -430,7 +407,6 @@ TEST(SerialParallelWorkloads, FermiConfigBitIdentical)
     // The L1+L2 path has the most shared state; sweep a few
     // workloads under the GTX 480 preset too.
     core::registerAllWorkloads();
-    BudgetCapacity budget(8);
     SimConfig cfg = SimConfig::gtx480(false);
     for (const char *name : {"kmeans", "srad", "hotspot"}) {
         if (!core::Registry::instance().has(name))
@@ -455,7 +431,6 @@ TEST(SerialParallelWorkloads, Warp16ConfigBitIdentical)
     // change what diverges; the engine must still match the
     // reference, which merges the lanes at 16 itself.
     core::registerAllWorkloads();
-    BudgetCapacity budget(8);
     SimConfig cfg = warp16Config();
     for (const char *name : {"bfs", "hotspot", "kmeans", "nw", "srad"}) {
         auto wl = core::Registry::instance().create(name);
@@ -468,73 +443,4 @@ TEST(SerialParallelWorkloads, Warp16ConfigBitIdentical)
                 << name << ", " << lanes << " lane runners";
         }
     }
-}
-
-// ---------------------------------------------------------------
-// ThreadBudget: the accountant that sizes every sim's helper pool.
-// Each test restores the capacity and balances its marks, so the
-// binary also passes when it runs as one process.
-// ---------------------------------------------------------------
-
-TEST(ThreadBudget, GrantNeverExceedsFreeSlots)
-{
-    auto &b = support::ThreadBudget::instance();
-    BudgetCapacity cap(4);
-    b.markActive();
-    int free = b.capacity() - b.reserved();
-    int got = b.tryAcquire(free + 5);
-    EXPECT_EQ(got, free);
-    EXPECT_EQ(b.reserved(), b.capacity());
-    b.release(got);
-    b.markIdle();
-}
-
-TEST(ThreadBudget, ActiveWorkersAtCapacityLeaveNothing)
-{
-    auto &b = support::ThreadBudget::instance();
-    BudgetCapacity cap(3);
-    int marks = b.capacity() - b.reserved();
-    for (int i = 0; i < marks; ++i)
-        b.markActive();
-    EXPECT_EQ(b.tryAcquire(1), 0);
-    EXPECT_EQ(b.tryAcquire(8), 0);
-    for (int i = 0; i < marks; ++i)
-        b.markIdle();
-}
-
-TEST(ThreadBudget, ReleaseReturnsTheSlots)
-{
-    auto &b = support::ThreadBudget::instance();
-    BudgetCapacity cap(4);
-    int base = b.reserved();
-    int got = b.tryAcquire(b.capacity());
-    EXPECT_EQ(got, b.capacity() - base);
-    EXPECT_EQ(b.tryAcquire(1), 0);
-    b.release(got);
-    EXPECT_EQ(b.reserved(), base);
-    int again = b.tryAcquire(2);
-    EXPECT_EQ(again, 2);
-    b.release(again);
-    EXPECT_EQ(b.reserved(), base);
-}
-
-TEST(ThreadBudget, NonPositiveWantGrantsNothing)
-{
-    auto &b = support::ThreadBudget::instance();
-    BudgetCapacity cap(4);
-    int base = b.reserved();
-    EXPECT_EQ(b.tryAcquire(0), 0);
-    EXPECT_EQ(b.tryAcquire(-3), 0);
-    EXPECT_EQ(b.reserved(), base);
-}
-
-TEST(ThreadBudget, CapacityOneUnreservedGrantsOne)
-{
-    auto &b = support::ThreadBudget::instance();
-    BudgetCapacity cap(1);
-    ASSERT_EQ(b.reserved(), 0);
-    int got = b.tryAcquire(5);
-    EXPECT_EQ(got, 1);
-    b.release(got);
-    EXPECT_EQ(b.reserved(), 0);
 }

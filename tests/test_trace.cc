@@ -232,6 +232,25 @@ TEST(Trace, NormalizeCanonicalizesAcrossAllocations)
     EXPECT_TRUE(canonEvents(a) == canonEvents(b));
 }
 
+/**
+ * A traced array shorter than a line still gets a page of its own
+ * under the alignment scope. A plain 8-float vector is only
+ * line-aligned there, and whether it shared a page with another
+ * traced array depended on the heap's history: swaptions' forward
+ * curve moved its data footprint between 3 and 2 pages.
+ */
+TEST(Trace, PageAlignedVectorOwnsAPageUnderTheScope)
+{
+    support::DeterministicAllocScope alignScope;
+    for (size_t n : {size_t(1), size_t(8), size_t(100)}) {
+        auto v = support::pageAlignedVector<float>(n);
+        ASSERT_EQ(v.size(), n);
+        EXPECT_EQ(uintptr_t(v.data()) % 4096, 0u) << n << " floats";
+        for (float f : v)
+            EXPECT_EQ(f, 0.0f);
+    }
+}
+
 TEST(Trace, WideAccessSplitsIntoLinesPreservingFootprint)
 {
     TraceSession s(1);

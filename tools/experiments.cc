@@ -530,7 +530,7 @@ main(int argc, char **argv)
                     totalSimSeconds > 0.0
                         ? double(totalCycles) / totalSimSeconds / 1e6
                         : 0.0);
-        std::printf("parallel timing engine: %llu parallel runs / "
+        std::printf("timing engine: %llu engine runs / "
                     "%llu epochs / %llu deferred replays / "
                     "%llu CTA pauses\n",
                     (unsigned long long)snap.value("gpusim.epoch.runs"),
