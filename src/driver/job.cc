@@ -65,21 +65,6 @@ JobGraph::add(std::string name, std::function<void()> work,
     return id;
 }
 
-std::vector<size_t>
-JobGraph::dependents(size_t id) const
-{
-    std::vector<size_t> out;
-    for (size_t i = 0; i < jobs_.size(); ++i) {
-        for (size_t dep : jobs_[i].deps) {
-            if (dep == id) {
-                out.push_back(i);
-                break;
-            }
-        }
-    }
-    return out;
-}
-
 bool
 JobGraph::allDone() const
 {

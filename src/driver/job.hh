@@ -69,8 +69,6 @@ struct Job
     double softDeadlineMs = 0.0; //!< deadline per attempt, carried
                                  //!< by its cancel token; <= 0
                                  //!< disables
-    int maxAttempts = 0;         //!< retry cap for transient errors;
-                                 //!< <= 0 uses the executor's policy
 
     // Filled in by the executor.
     JobStatus status = JobStatus::Pending;
@@ -106,9 +104,6 @@ class JobGraph
 
     std::vector<Job> &jobs() { return jobs_; }
     const std::vector<Job> &jobs() const { return jobs_; }
-
-    /** Ids of jobs that directly depend on @p id. */
-    std::vector<size_t> dependents(size_t id) const;
 
     /** True once every job is Done. */
     bool allDone() const;

@@ -14,8 +14,7 @@
  * order.
  *
  * The class is deliberately synchronous and single-threaded (one
- * load-generator client = one thread = one ServiceClient); it is not
- * thread-safe.
+ * client thread = one ServiceClient); it is not thread-safe.
  */
 
 #ifndef RODINIA_SERVICE_CLIENT_HH
@@ -93,8 +92,8 @@ class ServiceClient
 
     /**
      * Connect to the daemon's socket. Retries connect() for up to
-     * @p timeoutMs (the daemon may still be binding), so tests and
-     * the load generator can race daemon startup safely.
+     * @p timeoutMs (the daemon may still be binding), so a client
+     * started beside a fresh daemon can race its startup safely.
      */
     bool connect(const std::string &socketPath, int timeoutMs = 5000);
 
@@ -108,8 +107,8 @@ class ServiceClient
                     double deadlineMs = 0.0);
     /**
      * @param configJson the "config" object's JSON text ("{}" or ""
-     *        for Table II defaults) — kept textual so the load
-     *        generator can fuzz/construct configs directly
+     *        for Table II defaults) — kept textual so callers
+     *        write the config fields they vary directly
      */
     bool sendSim(const std::string &id, const std::string &workload,
                  const std::string &scale,

@@ -250,8 +250,6 @@ ExperimentService::Impl::acceptLoop()
         conn->client = std::string("c").append(
             std::to_string(connCounter.fetch_add(1) + 1));
         metrics::count("service.connections");
-        if (config.verbose)
-            warn("service: accepted ", conn->client);
         conn->reader = std::thread([this, conn] { readerLoop(conn); });
         std::lock_guard<std::mutex> lock(connsMu);
         // Reap connections whose readers already finished so a
@@ -314,8 +312,6 @@ ExperimentService::Impl::readerLoop(const std::shared_ptr<Conn> &conn)
     // parsed — half a request must not execute.
     conn->open.store(false, std::memory_order_release);
     cancelConnection(*conn, "client disconnected");
-    if (config.verbose)
-        warn("service: ", conn->client, " disconnected");
     conn->readerDone.store(true, std::memory_order_release);
 }
 
@@ -659,10 +655,6 @@ ExperimentService::Impl::execute(Task &task)
                        .str("outcome", served ? "served" : "failed")
                        .json(),
                    t0, Clock::now());
-    if (config.verbose)
-        warn("service: ", task.conn->client, "/", task.id, " ",
-             spanWhat, " [", laneName(task.lane), "] ",
-             served ? "served" : "failed");
 }
 
 // ---------------------------------------------------------------

@@ -79,7 +79,6 @@ struct ServiceConfig
     int coldWorkers = 2;           //!< cold-lane request workers
     int warmWorkers = 1;           //!< warm-lane request workers
     AdmissionPolicy admission;
-    bool verbose = false;          //!< per-request stderr log lines
 };
 
 class ExperimentService

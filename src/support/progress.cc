@@ -3,15 +3,14 @@
 namespace rodinia {
 namespace support {
 
-StreamProgressReporter::StreamProgressReporter(size_t total,
-                                               std::FILE *out,
-                                               bool verbose)
+ProgressReporter::ProgressReporter(size_t total, std::FILE *out,
+                                   bool verbose)
     : total(total), out(out), verbose(verbose)
 {
 }
 
 void
-StreamProgressReporter::jobStarted(const std::string &name)
+ProgressReporter::jobStarted(const std::string &name)
 {
     if (!verbose)
         return;
@@ -22,8 +21,7 @@ StreamProgressReporter::jobStarted(const std::string &name)
 }
 
 void
-StreamProgressReporter::jobFinished(const std::string &name,
-                                    double wallMs)
+ProgressReporter::jobFinished(const std::string &name, double wallMs)
 {
     std::lock_guard<std::mutex> lock(mu);
     ++done;
@@ -35,8 +33,8 @@ StreamProgressReporter::jobFinished(const std::string &name,
 }
 
 void
-StreamProgressReporter::jobFailed(const std::string &name,
-                                  const std::string &error, bool skipped)
+ProgressReporter::jobFailed(const std::string &name,
+                            const std::string &error, bool skipped)
 {
     std::lock_guard<std::mutex> lock(mu);
     ++done;

@@ -19,38 +19,26 @@
 namespace rodinia {
 namespace support {
 
-/** Sink for job lifecycle events. All methods are thread-safe. */
+/**
+ * Sink for job lifecycle events: prints one line per event to a
+ * stdio stream with a done/total counter. Construct with the total
+ * job count; the counter advances on every finish/failure. All
+ * methods are thread-safe.
+ */
 class ProgressReporter
 {
   public:
-    virtual ~ProgressReporter() = default;
+    ProgressReporter(size_t total, std::FILE *out, bool verbose);
 
     /** A job began executing. */
-    virtual void jobStarted(const std::string &name) = 0;
+    void jobStarted(const std::string &name);
 
     /** A job finished successfully. */
-    virtual void jobFinished(const std::string &name, double wallMs) = 0;
+    void jobFinished(const std::string &name, double wallMs);
 
     /** A job failed (threw) or was skipped due to a failed dep. */
-    virtual void jobFailed(const std::string &name,
-                           const std::string &error, bool skipped) = 0;
-};
-
-/**
- * Prints one line per event to a stdio stream with a done/total
- * counter. Construct with the total job count; the counter advances
- * on every finish/failure.
- */
-class StreamProgressReporter : public ProgressReporter
-{
-  public:
-    explicit StreamProgressReporter(size_t total, std::FILE *out = stderr,
-                                    bool verbose = true);
-
-    void jobStarted(const std::string &name) override;
-    void jobFinished(const std::string &name, double wallMs) override;
     void jobFailed(const std::string &name, const std::string &error,
-                   bool skipped) override;
+                   bool skipped);
 
   private:
     std::mutex mu;

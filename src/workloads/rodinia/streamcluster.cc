@@ -86,7 +86,7 @@ StreamCluster::runCpu(trace::TraceSession &session, core::Scale scale)
     ScData d;
     makeData(p, d);
     const int nt = session.numThreads();
-    std::vector<double> partialGain(nt, 0.0);
+    auto partialGain = support::pageAlignedVector<double>(size_t(nt));
 
     session.run([&](trace::ThreadCtx &ctx) {
         // Hot-code size of the application this

@@ -17,6 +17,11 @@
 #include <vector>
 
 #include "core/workload.hh"
+// For streamcluster.cc's pageAlignedVector. Included here because
+// that file's line numbers key its GPU kernel's recorded
+// instructions (gpusim/kernel.hh): a line added there changes the
+// kernel's content hash and every store key derived from it.
+#include "support/alloc_align.hh"
 
 namespace rodinia {
 namespace workloads {

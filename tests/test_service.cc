@@ -4,8 +4,8 @@
  * and fuzz robustness, admission-control accounting, end-to-end
  * request handling over a real Unix socket, cancellation, deadlines
  * and shutdown, FIFO lane order, the warm/cold isolation property,
- * and the experimentd + expload child-process smoke path against the
- * golden corpus.
+ * and a child-process experimentd serving concurrent clients against
+ * the golden corpus.
  *
  * The single-flight edge cases and the seeded multi-client stress
  * flood live in test_service_stress.cc (the service-stress CI lane).
@@ -1090,17 +1090,25 @@ TEST(Service, LaneServesRequestsInArrivalOrder)
 }
 
 // ---------------------------------------------------------------
-// Child-process smoke: experimentd + expload against the golden
-// corpus (the CI service-smoke lane runs exactly this).
+// Child-process smoke: a real experimentd serving golden-checked
+// traffic to concurrent clients (the CI service-smoke lane runs
+// exactly this).
 // ---------------------------------------------------------------
 
-TEST(ServiceSmoke, ExploadReplaysGoldenTraffic)
+TEST(ServiceSmoke, DaemonServesGoldenTrafficToConcurrentClients)
 {
     ScratchDir scratch("smoke");
     std::string sock = scratch.socket();
     // c_str() pointers handed to execv must outlive this statement —
     // a temporary from scratch.cache() would dangle by exec time.
     std::string cacheDir = scratch.cache();
+
+    std::ifstream in(std::string(RODINIA_GOLDEN_DIR) + "/fig1.txt",
+                     std::ios::binary);
+    ASSERT_TRUE(in);
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    const std::string fig1 = golden.str();
 
     pid_t daemon = fork();
     ASSERT_GE(daemon, 0);
@@ -1112,52 +1120,58 @@ TEST(ServiceSmoke, ExploadReplaysGoldenTraffic)
         _exit(127);
     }
 
-    int fds[2];
-    ASSERT_EQ(pipe(fds), 0);
-    pid_t load = fork();
-    ASSERT_GE(load, 0);
-    if (load == 0) {
-        dup2(fds[1], STDOUT_FILENO);
-        close(fds[0]);
-        close(fds[1]);
-        const char *argv[] = {RODINIA_EXPLOAD_BIN,
-                              "--socket", sock.c_str(),
-                              "--clients", "2",
-                              "--requests", "4",
-                              "--warm-ratio", "0.5",
-                              "--seed", "42",
-                              "--figure", "fig1",
-                              "--workload", "backprop",
-                              "--scale", "tiny",
-                              "--golden", RODINIA_GOLDEN_DIR,
-                              nullptr};
-        execv(argv[0], const_cast<char **>(argv));
-        _exit(127);
+    // Two clients, each closed loop over the same fixed mix: fig1
+    // figure requests alternate with backprop Tiny sims, each sim
+    // with a config no other request uses, so every one simulates.
+    constexpr int kClients = 2;
+    constexpr int kRequests = 4;
+    std::vector<std::vector<std::string>> failures(kClients);
+    std::vector<int> served(kClients, 0);
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] {
+            auto &failed = failures[size_t(c)];
+            ServiceClient conn;
+            if (!conn.connect(sock)) {
+                failed.push_back("cannot connect");
+                return;
+            }
+            for (int r = 0; r < kRequests; ++r) {
+                std::string id = std::string("c")
+                                     .append(std::to_string(c))
+                                     .append("-r")
+                                     .append(std::to_string(r));
+                bool figure = r % 2 == 0;
+                bool sent =
+                    figure
+                        ? conn.sendFigure(id, "fig1")
+                        : conn.sendSim(
+                              id, "backprop", "tiny",
+                              "{\"gmemLatencyCycles\":" +
+                                  std::to_string(400 + c * kRequests +
+                                                 r) +
+                                  "}");
+                Outcome out = sent ? conn.await(id) : Outcome{};
+                if (!out.ok()) {
+                    failed.push_back(id + " not served: " +
+                                     out.reason + out.errorClass +
+                                     " " + out.detail);
+                    continue;
+                }
+                served[size_t(c)] += 1;
+                if (figure && out.payload != fig1)
+                    failed.push_back(id + " differs from fig1.txt");
+            }
+        });
+    for (auto &t : clients)
+        t.join();
+    for (int c = 0; c < kClients; ++c) {
+        EXPECT_EQ(served[size_t(c)], kRequests) << "client " << c;
+        for (const auto &f : failures[size_t(c)])
+            ADD_FAILURE() << f;
     }
-    close(fds[1]);
-    std::string out;
-    char buf[4096];
-    for (;;) {
-        ssize_t n = read(fds[0], buf, sizeof(buf));
-        if (n > 0) {
-            out.append(buf, size_t(n));
-            continue;
-        }
-        if (n < 0 && errno == EINTR)
-            continue;
-        break;
-    }
-    close(fds[0]);
-    int st = 0;
-    ASSERT_EQ(waitpid(load, &st, 0), load);
-    ASSERT_TRUE(WIFEXITED(st)) << out;
-    EXPECT_EQ(WEXITSTATUS(st), 0) << out;
-    // Every figure payload matched tests/golden/fig1.txt byte for
-    // byte, nothing errored, and the run was all-served.
-    EXPECT_NE(out.find("golden_mismatch=0"), std::string::npos)
-        << out;
-    EXPECT_NE(out.find("EXPLOAD ok=1"), std::string::npos) << out;
 
+    int st = 0;
     kill(daemon, SIGTERM);
     ASSERT_EQ(waitpid(daemon, &st, 0), daemon);
     ASSERT_TRUE(WIFEXITED(st));

@@ -9,13 +9,13 @@
  * rebuild per batch run, a warm daemon serves every memoized result
  * at socket round-trip cost. Each request is classified warm or
  * cold, and each lane has its own workers serving its queue in
- * arrival order.
+ * arrival order: 2 cold workers and 1 warm worker, queue caps of 64
+ * cold and 256 warm requests, and at most 16 requests in flight per
+ * client (the ServiceConfig defaults).
  *
  * Usage:
  *   experimentd --socket PATH [--cache-dir DIR] [--no-cache]
- *               [--jobs N] [--cold-workers N] [--warm-workers N]
- *               [--max-cold-queue N] [--max-warm-queue N]
- *               [--per-client N] [--trace FILE] [--verbose]
+ *               [--jobs N] [--trace FILE]
  *
  * Runs until SIGINT/SIGTERM, then drains (queued requests fail as
  * "shutdown"), prints the per-client accounting table, and exits 0.
@@ -56,32 +56,9 @@ usage(const char *argv0)
         "  --no-cache         bypass the on-disk result store\n"
         "  --jobs N           executor worker threads (default:\n"
         "                     hardware threads)\n"
-        "  --cold-workers N   cold-lane request workers (default 2)\n"
-        "  --warm-workers N   warm-lane request workers (default 1)\n"
-        "  --max-cold-queue N cold queue depth cap (default 64)\n"
-        "  --max-warm-queue N warm queue depth cap (default 256)\n"
-        "  --per-client N     per-client in-flight quota (default "
-        "16)\n"
         "  --trace FILE       write a Chrome trace_event JSON dump\n"
-        "                     (service + driver spans) on shutdown\n"
-        "  --verbose          log per-connection/request lines\n",
+        "                     (service + driver spans) on shutdown\n",
         argv0);
-}
-
-bool
-parsePositive(const char *flag, const char *v, long lo, long hi,
-              long &out)
-{
-    char *end = nullptr;
-    long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || n < lo || n > hi) {
-        std::fprintf(stderr, "%s: '%s' is not an integer in [%ld, "
-                             "%ld]\n",
-                     flag, v, lo, hi);
-        return false;
-    }
-    out = n;
-    return true;
 }
 
 } // namespace
@@ -101,7 +78,6 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        long n = 0;
         if (!std::strcmp(arg, "--socket")) {
             const char *v = value();
             if (!v)
@@ -116,45 +92,23 @@ main(int argc, char **argv)
             cfg.cacheEnabled = false;
         } else if (!std::strcmp(arg, "--jobs")) {
             const char *v = value();
-            if (!v || !parsePositive("--jobs", v, 1, 1024, n))
+            if (!v)
                 return 2;
+            char *end = nullptr;
+            long n = std::strtol(v, &end, 10);
+            if (end == v || *end != '\0' || n < 1 || n > 1024) {
+                std::fprintf(stderr, "--jobs: '%s' is not an integer "
+                                     "in [1, 1024]\n",
+                             v);
+                return 2;
+            }
             int hw = int(std::thread::hardware_concurrency());
             cfg.executorThreads = int(n) > hw && hw > 0 ? hw : int(n);
-        } else if (!std::strcmp(arg, "--cold-workers")) {
-            const char *v = value();
-            if (!v || !parsePositive("--cold-workers", v, 1, 64, n))
-                return 2;
-            cfg.coldWorkers = int(n);
-        } else if (!std::strcmp(arg, "--warm-workers")) {
-            const char *v = value();
-            if (!v || !parsePositive("--warm-workers", v, 1, 64, n))
-                return 2;
-            cfg.warmWorkers = int(n);
-        } else if (!std::strcmp(arg, "--max-cold-queue")) {
-            const char *v = value();
-            if (!v ||
-                !parsePositive("--max-cold-queue", v, 1, 1 << 20, n))
-                return 2;
-            cfg.admission.maxColdQueue = size_t(n);
-        } else if (!std::strcmp(arg, "--max-warm-queue")) {
-            const char *v = value();
-            if (!v ||
-                !parsePositive("--max-warm-queue", v, 1, 1 << 20, n))
-                return 2;
-            cfg.admission.maxWarmQueue = size_t(n);
-        } else if (!std::strcmp(arg, "--per-client")) {
-            const char *v = value();
-            if (!v ||
-                !parsePositive("--per-client", v, 1, 1 << 20, n))
-                return 2;
-            cfg.admission.perClientInFlight = size_t(n);
         } else if (!std::strcmp(arg, "--trace")) {
             const char *v = value();
             if (!v)
                 return 2;
             traceOut = v;
-        } else if (!std::strcmp(arg, "--verbose")) {
-            cfg.verbose = true;
         } else if (!std::strcmp(arg, "--help") ||
                    !std::strcmp(arg, "-h")) {
             usage(argv[0]);

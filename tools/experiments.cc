@@ -380,8 +380,7 @@ main(int argc, char **argv)
         for (auto &job : graph.jobs())
             job.softDeadlineMs = opt.deadlineMs;
 
-    support::StreamProgressReporter progress(graph.size(), stderr,
-                                             !opt.quiet);
+    support::ProgressReporter progress(graph.size(), stderr, !opt.quiet);
     auto t0 = std::chrono::steady_clock::now();
     bool allOk = executor.run(graph, &progress);
     double wallMs = std::chrono::duration<double, std::milli>(
